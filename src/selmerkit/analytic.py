@@ -105,15 +105,3 @@ def numeric_plus(E: EllipticCurve, a: int, b: int, tol: float = 1e-6) -> float:
     om_p, _ = real_periods(E)
     S = modular_symbol_series(E, a, b, tol=tol)
     return S.real / om_p
-
-
-def numeric_minus(E: EllipticCurve, a: int, b: int, tol: float = 1e-6) -> float:
-    """Direct-integration value of [a/b]-, i.e. Im(integral) / omega_minus."""
-    _, om_m = real_periods(E)
-    S = modular_symbol_series(E, a, b, tol=tol)
-    return S.imag / om_m
-
-
-def lratio_numeric(E: EllipticCurve, tol: float = 1e-6) -> float:
-    """L(E, 1) / omega_plus by direct integration at the cusp 0."""
-    return numeric_plus(E, 0, 1, tol=tol)

@@ -17,7 +17,6 @@ import logging
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,7 +32,7 @@ from .gross_points import (
     make_theta,
     relation_report,
 )
-from .kurihara import DeltaStats, RegionSpec, delta_stats, kurihara_number
+from .kurihara import DeltaStats, RegionSpec, delta_stats, kurihara_collection
 from .modsym import isolate_eigensymbol
 from .selmer_predict import (
     ModuleShape,
@@ -47,7 +46,6 @@ logger = logging.getLogger("selmerkit.cli")
 
 SCHEMA_VERSION = 1
 DEFAULT_MAX_EVALUATIONS = 5_000_000
-_PARALLEL_THRESHOLD = 32
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +166,11 @@ def ingest(path: str, strict: bool = True) -> list[CurveRecord]:
     """
     records: list[CurveRecord] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
+    try:
+        fh = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot read curve file {path}: {exc.strerror or exc}") from exc
+    with fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -327,23 +329,6 @@ def _estimate_evaluations(indices) -> int:
     return evaluations + tables
 
 
-def _collect(sym, indices, p, valuation_cap: int = 12) -> list:
-    """Kurihara numbers for all indices, order-preserving.
-
-    Large batches fan out over a small thread pool; results are gathered in
-    index order so the output is identical to the serial run.
-    """
-    if len(indices) < _PARALLEL_THRESHOLD:
-        return [kurihara_number(sym, ix, p, valuation_cap=valuation_cap) for ix in indices]
-    workers = min(4, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(kurihara_number, sym, ix, p, valuation_cap=valuation_cap)
-            for ix in indices
-        ]
-        return [f.result() for f in futures]
-
-
 def _gather(E: EllipticCurve, config: RunConfig) -> PipelineData:
     notes = _hypothesis_gate(E, config.p)
     region = config.region()
@@ -357,7 +342,7 @@ def _gather(E: EllipticCurve, config: RunConfig) -> PipelineData:
             "--max-evaluations"
         )
     sym = isolate_eigensymbol(E)
-    collection = _collect(sym, indices, config.p)
+    collection = kurihara_collection(sym, indices, config.p)
     stats = delta_stats(collection, region)
     return PipelineData(
         region=region,
@@ -419,8 +404,16 @@ def _cache_read(cache_dir: str | None, key: str) -> dict | None:
     path = Path(cache_dir) / f"{key}.json"
     if not path.exists():
         return None
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            entry = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        logger.warning("cache entry %s is unreadable (%s); recomputing", path, exc)
+        return None
+    if not isinstance(entry, dict):
+        logger.warning("cache entry %s is not a report; recomputing", path)
+        return None
+    return entry
 
 
 def _cache_write(cache_dir: str | None, key: str, report: dict) -> None:
@@ -630,11 +623,7 @@ def cmd_predict(args) -> None:
     if len(records) == 1:
         _emit(args, render_report(run_pipeline(records[0], config)))
         return
-    # distinct curves are independent; the a_q cache and dlog tables are
-    # thread-safe, so fan out and reassemble in input order
-    with ThreadPoolExecutor(max_workers=min(4, len(records))) as pool:
-        futures = [pool.submit(run_pipeline, r, config) for r in records]
-        reports = [f.result() for f in futures]
+    reports = [run_pipeline(r, config) for r in records]
     _emit(args, render_report({"kind": "batch", "schema": SCHEMA_VERSION, "reports": reports}))
 
 

@@ -12,7 +12,6 @@ point count of the reduced curve at bad primes.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from math import gcd, isqrt, lcm
 
@@ -30,7 +29,6 @@ from .errors import HypothesisError, InputError, InternalInvariantError
 NAIVE_COUNT_LIMIT = 10_000
 
 _AQ_CACHE: dict[tuple, int] = {}
-_AQ_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -344,9 +342,8 @@ def trace_of_frobenius(E: EllipticCurve, q: int) -> int:
     if not isprime(q):
         raise InputError(f"q={q} is not prime")
     key = (E.ainvs, q)
-    with _AQ_LOCK:
-        if key in _AQ_CACHE:
-            return _AQ_CACHE[key]
+    if key in _AQ_CACHE:
+        return _AQ_CACHE[key]
     if E.conductor % q == 0:
         kind = reduction_type(E, q)
         aq = {"split": 1, "nonsplit": -1, "additive": 0}[kind]
@@ -358,8 +355,7 @@ def trace_of_frobenius(E: EllipticCurve, q: int) -> int:
         aq = q + 1 - count
         if aq * aq > 4 * q:
             raise InternalInvariantError(f"Hasse bound violated at q={q}: a_q={aq}")
-    with _AQ_LOCK:
-        _AQ_CACHE[key] = aq
+    _AQ_CACHE[key] = aq
     return aq
 
 

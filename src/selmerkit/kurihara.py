@@ -8,6 +8,11 @@ lives in Z_p / I_n = Z/p^{t_n} and is well defined up to a unit (the
 primitive-root choices).  Only unit-invariant data (valuations, vanishing)
 is ever reported as a statistic.
 
+The sum is taken over the pairs {a, n - a} with a < n/2, each weighted by
+the sum of both log products.  This rests on [(n - a)/n]+ = [a/n]+, which
+holds for every p: translation by 1 fixes modular symbols, and [-x]+ = [x]+
+because the plus functional is star-invariant (EigenSymbol asserts it).
+
 A finite search region can certify "ord <= nu(n)" by exhibiting a nonzero
 delta_n, and can report stratum minima of valuations, but the true
 partial^(i) is an infimum over infinitely many n: every stratum value
@@ -22,7 +27,7 @@ from fractions import Fraction
 from math import gcd
 
 from .arith import isprime, padic_valuation, smallest_primitive_root
-from .errors import HypothesisError, InputError
+from .errors import HypothesisError, InputError, InternalInvariantError
 from .modsym import EigenSymbol
 from .sieves import SquarefreeIndex
 
@@ -116,6 +121,12 @@ def kurihara_number(
     etas overrides the primitive-root choice per prime factor; the default
     is the smallest primitive root, making residues reproducible.  Only
     valuation and saturation are unit-independent.
+
+    For n > 1 the symbol is evaluated once per pair {a, n - a}: the
+    star-invariant plus symbol has [(n - a)/n]+ = [a/n]+, so the pair
+    contributes raw(a, n) * (w(a) + w(n - a)) with w the log product.  n is
+    odd (each prime factor is 1 mod p), so no unit is its own partner.  The
+    sign and the denominator are applied once to the total.
     """
     if index.family not in (None, "cyc"):
         raise InputError(f"Kurihara numbers need cyc indices, got {index.family}")
@@ -145,6 +156,8 @@ def kurihara_number(
         )
     modulus = p ** t
     n = index.n
+    if n % 2 == 0:
+        raise InternalInvariantError(f"cyc index n = {n} is even; a and n - a would collide")
 
     chosen: list[tuple[int, int]] = []
     tables: list[tuple[int, list[int]]] = []
@@ -155,18 +168,20 @@ def kurihara_number(
         tables.append((f.q, [x % modulus for x in tab]))
 
     dinv = _p_unit_inverse(sym.denominator, p, modulus, "the symbol denominator")
-    sgn = sym.sign
     total = 0
-    for a in range(1, n):
+    for a in range(1, (n + 1) // 2):
         if gcd(a, n) != 1:
             continue
         raw = sym.raw_value(a, n)
         if raw == 0:
             continue
-        w = 1
+        w = w_neg = 1
         for ell, tab in tables:
-            w = w * tab[a % ell] % modulus
-        total = (total + sgn * raw * dinv * w) % modulus
+            r = a % ell
+            w = w * tab[r] % modulus
+            w_neg = w_neg * tab[ell - r] % modulus
+        total += raw * (w + w_neg)
+    total = sym.sign * dinv * total % modulus
 
     return KuriharaNumber(
         index=index,

@@ -16,7 +16,7 @@ overall sign is pinned once against a direct numeric integration.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -400,49 +400,6 @@ class ManinSpace:
         rows.append(list(f_minus))
         return integer_kernel(rows)
 
-    # -- paths ---------------------------------------------------------------
-
-    def path_vector(self, a: int, b: int) -> dict[int, int]:
-        """{oo -> a/b} as a multiset of Manin generators (sparse vector).
-
-        Uses the continued fraction of a/b; each partial path is a single
-        generator by unimodularity of consecutive convergents.
-        """
-        out: dict[int, int] = {}
-        for j in self._path_indices(a, b):
-            out[j] = out.get(j, 0) + 1
-        return out
-
-    def _path_indices(self, a: int, b: int):
-        """Generator indices along {oo -> a/b}, repeats included."""
-        if b == 0:
-            return
-        if b < 0:
-            a, b = -a, -b
-        g = gcd(a, b)
-        if g > 1:
-            a, b = a // g, b // g
-        idx = self.p1.index
-        # convergent denominators, seeded so the first term is q_0 = 1, q_{-1} = 0
-        q_prev, q_cur = 1, 0
-        sign = -1  # (-1)^{k-1} at k = 0
-        num, den = a, b
-        while True:
-            a_k = num // den
-            num, den = den, num - a_k * den
-            q_prev, q_cur = q_cur, a_k * q_cur + q_prev
-            yield idx(sign * q_cur, q_prev)
-            sign = -sign
-            if den == 0:
-                break
-
-    def pair_path(self, f: tuple[int, ...], a: int, b: int) -> int:
-        """<f, {oo -> a/b}> for an integer functional f, no allocation."""
-        total = 0
-        for j in self._path_indices(a, b):
-            total += f[j]
-        return total
-
 
 _SPACE_CACHE: dict[int, ManinSpace] = {}
 
@@ -464,6 +421,13 @@ class EigenSymbol:
     eval_plus(a, b) returns [a/b]+ as an exact rational; raw_value gives the
     integer pairing against the primitive integer functional, with
     [a/b]+ = sign * raw / denominator.
+
+    Construction builds the P^1(Z/N) lookup table of Cremona's "Algorithms
+    for Modular Elliptic Curves": a flat list of length N^2 whose entry
+    (c mod N) * N + (d mod N) is fvec at the class of (c : d), and 0 at
+    pairs that are not points of P^1(Z/N).  It holds one 8-byte slot per
+    entry, about 8 N^2 bytes (1.2 MB at N = 389).  The functional must be
+    star-invariant, f(iota x) = f(x); anything else is refused.
     """
 
     curve: EllipticCurve
@@ -471,9 +435,46 @@ class EigenSymbol:
     fvec: tuple[int, ...]
     denominator: int
     sign: int
+    _table: list[int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        space, f = self.space, self.fvec
+        if any(f[space.iota[i]] != f[i] for i in range(space.n)):
+            raise InternalInvariantError(
+                "eigensymbol functional is not invariant under the star involution"
+            )
+        N = space.N
+        units = [u for u in range(N) if gcd(u, N) == 1]
+        tab = [0] * (N * N)
+        # each class of P^1(Z/N) is the unit orbit of its representative
+        for (c, d), value in zip(space.p1._reps, f):
+            for u in units:
+                tab[u * c % N * N + u * d % N] = value
+        self._table = tab
 
     def raw_value(self, a: int, b: int) -> int:
-        return self.space.pair_path(self.fvec, a, b)
+        """<fvec, {oo -> a/b}>, one table lookup per continued-fraction step.
+
+        Consecutive convergents p_{k-1}/q_{k-1}, p_k/q_k of a/b give the Manin
+        generator ((-1)^{k-1} q_k : q_{k-1}); the sign is dropped because
+        (-c : d) is the star image of (c : d).  The convergent denominators
+        depend only on the partial quotients, which a common factor of a and
+        b does not change, so they are tracked mod N without reducing a/b.
+        """
+        if b == 0:
+            return 0
+        if b < 0:
+            a, b = -a, -b
+        N = self.space.N
+        tab = self._table
+        q_prev, q_cur = 1, 0
+        total = 0
+        while b:
+            k = a // b
+            a, b = b, a - k * b
+            q_prev, q_cur = q_cur, (k * q_cur + q_prev) % N
+            total += tab[q_cur * N + q_prev]
+        return total
 
     def eval_plus(self, a: int, b: int) -> Fraction:
         return Fraction(self.sign * self.raw_value(a, b), self.denominator)

@@ -3,6 +3,7 @@
 import json
 import random
 
+import mpmath
 import pytest
 
 from selmerkit import cli
@@ -192,18 +193,47 @@ def test_cache_warm_equals_cold(tmp_path):
     assert files[0].read_text() == render_report(cold)
 
 
-def test_parallel_collection_matches_serial(eigensymbol):
-    from selmerkit.sieves import build_indices, sieve
+def test_unreadable_cache_entry_is_recomputed(tmp_path, capsys):
+    argv = (
+        "predict", "--curves", SAMPLE, "--label", "11a1", "--p", "7",
+        "--prime-bound", "150", "--cache-dir", str(tmp_path / "cache"),
+    )
+    code, cold, _ = run_main(capsys, *argv)
+    assert code == 0
+    (entry,) = (tmp_path / "cache").glob("*.json")
+    for damaged in (cold.encode()[: len(cold) // 2], b"\xff\xfe\x00garbage", b"[1, 2]\n"):
+        entry.write_bytes(damaged)
+        code, warm, err = run_main(capsys, *argv)
+        assert code == 0 and "Traceback" not in err
+        assert warm == cold
+        assert entry.read_text(encoding="utf-8") == cold
 
-    sym = eigensymbol("11a1")
-    primes = sieve("cyc", sym.curve, 7, 1, 500)
-    indices = build_indices(primes, 1, 10_000_000) * 20  # force the pool path
-    assert len(indices) >= 32
-    parallel = cli._collect(sym, indices, 7)
-    serial = [cli.kurihara_number(sym, ix, 7) for ix in indices]
-    assert [(kn.n, kn.residue, kn.valuation) for kn in parallel] == [
-        (kn.n, kn.residue, kn.valuation) for kn in serial
-    ]
+
+def test_missing_curve_file_exits_2(tmp_path, capsys):
+    code, out, err = run_main(
+        capsys, "predict", "--curves", str(tmp_path / "absent.jsonl"), "--p", "7",
+    )
+    assert code == 2 and out == ""
+    assert "absent.jsonl" in err and "Traceback" not in err
+
+
+def test_cold_multi_curve_batch_matches_single_runs(tmp_path, capsys):
+    dps = mpmath.mp.dps
+    labels = ["15a1", "19a1", "37b1"]
+    cache = tmp_path / "cache"
+    single_argv = ("--p", "7", "--prime-bound", "150", "--cache-dir", str(cache))
+    # warm the cache for one curve only, so the batch has two misses
+    code, _, _ = run_main(capsys, "predict", "--curves", SAMPLE, "--label", labels[0], *single_argv)
+    assert code == 0
+    batch_argv = [arg for label in labels for arg in ("--label", label)]
+    code, out, err = run_main(capsys, "predict", "--curves", SAMPLE, *batch_argv, *single_argv)
+    assert code == 0 and "Traceback" not in err
+    batch = json.loads(out)
+    assert [r["curve"]["label"] for r in batch["reports"]] == labels
+    assert mpmath.mp.dps == dps
+    for label, report in zip(labels, batch["reports"]):
+        alone = run_pipeline(sample_record(label), RunConfig(p=7, prime_bound=150))
+        assert render_report(report) == render_report(alone)
 
 
 # ----------------------------------------------------------- gz end to end

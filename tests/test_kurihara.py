@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selmerkit.errors import HypothesisError, InputError
+from selmerkit.arith import padic_valuation, smallest_primitive_root
+from selmerkit.errors import HypothesisError, InputError, InternalInvariantError
 from selmerkit.kurihara import (
     DeltaStats,
     KuriharaNumber,
@@ -25,6 +26,8 @@ from selmerkit.kurihara import (
     kurihara_number,
 )
 from selmerkit.sieves import KolyvaginPrime, SquarefreeIndex, build_indices, sieve
+
+from path_oracle import pair_path
 
 
 def region(p, k=1, prime_bound=500, max_nu=2, max_n=10 ** 6, label=""):
@@ -193,6 +196,48 @@ def test_crt_log_product(curve):
         assert direct == via_tables
 
 
+def _reference_delta(sym, ix, p):
+    """delta_n as the plain sum over all of (Z/n)^*, symbols from the path oracle."""
+    modulus = p ** ix.t_n
+    logs = [(f.q, discrete_log_table(f.q, smallest_primitive_root(f.q))) for f in ix.factors]
+    dinv = pow(sym.denominator, -1, modulus)
+    total = 0
+    for a in range(1, ix.n):
+        if gcd(a, ix.n) != 1:
+            continue
+        w = 1
+        for ell, tab in logs:
+            w *= tab[a % ell]
+        total += sym.sign * pair_path(sym.space, sym.fvec, a, ix.n) * dinv * w
+    return total % modulus
+
+
+@pytest.mark.parametrize(
+    "label, p, bound",
+    [
+        ("11a1", 3, 100), ("11a1", 5, 100), ("11a1", 7, 200),
+        ("37a1", 3, 100), ("37a1", 5, 300), ("37a1", 7, 100),
+        ("14a1", 3, 100), ("14a1", 5, 300), ("14a1", 7, 600),
+    ],
+)
+def test_paired_sum_matches_reference_sum(eigensymbol, curve, label, p, bound):
+    sym = eigensymbol(label)
+    indices = build_indices(sieve("cyc", curve(label), p, 1, bound), max_nu=2, max_n=13000)
+    # the first two indices of each stratum n > 1
+    picked = [ix for ix in indices if ix.n > 1]
+    picked = [ix for ix in picked if sum(jx.nu == ix.nu for jx in picked if jx.n <= ix.n) <= 2]
+    assert picked
+    for ix in picked:
+        if sym.denominator % p == 0:
+            with pytest.raises(HypothesisError):
+                kurihara_number(sym, ix, p)
+            continue
+        kn = kurihara_number(sym, ix, p)
+        expected = _reference_delta(sym, ix, p)
+        assert kn.residue == expected, (label, p, ix.n)
+        assert kn.valuation == padic_valuation(expected, p, cap=ix.t_n)
+
+
 def test_rejects_wrong_family_and_unit_ideal(eigensymbol):
     sym = eigensymbol("11a1")
     f = KolyvaginPrime(q=13, family="adm", v1=0, v2=1, epsilon=1)
@@ -203,6 +248,10 @@ def test_rejects_wrong_family_and_unit_ideal(eigensymbol):
     ix0 = SquarefreeIndex(n=29, factors=(g,), t_n=0)
     with pytest.raises(InputError):
         kurihara_number(sym, ix0, 7)
+    # 2 is never 1 mod p, so an even n would break the a <-> n - a pairing
+    two = KolyvaginPrime(q=2, family="cyc", v1=1, v2=1)
+    with pytest.raises(InternalInvariantError, match="even"):
+        kurihara_number(sym, SquarefreeIndex(n=2, factors=(two,), t_n=1), 7)
 
 
 # -- statistics ---------------------------------------------------------------

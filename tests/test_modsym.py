@@ -22,7 +22,7 @@ from selmerkit.analytic import (
     series_terms_needed,
 )
 from selmerkit.curves import trace_of_frobenius
-from selmerkit.errors import PrecisionError
+from selmerkit.errors import InternalInvariantError, PrecisionError
 from selmerkit.modsym import (
     EigenSymbol,
     ManinSpace,
@@ -33,6 +33,8 @@ from selmerkit.modsym import (
     genus_x0,
     psi_index,
 )
+
+from path_oracle import pair_path, path_vector
 
 
 def test_index_and_genus_formulas():
@@ -117,11 +119,11 @@ def test_merel_matrices():
 
 def test_path_vector_basics():
     sp = build_manin_space(11)
-    v0 = sp.path_vector(0, 1)
+    v0 = path_vector(sp, 0, 1)
     assert v0 == {sp.p1.index(1, 0): 1}
-    assert sp.path_vector(2, 6) == sp.path_vector(1, 3)
-    assert sp.path_vector(-1, -3) == sp.path_vector(1, 3)
-    assert sp.path_vector(1, 0) == {}
+    assert path_vector(sp, 2, 6) == path_vector(sp, 1, 3)
+    assert path_vector(sp, -1, -3) == path_vector(sp, 1, 3)
+    assert path_vector(sp, 1, 0) == {}
 
 
 @settings(max_examples=100, deadline=None)
@@ -130,7 +132,43 @@ def test_path_vector_respects_reduction(a, b):
     sp = build_manin_space(11)
     g = gcd(a, b)
     if g:
-        assert sp.path_vector(a, b) == sp.path_vector(a // g, b // g)
+        assert path_vector(sp, a, b) == path_vector(sp, a // g, b // g)
+
+
+SAMPLE_LABELS = ["11a1", "14a1", "15a1", "17a1", "19a1", "26a1", "26b1", "27a1", "37a1", "37b1", "49a1"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    label=st.sampled_from(SAMPLE_LABELS),
+    a=st.integers(-10 ** 6, 10 ** 6),
+    b=st.integers(-10 ** 6, 10 ** 6),
+)
+def test_table_raw_value_matches_path_oracle(eigensymbol, label, a, b):
+    sym = eigensymbol(label)
+    assert sym.raw_value(a, b) == pair_path(sym.space, sym.fvec, a, b)
+
+
+def test_table_covers_exactly_the_points_of_p1(eigensymbol):
+    sym = eigensymbol("26a1")
+    sp, N = sym.space, sym.space.N
+    for c in range(N):
+        for d in range(N):
+            entry = sym._table[c * N + d]
+            if gcd(gcd(c, d), N) == 1:
+                assert entry == sym.fvec[sp.p1.index(c, d)]
+            else:
+                assert entry == 0
+
+
+def test_star_variant_functional_is_refused(eigensymbol):
+    sym = eigensymbol("11a1")
+    sp = sym.space
+    i = next(i for i in range(sp.n) if sp.iota[i] != i)
+    bent = list(sym.fvec)
+    bent[i] += 1
+    with pytest.raises(InternalInvariantError, match="star"):
+        EigenSymbol(curve=sym.curve, space=sp, fvec=tuple(bent), denominator=1, sign=1)
 
 
 def test_eigensymbol_is_a_hecke_eigenvector(eigensymbol):
