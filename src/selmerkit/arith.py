@@ -11,12 +11,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from sympy import factorint, isprime, nextprime, primerange
+from sympy import divisors, factorint, isprime, primerange
 
 __all__ = [
+    "divisors",
     "factorint",
     "isprime",
-    "nextprime",
     "primerange",
     "gcd",
     "jacobi_symbol",

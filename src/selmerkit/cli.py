@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import logging
 import os
@@ -44,7 +45,7 @@ from .sieves import build_indices, dump_primes_jsonl, sieve
 
 logger = logging.getLogger("selmerkit.cli")
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 DEFAULT_MAX_EVALUATIONS = 5_000_000
 
 
@@ -219,7 +220,6 @@ class RunConfig:
     D_K: int | None = None
     label: str = ""
     cache_dir: str | None = None
-    seed: int = 0
     allow_small_p: bool = False
     max_evaluations: int = DEFAULT_MAX_EVALUATIONS
 
@@ -268,7 +268,6 @@ class RunConfig:
             "max_n": self.max_n,
             "D_K": self.D_K,
             "label": self.label,
-            "seed": self.seed,
             "allow_small_p": self.allow_small_p,
         }
 
@@ -386,72 +385,56 @@ def _pipeline_report(record: CurveRecord, config: RunConfig, data: PipelineData,
     return report
 
 
-def _execute(record: CurveRecord, config: RunConfig) -> tuple[dict, DeltaStats]:
-    E = record.to_curve()
-    data = _gather(E, config)
-    prediction = predict_selmer_Q(data.stats)
-    return _pipeline_report(record, config, data, prediction), data.stats
-
-
-def _cache_key(payload: dict) -> str:
-    blob = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:24]
-
-
-def _cache_read(cache_dir: str | None, key: str) -> dict | None:
-    if cache_dir is None:
-        return None
-    path = Path(cache_dir) / f"{key}.json"
-    if not path.exists():
-        return None
-    try:
-        with open(path, encoding="utf-8") as fh:
-            entry = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        logger.warning("cache entry %s is unreadable (%s); recomputing", path, exc)
-        return None
-    if not isinstance(entry, dict):
-        logger.warning("cache entry %s is not a report; recomputing", path)
-        return None
-    return entry
-
-
-def _cache_write(cache_dir: str | None, key: str, report: dict) -> None:
-    if cache_dir is None:
-        return
-    directory = Path(cache_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(render_report(report))
-        # atomic publish: concurrent readers see the old file or the new one
-        os.replace(tmp, directory / f"{key}.json")
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
 def run_pipeline(record: CurveRecord, config: RunConfig) -> dict:
     """curves -> modsym -> sieves -> kurihara -> prediction, as one report.
 
     The report is a plain JSON-compatible dict; rendering it with
     render_report is byte-identical across runs of the same (record, config,
-    code) triple, which is also the cache key.
+    code) triple, which is also the cache key.  This is the one cached
+    computation.  An entry is the hex sha256 of the rest of the file on its
+    first line, then exactly render_report(report).  An entry whose digest
+    does not match its stored bytes, that does not decode, or that is not a
+    pipeline report is logged as a miss, recomputed and rewritten atomically.
     """
-    key = _cache_key(
-        {
-            "kind": "pipeline",
+    path = None
+    if config.cache_dir is not None:
+        directory = Path(config.cache_dir)
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise InputError(f"cannot use cache directory {directory}: {exc.strerror or exc}") from exc
+        payload = {
             "record": record.to_json_dict(),
             "config": config.to_json_dict(),
             "code": code_version(),
         }
-    )
-    cached = _cache_read(config.cache_dir, key)
-    if cached is not None:
-        return cached
-    report, _ = _execute(record, config)
-    _cache_write(config.cache_dir, key, report)
+        key = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:24]
+        path = directory / f"{key}.json"
+        if path.exists():
+            digest, _, body = path.read_bytes().partition(b"\n")
+            cached = None
+            if digest == hashlib.sha256(body).hexdigest().encode():
+                try:
+                    cached = json.loads(body)
+                except ValueError:  # JSONDecodeError or UnicodeDecodeError
+                    pass
+            if isinstance(cached, dict) and cached.get("kind") == "pipeline":
+                return cached
+            logger.warning("cache entry %s fails its checksum or is not a report; recomputing", path)
+
+    data = _gather(record.to_curve(), config)
+    report = _pipeline_report(record, config, data, predict_selmer_Q(data.stats))
+    if path is not None:
+        body = render_report(report).encode()
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(hashlib.sha256(body).hexdigest().encode() + b"\n" + body)
+            # atomic publish: concurrent readers see the old file or the new one
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
     return report
 
 
@@ -461,6 +444,8 @@ def gz_pair(record_E: CurveRecord, D_K: int, config: RunConfig) -> dict:
     nu(N^-) even is the indefinite setting (Heegner-point dictionary, needs
     the root number of E); odd is the definite setting (toric-period
     dictionary).  Both sub-pipelines must certify their vanishing orders.
+    The pair itself is not cached: its two curve runs go through the
+    run_pipeline cache, and the dictionary reads their "stats" back.
     """
     D = -abs(int(D_K))
     if not is_fundamental_discriminant(D):
@@ -475,21 +460,10 @@ def gz_pair(record_E: CurveRecord, D_K: int, config: RunConfig) -> dict:
         ainvs=twist.ainvs,
         conductor=twist.conductor,
     )
-    key = _cache_key(
-        {
-            "kind": "gz_pair",
-            "record": record_E.to_json_dict(),
-            "D_K": D,
-            "config": config.to_json_dict(),
-            "code": code_version(),
-        }
-    )
-    cached = _cache_read(config.cache_dir, key)
-    if cached is not None:
-        return cached
-
-    report_E, stats_E = _execute(record_E, config)
-    report_T, stats_T = _execute(twist_record, config)
+    report_E = run_pipeline(record_E, config)
+    report_T = run_pipeline(twist_record, config)
+    stats_E = DeltaStats.from_json_dict(report_E["stats"])
+    stats_T = DeltaStats.from_json_dict(report_T["stats"])
     if splitting.nu_minus % 2 == 0:
         if record_E.root_number is None:
             raise InputError(
@@ -519,7 +493,6 @@ def gz_pair(record_E: CurveRecord, D_K: int, config: RunConfig) -> dict:
     }
     if config.tainted:
         report["taint"] = report_E.get("taint")
-    _cache_write(config.cache_dir, key, report)
     return report
 
 
@@ -528,11 +501,14 @@ def gz_pair(record_E: CurveRecord, D_K: int, config: RunConfig) -> dict:
 
 
 def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
+    if not args.out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
 
 
 def _selected_records(args) -> list[CurveRecord]:
@@ -565,7 +541,6 @@ def _config_from_args(args) -> RunConfig:
         D_K=args.DK,
         label=args.region_label,
         cache_dir=args.cache_dir,
-        seed=args.seed,
         allow_small_p=args.allow_small_p,
         max_evaluations=args.max_evaluations,
     )
@@ -578,11 +553,9 @@ def cmd_sieve(args) -> None:
     primes = sieve(
         args.family, E, config.p, config.k, config.prime_bound, D_K=config.D_K
     )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            dump_primes_jsonl(primes, fh)
-    else:
-        dump_primes_jsonl(primes, sys.stdout)
+    text = io.StringIO()
+    dump_primes_jsonl(primes, text)
+    _emit(args, text.getvalue())
 
 
 def cmd_delta(args) -> None:
@@ -780,7 +753,6 @@ def _add_config_args(sub) -> None:
     sub.add_argument("--DK", type=int, default=None, help="imaginary quadratic discriminant (sign normalized)")
     sub.add_argument("--region-label", default="")
     sub.add_argument("--cache-dir", default=None)
-    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--allow-small-p", action="store_true")
     sub.add_argument("--max-evaluations", type=int, default=DEFAULT_MAX_EVALUATIONS)
 

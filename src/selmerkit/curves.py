@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from math import gcd, isqrt, lcm
 
 from .arith import (
+    divisors,
     factorint,
     is_fundamental_discriminant,
     isprime,
@@ -448,18 +449,11 @@ def _minimal_model_from_c4c6(c4: int, c6: int):
         ):
             e += 1
         u0 *= p ** e
-    for u in sorted(_divisors(u0), reverse=True):
+    for u in reversed(divisors(u0)):
         cand = _model_from_c4c6(c4 // u ** 4, c6 // u ** 6)
         if cand is not None:
             return cand
     raise InternalInvariantError(f"no integral model for invariants ({c4}, {c6})")
-
-
-def _divisors(n: int):
-    ds = [1]
-    for p, e in factorint(n).items():
-        ds = [d * p ** i for d in ds for i in range(e + 1)]
-    return ds
 
 
 def quadratic_twist(E: EllipticCurve, D: int) -> EllipticCurve:

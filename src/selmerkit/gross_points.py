@@ -52,10 +52,6 @@ class QuadraticData:
                 % (lhs, -self.D_K)
             )
 
-    def minimal_polynomial(self) -> tuple[int, int, int]:
-        """Coefficients (1, -trd, nrd) of x^2 - trd*x + nrd."""
-        return (1, -self.theta_trace, self.theta_norm)
-
 
 def make_theta(D_K: int) -> QuadraticData:
     """Standard generator data for the field of discriminant -D_K.

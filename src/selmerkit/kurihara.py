@@ -193,14 +193,8 @@ def kurihara_number(
     )
 
 
-def kurihara_collection(
-    sym: EigenSymbol,
-    indices: list[SquarefreeIndex],
-    p: int,
-    etas: dict[int, int] | None = None,
-    valuation_cap: int = 12,
-) -> list[KuriharaNumber]:
-    return [kurihara_number(sym, ix, p, etas=etas, valuation_cap=valuation_cap) for ix in indices]
+def kurihara_collection(sym: EigenSymbol, indices: list[SquarefreeIndex], p: int) -> list[KuriharaNumber]:
+    return [kurihara_number(sym, ix, p) for ix in indices]
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +254,18 @@ class DeltaStats:
             "search_region": self.search_region,
             "notes": list(self.notes),
         }
+
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "DeltaStats":
+        """Inverse of to_json_dict, also after a JSON round trip."""
+        return cls(
+            ord_bound=data["ord_bound"],
+            ord_is_certified_on_region=data["ord_is_certified_on_region"],
+            partial={int(i): StratumStat(**s) for i, s in data["partial"].items()},
+            partial_infty=data["partial_infty"],
+            search_region=data["search_region"],
+            notes=list(data["notes"]),
+        )
 
 
 def delta_stats(collection: list[KuriharaNumber], region: RegionSpec) -> DeltaStats:

@@ -15,12 +15,11 @@ overall sign is pinned once against a direct numeric integration.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .arith import factorint, kronecker_symbol, primerange
+from .arith import divisors, factorint, kronecker_symbol, primerange
 from .curves import EllipticCurve, trace_of_frobenius
 from .errors import AmbiguityError, InputError, InternalInvariantError
 from .linalg import clear_denominators, dense_kernel, gcd_list, sparse_nullspace
@@ -41,7 +40,7 @@ def cusp_number(N: int) -> int:
     from sympy import totient
 
     total = 0
-    for d in _divisors(N):
+    for d in divisors(N):
         total += int(totient(gcd(d, N // d)))
     return total
 
@@ -66,13 +65,6 @@ def genus_x0(N: int) -> int:
     return int(g)
 
 
-def _divisors(n: int):
-    ds = [1]
-    for p, e in factorint(n).items():
-        ds = [d * p ** i for d in ds for i in range(e + 1)]
-    return sorted(ds)
-
-
 class P1List:
     """Canonical representatives of P^1(Z/N) with index lookup."""
 
@@ -86,7 +78,7 @@ class P1List:
             self._reps = [(0, 0)]
             self._index = {(0, 0): 0}
             return
-        for g in _divisors(N):
+        for g in divisors(N):
             if g == N:
                 continue  # the class c = 0 appears as g = N's partner (0, 1)
             for d in range(N):
@@ -478,42 +470,6 @@ class EigenSymbol:
 
     def eval_plus(self, a: int, b: int) -> Fraction:
         return Fraction(self.sign * self.raw_value(a, b), self.denominator)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "format": 1,
-            "ainvs": list(self.curve.ainvs),
-            "conductor": self.curve.conductor,
-            "label": self.curve.label,
-            "fvec": list(self.fvec),
-            "denominator": self.denominator,
-            "sign": self.sign,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "EigenSymbol":
-        if data.get("format") != 1:
-            raise InputError("unknown eigensymbol cache format")
-        E = EllipticCurve(*data["ainvs"], conductor=data["conductor"], label=data.get("label", ""))
-        space = build_manin_space(E.conductor)
-        if len(data["fvec"]) != space.n:
-            raise InputError("cached eigensymbol does not match the level")
-        return cls(
-            curve=E,
-            space=space,
-            fvec=tuple(int(x) for x in data["fvec"]),
-            denominator=int(data["denominator"]),
-            sign=int(data["sign"]),
-        )
-
-    def save(self, path: str):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh)
-
-    @classmethod
-    def load(cls, path: str) -> "EigenSymbol":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 def _mat_vec(cols: list[list[Fraction]], v: list[Fraction]) -> list[Fraction]:

@@ -1,5 +1,6 @@
 """Curve ingestion, run configs, pipeline reports, and the subcommand surface."""
 
+import hashlib
 import json
 import random
 
@@ -178,6 +179,13 @@ def test_pipeline_cost_guard():
         run_pipeline(sample_record("11a1"), RunConfig(p=7, prime_bound=500, max_evaluations=10))
 
 
+def entry_body(path):
+    """The report stored in a cache entry, after its checked digest line."""
+    digest, body = path.read_text(encoding="utf-8").split("\n", 1)
+    assert digest == hashlib.sha256(body.encode()).hexdigest()
+    return body
+
+
 def test_cache_warm_equals_cold(tmp_path):
     record = sample_record("11a1")
     cache = tmp_path / "cache"
@@ -190,7 +198,7 @@ def test_cache_warm_equals_cold(tmp_path):
     # the report does not depend on whether a cache was used at all
     bare = run_pipeline(record, RunConfig(p=7, prime_bound=500))
     assert render_report(bare) == render_report(cold)
-    assert files[0].read_text() == render_report(cold)
+    assert entry_body(files[0]) == render_report(cold)
 
 
 def test_unreadable_cache_entry_is_recomputed(tmp_path, capsys):
@@ -201,12 +209,25 @@ def test_unreadable_cache_entry_is_recomputed(tmp_path, capsys):
     code, cold, _ = run_main(capsys, *argv)
     assert code == 0
     (entry,) = (tmp_path / "cache").glob("*.json")
-    for damaged in (cold.encode()[: len(cold) // 2], b"\xff\xfe\x00garbage", b"[1, 2]\n"):
+    digest, body = entry.read_bytes().split(b"\n", 1)
+    forged = json.loads(body)
+    forged["kurihara"][-1]["residue"] += 1
+    forged["prediction"]["shape"]["corank"] = 3
+    damaged_entries = {
+        "edited report, stale digest": digest + b"\n" + render_report(forged).encode(),
+        "empty object": b"{}",
+        "no digest line": body,
+        "truncated": (digest + b"\n" + body)[: len(body) // 2],
+        "not UTF-8": b"\xff\xfe\x00garbage",
+        "not an object": b"[1, 2]\n",
+        "checksummed, not a report": hashlib.sha256(b"{}\n").hexdigest().encode() + b"\n{}\n",
+    }
+    for what, damaged in damaged_entries.items():
         entry.write_bytes(damaged)
         code, warm, err = run_main(capsys, *argv)
-        assert code == 0 and "Traceback" not in err
-        assert warm == cold
-        assert entry.read_text(encoding="utf-8") == cold
+        assert code == 0 and "Traceback" not in err, what
+        assert warm == cold, what
+        assert entry.read_bytes() == digest + b"\n" + cold.encode(), what
 
 
 def test_missing_curve_file_exits_2(tmp_path, capsys):
@@ -364,10 +385,11 @@ def test_exit_code_bad_label(capsys):
     assert code == 2 and "nope" in err
 
 
-def test_waldspurger_subcommand_and_branch_guard(capsys, tmp_path):
+def test_waldspurger_subcommand_and_branch_guard(capsys, tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
     argv = (
         "--curves", SAMPLE, "--label", "11a1", "--p", "7", "--DK", "3",
-        "--prime-bound", "500", "--cache-dir", str(tmp_path / "cache"),
+        "--prime-bound", "500", "--cache-dir", str(cache),
     )
     code, out, _ = run_main(capsys, "waldspurger", *argv)
     assert code == 0
@@ -375,9 +397,22 @@ def test_waldspurger_subcommand_and_branch_guard(capsys, tmp_path):
     assert report["branch"] == "waldspurger"
     assert report["field"]["nu_minus"] == 1
     assert report["prediction"]["ord_lambda"] == 0
-    # the same field is definite, so the indefinite subcommand refuses
+    # the pair is cached as its two curve runs and nothing else
+    entries = sorted(cache.iterdir())
+    labels = sorted(json.loads(entry_body(e))["curve"]["label"] for e in entries)
+    assert labels == ["11a1", "11a1x-3"] and all(e.suffix == ".json" for e in entries)
+
+    def no_symbols(*args, **kwargs):
+        raise AssertionError("a warm pair must not isolate an eigensymbol")
+
+    monkeypatch.setattr(cli, "isolate_eigensymbol", no_symbols)
+    code, warm, _ = run_main(capsys, "waldspurger", *argv)
+    assert code == 0 and warm == out
+    # the same field is definite, so the indefinite subcommand refuses,
+    # after reusing both curve runs
     code, _, err = run_main(capsys, "gz", *argv)
     assert code == 2 and "waldspurger" in err
+    assert sorted(cache.iterdir()) == entries
 
 
 def test_bipartite_sim_subcommand(capsys):
@@ -397,6 +432,15 @@ def test_bipartite_sim_subcommand(capsys):
     assert all("a" in entry for entry in report["steps"][1:])
     code2, out2, _ = run_main(capsys, *argv)
     assert code2 == 0 and out2 == out  # seeded, byte-identical
+
+
+def test_seed_is_not_a_pipeline_option(capsys):
+    # bipartite-sim keeps its --seed (test_bipartite_sim_subcommand)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["predict", "--curves", SAMPLE, "--label", "11a1", "--p", "7", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert "seed" not in RunConfig(p=7).to_json_dict()
 
 
 def test_gross_points_subcommand(capsys):
@@ -430,3 +474,31 @@ def test_out_flag_writes_file(tmp_path, capsys):
     )
     assert code == 0 and out == ""
     assert json.loads(out_path.read_text())["kind"] == "stats"
+
+
+@pytest.mark.parametrize("command", ["stats", "sieve"])
+def test_out_into_missing_directory_exits_2(tmp_path, capsys, command):
+    target = tmp_path / "absent" / "report.json"
+    code, out, err = run_main(
+        capsys, command, "--curves", SAMPLE, "--label", "11a1", "--p", "7",
+        "--prime-bound", "150", "--out", str(target),
+    )
+    assert code == 2 and out == ""
+    assert "absent" in err and "Traceback" not in err
+    assert not target.exists()
+
+
+def test_cache_dir_naming_a_file_is_refused_before_any_work(tmp_path, capsys, monkeypatch):
+    not_a_dir = tmp_path / "cache"
+    not_a_dir.write_text("a file, not a directory\n")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the pipeline ran before the cache directory was checked")
+
+    monkeypatch.setattr(cli, "_gather", no_work)
+    code, out, err = run_main(
+        capsys, "predict", "--curves", SAMPLE, "--label", "11a1", "--p", "7",
+        "--cache-dir", str(not_a_dir),
+    )
+    assert code == 2 and out == ""
+    assert "cache directory" in err and "Traceback" not in err

@@ -8,6 +8,7 @@ rank-0/rank-1 pictures at (11a1, p=7) and (37a1, p=5) must match the
 curves' ingested ranks through the structure theorem.
 """
 
+import json
 from math import gcd
 
 import pytest
@@ -25,6 +26,7 @@ from selmerkit.kurihara import (
     kurihara_collection,
     kurihara_number,
 )
+from selmerkit.selmer_predict import ModuleShape, synthetic_delta_stats
 from selmerkit.sieves import KolyvaginPrime, SquarefreeIndex, build_indices, sieve
 
 from path_oracle import pair_path
@@ -336,6 +338,37 @@ def test_stats_parity_chain_violations_are_reported():
 def test_stats_reject_empty():
     with pytest.raises(InputError):
         delta_stats([], region(5))
+
+
+def _json_round_trip(stats):
+    text = json.dumps(stats.to_json_dict(), indent=2, sort_keys=True)
+    back = DeltaStats.from_json_dict(json.loads(text))
+    assert json.dumps(back.to_json_dict(), indent=2, sort_keys=True) == text
+    return back
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    corank=st.integers(0, 4),
+    exponents=st.lists(st.integers(1, 4), max_size=5),
+    floor=st.integers(0, 3),
+)
+def test_delta_stats_json_round_trip_synthetic(corank, exponents, floor):
+    # up to 5 exponents puts strata nu >= 10 in play, whose JSON keys sort
+    # before "2": the rebuilt stats must not depend on key order
+    shape = ModuleShape(corank, tuple(sorted(exponents, reverse=True)))
+    stats = synthetic_delta_stats(shape, floor=floor)
+    assert _json_round_trip(stats) == stats
+
+
+def test_delta_stats_json_round_trip_inconclusive_and_real(eigensymbol, curve):
+    inconclusive = delta_stats([_fake(0, 3), _fake(1, 3)], region(5, max_nu=1))
+    assert _json_round_trip(inconclusive) == inconclusive
+    primes = sieve("cyc", curve("11a1"), 7, 1, 500)
+    idxs = build_indices(primes, max_nu=2, max_n=10 ** 6)
+    real = delta_stats(kurihara_collection(eigensymbol("11a1"), idxs, 7), region(7, label="11a1"))
+    assert real.notes  # the unstabilized parity chain note survives too
+    assert _json_round_trip(real) == real
 
 
 def test_kurihara_number_json_shape(eigensymbol, curve):

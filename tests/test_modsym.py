@@ -7,7 +7,6 @@ relation-space pipeline, and direct numeric integration of the q-expansion
 generator of the intersection of the period lattice with the real line.
 """
 
-import json
 from fractions import Fraction
 from math import gcd
 
@@ -242,23 +241,6 @@ def test_denominator_prime_to_working_primes(eigensymbol):
     # later mod-p^k reductions require the value denominators prime to p
     assert gcd(eigensymbol("11a1").denominator, 7) == 1
     assert gcd(eigensymbol("37a1").denominator, 5) == 1
-
-
-def test_eigensymbol_json_round_trip(tmp_path, eigensymbol):
-    sym = eigensymbol("11a1")
-    path = str(tmp_path / "sym.json")
-    sym.save(path)
-    loaded = EigenSymbol.load(path)
-    assert loaded.fvec == sym.fvec
-    assert loaded.denominator == sym.denominator
-    assert loaded.sign == sym.sign
-    assert loaded.curve.ainvs == sym.curve.ainvs
-    for a, b in [(0, 1), (3, 7), (5, 13)]:
-        assert loaded.eval_plus(a, b) == sym.eval_plus(a, b)
-    # byte stability of the serialization itself
-    blob1 = json.dumps(sym.to_json_dict(), sort_keys=True)
-    blob2 = json.dumps(EigenSymbol.load(path).to_json_dict(), sort_keys=True)
-    assert blob1 == blob2
 
 
 def test_boundary_kills_relations():
