@@ -6,8 +6,7 @@ at an explicit term count: the tail of the sum decays like exp(-2*pi*n*delta),
 while the discarded segment below height delta is controlled by the decay of
 f at the base cusp, of width h = N / gcd(b^2, N).  Balancing the two gives
 delta = 2*pi / (h * b^2 * L) with L = log(1/tol), and a term requirement of
-about L^2 * h * b^2 / (4*pi^2).  When a caller-imposed cap is too small the
-routine refuses with the required count instead of returning a bad value.
+about L^2 * h * b^2 / (4*pi^2).
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from math import ceil, exp, gcd, log, pi
 import mpmath as mp
 
 from .curves import EllipticCurve, hecke_an_list
-from .errors import PrecisionError
 
 
 def real_periods(E: EllipticCurve, dps: int = 30) -> tuple[float, float]:
@@ -55,13 +53,7 @@ def series_terms_needed(N: int, b: int, tol: float) -> int:
     return ceil(L * L * h * b * b / (4 * pi * pi)) + 64
 
 
-def modular_symbol_series(
-    E: EllipticCurve,
-    a: int,
-    b: int,
-    tol: float = 1e-8,
-    max_terms: int | None = None,
-) -> complex:
+def modular_symbol_series(E: EllipticCurve, a: int, b: int, tol: float = 1e-8) -> complex:
     """sum_n (a_n / n) e^{2 pi i n a/b} e^{-2 pi n delta}, the truncated
     period integral of 2 pi i f from a/b + i*delta up to the cusp at infinity
     combined with the bound on the missing lower segment.
@@ -75,11 +67,6 @@ def modular_symbol_series(
         a, b = a // g, b // g
     N = E.conductor
     T = series_terms_needed(N, b, tol)
-    if max_terms is not None and T > max_terms:
-        raise PrecisionError(
-            f"need {T} series terms for denominator {b} at tolerance {tol}",
-            suggested_terms=T,
-        )
     h = N // gcd(b * b, N)
     L = log(1.0 / tol) + 3.0
     delta = 2 * pi / (h * b * b * L)

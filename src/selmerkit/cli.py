@@ -500,6 +500,12 @@ def gz_pair(record_E: CurveRecord, D_K: int, config: RunConfig) -> dict:
 # subcommands
 
 
+def _check_out(args) -> None:
+    """Refuse an --out whose parent is not an existing directory, before any work."""
+    if args.out and not Path(args.out).parent.is_dir():
+        raise InputError(f"cannot write {args.out}: {Path(args.out).parent} is not a directory")
+
+
 def _emit(args, text: str) -> None:
     if not args.out:
         sys.stdout.write(text)
@@ -838,6 +844,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args)
         args.func(args)
     except SelmerkitError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -36,16 +36,5 @@ class InternalInvariantError(SelmerkitError):
     exit_code = 4
 
 
-class PrecisionError(InputError):
-    """A numeric routine cannot reach the requested precision.
-
-    Carries a suggested parameter value so the caller can retry.
-    """
-
-    def __init__(self, message, suggested_terms=None):
-        super().__init__(message)
-        self.suggested_terms = suggested_terms
-
-
 class AmbiguityError(InternalInvariantError):
     """An eigenspace did not cut down to dimension one."""

@@ -1,11 +1,10 @@
-"""Exact linear algebra over Q and Z.
+"""Exact integer linear algebra.
 
-Three kernels are needed by the modular symbol machinery:
+Two kernels are needed by the modular symbol machinery:
 
-* the nullspace of a large sparse integer relation matrix (fraction-free
-  Gaussian elimination with content stripping, pivoting on small
-  coefficients),
-* kernels of small dense rational matrices (eigenspace cuts),
+* the nullspace of a sparse integer matrix (fraction-free Gaussian
+  elimination with content stripping, pivoting on small coefficients),
+  which gives the Manin functionals and cuts them down to eigenspaces,
 * integer kernels via unimodular column reduction (lattice computations
   behind the symbol normalization).
 
@@ -14,16 +13,13 @@ Everything is deterministic; no floating point is involved.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 __all__ = [
     "gcd_list",
     "strip_content",
     "sparse_nullspace",
-    "dense_kernel",
     "integer_kernel",
-    "clear_denominators",
 ]
 
 
@@ -48,10 +44,8 @@ def sparse_nullspace(rows, ncols):
     """Nullspace basis of a sparse integer matrix.
 
     `rows` is an iterable of {column: coefficient} dicts.  Returns a list of
-    dense Fraction vectors of length `ncols`; the basis is in reduced form
-    (each vector is 1 on "its" free column and 0 on the other free columns),
-    so coordinates with respect to the basis can be read off the free
-    columns directly.
+    primitive integer vectors of length `ncols`, one per non-pivot column,
+    each positive on its own column.
     """
     active: list[dict] = []
     seen = set()
@@ -128,54 +122,18 @@ def sparse_nullspace(rows, ncols):
             if not new:
                 remaining.discard(j)
 
-    free = [c for c in range(ncols) if c not in pivot_rows]
     basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for pc, i in pivot_rows.items():
-            row = active[i]
-            if f in row:
-                v[pc] = Fraction(-row[f], row[pc])
-        basis.append(v)
-    return basis, free
-
-
-def dense_kernel(mat):
-    """Kernel basis of a dense rational matrix (list of row lists)."""
-    if not mat:
-        return None  # caller supplies dimension-aware identity
-    nrows, ncols = len(mat), len(mat[0])
-    m = [[Fraction(x) for x in row] for row in mat]
-    pivots = {}
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
+    for f in range(ncols):
+        if f in pivot_rows:
             continue
-        m[r], m[piv] = m[piv], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots[c] = r
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for c, i in pivots.items():
-            v[c] = -m[i][f]
-        basis.append(v)
+        hits = [(pivot_of_row[i], active[i]) for i in col_rows.get(f, ())]
+        scale = lcm(*(row[pc] for pc, row in hits))
+        v = [0] * ncols
+        v[f] = scale
+        for pc, row in hits:
+            v[pc] = -row[f] * scale // row[pc]
+        g = gcd_list(v)
+        basis.append([x // g for x in v])
     return basis
 
 
@@ -220,22 +178,3 @@ def integer_kernel(rows):
         if all(x == 0 for x in cols[j]):
             kernel.append(list(transform[j]))
     return kernel
-
-
-def clear_denominators(vec):
-    """Scale a rational vector to a primitive integer vector.
-
-    Returns (integer_vector, scale) with vec == integer_vector / scale up to
-    the stripped content; concretely integer_vector = vec * scale / content
-    with gcd(integer_vector) == 1.
-    """
-    from math import lcm
-
-    den = 1
-    for x in vec:
-        den = lcm(den, Fraction(x).denominator)
-    ints = [int(Fraction(x) * den) for x in vec]
-    g = gcd_list(ints)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return ints, den

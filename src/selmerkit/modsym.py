@@ -2,12 +2,15 @@
 
 The space of modular symbols is presented by generators indexed by P^1(Z/N)
 subject to the two-term and three-term Manin relations.  We work throughout
-on the dual side: a "functional" is a rational vector orthogonal to every
+on the dual side: a "functional" is an integer vector orthogonal to every
 relation, so the functional space computed here has dimension 2g + c - 1.
 
 For a rational elliptic curve of conductor N, the plus eigensymbol is the
 one-dimensional common eigenspace of the Hecke operators (eigenvalues from
-point counts) fixed by the star involution.  It is normalized to take the
+point counts) fixed by the star involution.  It is cut out of the relation
+kernel by integer arithmetic alone: each operator is applied pointwise to
+the current basis vectors, and the combinations it sends to the eigenvalue
+form the integer kernel of a sparse system.  It is normalized to take the
 value group Z exactly on integral cycles fixed by the involution, so that
 evaluations are the classical ratios [a/b]+ = Re int / (real period); the
 overall sign is pinned once against a direct numeric integration.
@@ -22,7 +25,7 @@ from math import gcd
 from .arith import divisors, factorint, kronecker_symbol, primerange
 from .curves import EllipticCurve, trace_of_frobenius
 from .errors import AmbiguityError, InputError, InternalInvariantError
-from .linalg import clear_denominators, dense_kernel, gcd_list, sparse_nullspace
+from .linalg import gcd_list, integer_kernel, sparse_nullspace
 
 # ---------------------------------------------------------------------------
 # index sets and dimension formulas
@@ -219,7 +222,7 @@ class ManinSpace:
                     row[t] = row.get(t, 0) + 1
                 rows.append(row)
 
-        self.functionals, self.free_cols = sparse_nullspace(rows, n)
+        self.functionals = sparse_nullspace(rows, n)
         self.m = len(self.functionals)
 
         self.genus = genus_x0(N)
@@ -231,8 +234,6 @@ class ManinSpace:
             )
 
         self._build_boundary()
-        self._hecke_cache: dict[int, list[list[Fraction]]] = {}
-        self._iota_restricted: list[list[Fraction]] | None = None
 
     # -- boundary map ------------------------------------------------------
 
@@ -319,63 +320,26 @@ class ManinSpace:
 
     # -- operators on functionals -------------------------------------------
 
-    def _apply_pointwise(self, images: list[list[tuple[int, int]]], f):
-        """(Af)_i = sum over (j, mult) in images[i] of mult * f_j."""
-        return [
-            sum((f[j] * mult for j, mult in images[i]), start=Fraction(0))
-            for i in range(self.n)
-        ]
+    def hecke_images(self, q: int) -> list[list[tuple[int, int]]]:
+        """T_q on generators, q prime to N: images[i] lists (j, multiplicity).
 
-    def _coords(self, f) -> list[Fraction]:
-        return [f[j] for j in self.free_cols]
-
-    def _operator_restriction(self, images) -> list[list[Fraction]]:
-        """Columns of the operator in the functional basis, with a spot check."""
-        cols = []
-        transformed = []
-        for fb in self.functionals:
-            w = self._apply_pointwise(images, fb)
-            transformed.append(w)
-            cols.append(self._coords(w))
-        # stability spot check on the sum of basis functionals
-        total = [sum(col, start=Fraction(0)) for col in zip(*transformed)]
-        recon = [Fraction(0)] * self.n
-        coords = self._coords(total)
-        for ck, fb in zip(coords, self.functionals):
-            if ck:
-                for t in range(self.n):
-                    recon[t] += ck * fb[t]
-        if recon != total:
-            raise InternalInvariantError("operator does not preserve the functional space")
-        return cols
-
-    def hecke_matrix(self, q: int) -> list[list[Fraction]]:
-        """T_q acting on functionals, as columns in the functional basis."""
-        if q in self._hecke_cache:
-            return self._hecke_cache[q]
+        A functional f goes to (T_q f)_i = sum of mult * f_j over images[i]
+        (Merel's matrices of determinant q acting on the symbol (c : d)).
+        """
         idx = self.p1.index
-        images: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for i in range(self.n):
-            c, d = self.p1.rep(i)
+        mats = _merel_matrices(q)
+        images = []
+        for c, d in self.p1._reps:
             counts: dict[int, int] = {}
-            for a, b, cc, dd in _merel_matrices(q):
+            for a, b, cc, dd in mats:
                 c1 = c * a + d * cc
                 d1 = c * b + d * dd
                 if gcd(gcd(c1, d1), self.N) != 1:
                     continue
                 j = idx(c1, d1)
                 counts[j] = counts.get(j, 0) + 1
-            images[i] = list(counts.items())
-        cols = self._operator_restriction(images)
-        self._hecke_cache[q] = cols
-        return cols
-
-    def iota_matrix(self) -> list[list[Fraction]]:
-        """The star involution on functionals, in the functional basis."""
-        if self._iota_restricted is None:
-            images = [[(self.iota[i], 1)] for i in range(self.n)]
-            self._iota_restricted = self._operator_restriction(images)
-        return self._iota_restricted
+            images.append(list(counts.items()))
+        return images
 
     # -- integral cycles -------------------------------------------------------
 
@@ -386,8 +350,6 @@ class ManinSpace:
         intersection of the period lattice with the real line, so the plus
         pairing takes its value group on exactly this lattice.
         """
-        from .linalg import integer_kernel
-
         rows: list[list[int]] = [list(r) for r in self.boundary_rows]
         rows.append(list(f_minus))
         return integer_kernel(rows)
@@ -472,71 +434,68 @@ class EigenSymbol:
         return Fraction(self.sign * self.raw_value(a, b), self.denominator)
 
 
-def _mat_vec(cols: list[list[Fraction]], v: list[Fraction]) -> list[Fraction]:
-    m = len(cols[0])
-    out = [Fraction(0)] * m
-    for vj, col in zip(v, cols):
-        if vj:
-            for i in range(m):
-                out[i] += vj * col[i]
-    return out
+def _eigen_cut(V: list[list[int]], images, eigenvalue: int) -> list[list[int]]:
+    """Primitive integer basis of span(V) intersected with ker(A - eigenvalue).
 
-
-def _shrink_to_eigenspace(V, cols, eigenvalue):
-    """Intersect span(V) with ker(M - eigenvalue), in coordinate space."""
+    A acts pointwise, (Af)_i = sum of mult * f_j over images[i]; it is applied
+    only to the vectors of V, and the combinations x with sum x_k (A - ev) V_k
+    = 0 are the kernel of that n x |V| integer system.
+    """
     if not V:
         return []
-    images = []
-    for v in V:
-        w = _mat_vec(cols, v)
-        images.append([wi - eigenvalue * vi for wi, vi in zip(w, v)])
-    m = len(images[0])
-    mat = [[images[j][i] for j in range(len(V))] for i in range(m)]
-    combos = dense_kernel(mat)
-    newV = []
-    for x in combos:
-        vec = [Fraction(0)] * m
-        for xj, v in zip(x, V):
-            if xj:
-                for i in range(m):
-                    vec[i] += xj * v[i]
-        newV.append(vec)
-    return newV
+    n = len(V[0])
+    rows = [{} for _ in range(n)]
+    for k, v in enumerate(V):
+        for i, img in enumerate(images):
+            w = sum(v[j] * mult for j, mult in img) - eigenvalue * v[i]
+            if w:
+                rows[i][k] = w
+    cut = []
+    for x in sparse_nullspace(rows, len(V)):
+        w = [0] * n
+        for xk, v in zip(x, V):
+            if xk:
+                for i in range(n):
+                    w[i] += xk * v[i]
+        g = gcd_list(w)
+        cut.append([wi // g for wi in w])
+    return cut
 
 
-def _isolate_functional(E: EllipticCurve, space: ManinSpace, iota_sign: int) -> tuple[int, ...]:
-    """Primitive integer functional spanning the (T_q, iota)-eigenspace."""
+def _isolate_functionals(E: EllipticCurve, space: ManinSpace) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Primitive integer functionals spanning the (T_q, iota = +1) and
+    (T_q, iota = -1) eigenspaces of E, found by cutting the relation kernel
+    first by the star involution, then by T_q - a_q for good primes q in order.
+    Each sign stops cutting once its space is at most a line; both stop once q
+    passes the Sturm bound.
+    """
     N = E.conductor
-    m = space.m
-    V = [[Fraction(int(i == k)) for i in range(m)] for k in range(m)]
-    V = _shrink_to_eigenspace(V, space.iota_matrix(), Fraction(iota_sign))
+    star = [[(j, 1)] for j in space.iota]
+    spaces = {sign: _eigen_cut(space.functionals, star, sign) for sign in (1, -1)}
     sturm = psi_index(N) // 6 + 2
     for q in primerange(2, 6 * sturm):
         if N % q == 0:
             continue
-        if len(V) <= 1:
+        if all(len(V) <= 1 for V in spaces.values()):
             break
         aq = trace_of_frobenius(E, q)
-        V = _shrink_to_eigenspace(V, space.hecke_matrix(q), Fraction(aq))
+        images = space.hecke_images(q)
+        for sign, V in spaces.items():
+            if len(V) > 1:
+                spaces[sign] = _eigen_cut(V, images, aq)
         if q > sturm:
             break
-    if len(V) == 0:
-        raise InternalInvariantError(
-            f"eigensystem of {E.label or E.ainvs} not found in the functional space"
-        )
-    if len(V) > 1:
-        raise AmbiguityError(
-            f"eigenspace of {E.label or E.ainvs} (star sign {iota_sign:+d}) "
-            f"has dimension {len(V)}"
-        )
-    coords = V[0]
-    f_rat = [Fraction(0)] * space.n
-    for ck, fb in zip(coords, space.functionals):
-        if ck:
-            for t in range(space.n):
-                f_rat[t] += ck * fb[t]
-    f_int, _ = clear_denominators(f_rat)
-    return tuple(f_int)
+    for sign, V in spaces.items():
+        if len(V) == 0:
+            raise InternalInvariantError(
+                f"eigensystem of {E.label or E.ainvs} not found in the functional space"
+            )
+        if len(V) > 1:
+            raise AmbiguityError(
+                f"eigenspace of {E.label or E.ainvs} (star sign {sign:+d}) "
+                f"has dimension {len(V)}"
+            )
+    return tuple(spaces[1][0]), tuple(spaces[-1][0])
 
 
 def isolate_eigensymbol(E: EllipticCurve, space: ManinSpace | None = None) -> EigenSymbol:
@@ -558,8 +517,7 @@ def isolate_eigensymbol(E: EllipticCurve, space: ManinSpace | None = None) -> Ei
     if space.m == 0:
         raise InputError(f"no cusp forms at level {N}")
 
-    f_int = _isolate_functional(E, space, +1)
-    f_minus = _isolate_functional(E, space, -1)
+    f_int, f_minus = _isolate_functionals(E, space)
 
     pairings = []
     for w in space.real_cycle_basis(f_minus):

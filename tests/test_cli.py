@@ -476,12 +476,17 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert json.loads(out_path.read_text())["kind"] == "stats"
 
 
-@pytest.mark.parametrize("command", ["stats", "sieve"])
-def test_out_into_missing_directory_exits_2(tmp_path, capsys, command):
+@pytest.mark.parametrize("command", ["stats", "sieve", "waldspurger"])
+def test_out_into_missing_directory_exits_2(tmp_path, capsys, monkeypatch, command):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the eigensymbol was computed before --out was checked")
+
+    monkeypatch.setattr(cli, "isolate_eigensymbol", no_work)
     target = tmp_path / "absent" / "report.json"
+    field = ["--DK", "-3"] if command == "waldspurger" else []
     code, out, err = run_main(
         capsys, command, "--curves", SAMPLE, "--label", "11a1", "--p", "7",
-        "--prime-bound", "150", "--out", str(target),
+        "--prime-bound", "150", *field, "--out", str(target),
     )
     assert code == 2 and out == ""
     assert "absent" in err and "Traceback" not in err

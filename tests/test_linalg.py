@@ -1,18 +1,10 @@
-"""Exact kernels: sparse rational nullspaces and saturated integer kernels."""
-
-from fractions import Fraction
+"""Exact kernels: sparse integer nullspaces and saturated integer kernels."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import Matrix
 
-from selmerkit.linalg import (
-    clear_denominators,
-    dense_kernel,
-    gcd_list,
-    integer_kernel,
-    sparse_nullspace,
-)
+from selmerkit.linalg import gcd_list, integer_kernel, sparse_nullspace
 
 
 def _matrix_strategy(max_rows=5, max_cols=6):
@@ -28,18 +20,14 @@ def _matrix_strategy(max_rows=5, max_cols=6):
 
 
 def test_sparse_nullspace_hand_case():
-    rows = [{0: 1, 1: 2}, {2: 1}]
-    basis, free = sparse_nullspace(rows, 3)
-    assert free == [1]
-    assert len(basis) == 1
-    v = basis[0]
-    assert v[0] == Fraction(-2) and v[1] == 1 and v[2] == 0
+    assert sparse_nullspace([{0: 1, 1: 2}, {2: 1}], 3) == [[-2, 1, 0]]
+    # 2x = 3y: the rational kernel vector (3/2, 1) comes back as (3, 2)
+    assert sparse_nullspace([{0: 2, 1: -3}], 2) == [[3, 2]]
 
 
 def test_sparse_nullspace_zero_matrix():
-    basis, free = sparse_nullspace([{}], 4)
-    assert free == [0, 1, 2, 3]
-    assert len(basis) == 4
+    basis = sparse_nullspace([{}], 4)
+    assert sorted(basis, reverse=True) == [[int(i == j) for i in range(4)] for j in range(4)]
 
 
 @settings(max_examples=80, deadline=None)
@@ -47,15 +35,15 @@ def test_sparse_nullspace_zero_matrix():
 def test_sparse_nullspace_matches_rank_nullity(mat):
     rows = [{j: v for j, v in enumerate(row) if v} for row in mat]
     ncols = len(mat[0])
-    basis, free = sparse_nullspace(rows, ncols)
+    basis = sparse_nullspace(rows, ncols)
     assert len(basis) == ncols - Matrix(mat).rank()
+    if basis:
+        assert Matrix(basis).rank() == len(basis)
     for v in basis:
+        assert all(isinstance(x, int) for x in v)
+        assert gcd_list(v) == 1
         for row in mat:
             assert sum(c * x for c, x in zip(row, v)) == 0
-    # identity pattern on the free columns
-    for i, f in enumerate(free):
-        for k, v in enumerate(basis):
-            assert v[f] == (1 if k == i else 0)
 
 
 @settings(max_examples=80, deadline=None)
@@ -78,17 +66,3 @@ def test_integer_kernel_is_saturated():
     assert sorted(map(abs, v)) == [1, 1]
     basis2 = integer_kernel([[4, 6]])
     assert sorted(map(abs, basis2[0])) == [2, 3]
-
-
-def test_dense_kernel():
-    ker = dense_kernel([[Fraction(1), Fraction(1, 2)]])
-    assert len(ker) == 1
-    a, b = ker[0]
-    assert a + Fraction(1, 2) * b == 0
-
-
-def test_clear_denominators():
-    vec, scale = clear_denominators([Fraction(1, 2), Fraction(2, 3)])
-    assert scale == 6
-    assert vec == [3, 4]
-    assert gcd_list(vec) == 1

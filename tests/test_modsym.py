@@ -14,18 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selmerkit.analytic import (
-    modular_symbol_series,
-    numeric_plus,
-    real_periods,
-    series_terms_needed,
-)
-from selmerkit.curves import trace_of_frobenius
-from selmerkit.errors import InternalInvariantError, PrecisionError
+from selmerkit.analytic import numeric_plus, real_periods
+from selmerkit.curves import quadratic_twist, trace_of_frobenius
+from selmerkit.errors import InternalInvariantError
 from selmerkit.modsym import (
     EigenSymbol,
-    ManinSpace,
     P1List,
+    _isolate_functionals,
     _merel_matrices,
     build_manin_space,
     cusp_number,
@@ -33,6 +28,7 @@ from selmerkit.modsym import (
     psi_index,
 )
 
+from eigen_oracle import stacked_eigenline
 from path_oracle import pair_path, path_vector
 
 
@@ -76,34 +72,48 @@ def test_p1_normalization_is_scalar_invariant(N, c, d, lam):
     assert p1.rep(p1.index(c, d)) == rep
 
 
-def test_functionals_satisfy_manin_relations():
-    sp = build_manin_space(14)
-    for f in sp.functionals:
-        for i in range(sp.n):
-            assert f[i] + f[sp.sigma[i]] == 0
-            assert f[i] + f[sp.tau[i]] + f[sp.tau[sp.tau[i]]] == 0
-
-
 def test_functional_dimensions():
     assert build_manin_space(1).m == 0
     assert build_manin_space(11).m == 3   # 2g + c - 1 = 2 + 2 - 1
     assert build_manin_space(37).m == 5
 
 
+def _apply(images, f):
+    """(Af)_i = sum of mult * f_j over images[i], the pointwise operator."""
+    return [sum(f[j] * mult for j, mult in img) for img in images]
+
+
+def _satisfies_manin_relations(sp, g):
+    return all(
+        g[i] + g[sp.sigma[i]] == 0 and g[i] + g[sp.tau[i]] + g[sp.tau[sp.tau[i]]] == 0
+        for i in range(sp.n)
+    )
+
+
+def test_functionals_satisfy_manin_relations():
+    sp = build_manin_space(14)
+    for f in sp.functionals:
+        assert _satisfies_manin_relations(sp, f)
+
+
+@pytest.mark.parametrize("N", [11, 26, 99])
+def test_hecke_images_preserve_the_functional_space(N):
+    sp = build_manin_space(N)
+    for q in (2, 3, 5, 7):
+        if N % q == 0:
+            continue
+        images = sp.hecke_images(q)
+        for f in sp.functionals:
+            assert _satisfies_manin_relations(sp, _apply(images, f))
+
+
 def test_star_commutes_with_hecke():
-    sp = build_manin_space(11)
-    ih = sp.iota_matrix()
-    th = sp.hecke_matrix(2)
-
-    def matmul(A, B):
-        # columns convention: (AB) col j = A applied to B col j
-        m = len(A[0])
-        return [
-            [sum(A[k][i] * B[j][k] for k in range(m)) for i in range(m)]
-            for j in range(m)
-        ]
-
-    assert matmul(ih, th) == matmul(th, ih)
+    for N in (11, 37):
+        sp = build_manin_space(N)
+        t2 = sp.hecke_images(2)
+        star = [[(j, 1)] for j in sp.iota]
+        for f in sp.functionals:
+            assert _apply(star, _apply(t2, f)) == _apply(t2, _apply(star, f))
 
 
 def test_merel_matrices():
@@ -171,18 +181,23 @@ def test_star_variant_functional_is_refused(eigensymbol):
 
 
 def test_eigensymbol_is_a_hecke_eigenvector(eigensymbol):
-    sym = eigensymbol("11a1")
-    sp = sym.space
-    coords = [Fraction(sym.fvec[j]) for j in sp.free_cols]
-    for q in (2, 3, 5, 13):
-        aq = trace_of_frobenius(sym.curve, q)
-        cols = sp.hecke_matrix(q)
-        out = [Fraction(0)] * sp.m
-        for cj, col in zip(coords, cols):
-            if cj:
-                for i in range(sp.m):
-                    out[i] += cj * col[i]
-        assert out == [aq * c for c in coords]
+    for label in SAMPLE_LABELS:
+        sym = eigensymbol(label)
+        sp = sym.space
+        for q in (2, 3, 5, 13):
+            if sp.N % q == 0:
+                continue
+            aq = trace_of_frobenius(sym.curve, q)
+            assert _apply(sp.hecke_images(q), sym.fvec) == [aq * x for x in sym.fvec], (label, q)
+
+
+@pytest.mark.parametrize("label", SAMPLE_LABELS + ["11a1x-3"])
+def test_isolated_lines_match_the_stacked_oracle(curve, label):
+    E = quadratic_twist(curve("11a1"), -3) if label == "11a1x-3" else curve(label)
+    sp = build_manin_space(E.conductor)
+    for sign, f in zip((1, -1), _isolate_functionals(E, sp)):
+        (line,) = stacked_eigenline(E, sp, sign)
+        assert list(f) in (line, [-x for x in line])
 
 
 # values computed twice: exact relation pipeline and numeric integration
@@ -227,14 +242,6 @@ def test_real_periods_against_frozen_values(curve):
     assert abs(om_m37 - 2.45138938198679) < 1e-10
     om_p15, _ = real_periods(curve("15a1"))  # positive discriminant branch
     assert abs(om_p15 - 1.4006030423326021) < 1e-10
-
-
-def test_series_precision_refusal(curve):
-    E = curve("11a1")
-    needed = series_terms_needed(11, 7, 1e-8)
-    with pytest.raises(PrecisionError) as exc:
-        modular_symbol_series(E, 1, 7, tol=1e-8, max_terms=needed // 2)
-    assert exc.value.suggested_terms == needed
 
 
 def test_denominator_prime_to_working_primes(eigensymbol):
