@@ -438,7 +438,8 @@ def run_pipeline(record: CurveRecord, config: RunConfig) -> dict:
     return report
 
 
-def gz_pair(record_E: CurveRecord, D_K: int, config: RunConfig) -> dict:
+def gz_pair(record_E: CurveRecord, D_K: int, config: RunConfig,
+            want_branch: str | None = None) -> dict:
     """Run E and its quadratic twist, then the dictionary the parity selects.
 
     nu(N^-) even is the indefinite setting (Heegner-point dictionary, needs
@@ -446,6 +447,8 @@ def gz_pair(record_E: CurveRecord, D_K: int, config: RunConfig) -> dict:
     dictionary).  Both sub-pipelines must certify their vanishing orders.
     The pair itself is not cached: its two curve runs go through the
     run_pipeline cache, and the dictionary reads their "stats" back.
+    The branch depends only on the field, so a missing root number or a
+    branch other than want_branch is refused before either pipeline runs.
     """
     D = -abs(int(D_K))
     if not is_fundamental_discriminant(D):
@@ -460,19 +463,24 @@ def gz_pair(record_E: CurveRecord, D_K: int, config: RunConfig) -> dict:
         ainvs=twist.ainvs,
         conductor=twist.conductor,
     )
+    branch = "heegner" if splitting.nu_minus % 2 == 0 else "waldspurger"
+    if branch == "heegner" and record_E.root_number is None:
+        raise InputError(
+            f"{record_E.label}: the indefinite dictionary needs root_number in the record"
+        )
+    if want_branch is not None and branch != want_branch:
+        other = "waldspurger" if want_branch == "heegner" else "gz"
+        raise InputError(
+            f"nu(N^-) = {splitting.nu_minus} selects the "
+            f"{branch} dictionary for this field; use the {other} subcommand"
+        )
     report_E = run_pipeline(record_E, config)
     report_T = run_pipeline(twist_record, config)
     stats_E = DeltaStats.from_json_dict(report_E["stats"])
     stats_T = DeltaStats.from_json_dict(report_T["stats"])
-    if splitting.nu_minus % 2 == 0:
-        if record_E.root_number is None:
-            raise InputError(
-                f"{record_E.label}: the indefinite dictionary needs root_number in the record"
-            )
-        branch = "heegner"
+    if branch == "heegner":
         prediction = predict_heegner_profile(stats_E, stats_T, W=record_E.root_number)
     else:
-        branch = "waldspurger"
         prediction = predict_waldspurger_profile(stats_E, stats_T)
 
     report = {
@@ -611,14 +619,7 @@ def _run_gz(args, want_branch: str) -> None:
     config = _config_from_args(args)
     if config.D_K is None:
         raise InputError("this subcommand needs --DK")
-    report = gz_pair(record, config.D_K, config)
-    if report["branch"] != want_branch:
-        other = "waldspurger" if want_branch == "heegner" else "gz"
-        raise InputError(
-            f"nu(N^-) = {report['field']['nu_minus']} selects the "
-            f"{report['branch']} dictionary for this field; use the {other} subcommand"
-        )
-    _emit(args, render_report(report))
+    _emit(args, render_report(gz_pair(record, config.D_K, config, want_branch=want_branch)))
 
 
 def cmd_gz(args) -> None:

@@ -20,9 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from sympy.ntheory import sqrt_mod
-
-from .arith import is_fundamental_discriminant, isprime, kronecker_symbol
+from .arith import is_fundamental_discriminant, isprime, kronecker_symbol, sqrt_mod_prime
 from .errors import HypothesisError, InputError, InternalInvariantError
 
 COMPONENT_CASES = ("away", "split_Nplus", "p_split", "p_inert")
@@ -179,8 +177,7 @@ def padic_sqrt(beta: int, q: int, precision: int) -> int:
         raise HypothesisError("beta = %d is not a unit at q = %d" % (beta, q))
     if kronecker_symbol(beta, q) != 1:
         raise HypothesisError("beta = %d is not a square modulo q = %d" % (beta, q))
-    root = sqrt_mod(base, q)
-    root = min(root, q - root)
+    root = sqrt_mod_prime(base, q)
     known, value = 1, root
     while known < precision:
         known = min(2 * known, precision)

@@ -11,9 +11,14 @@ point counts) fixed by the star involution.  It is cut out of the relation
 kernel by integer arithmetic alone: each operator is applied pointwise to
 the current basis vectors, and the combinations it sends to the eigenvalue
 form the integer kernel of a sparse system.  It is normalized to take the
-value group Z exactly on integral cycles fixed by the involution, so that
-evaluations are the classical ratios [a/b]+ = Re int / (real period); the
-overall sign is pinned once against a direct numeric integration.
+value group Z exactly on the integral cycles killed by the minus
+eigensymbol (the cycles fixed by the involution can give an index-2
+sublattice), so that evaluations are the classical ratios
+[a/b]+ = Re int / (real period).  The overall sign is pinned once on a
+Gamma_0(N) cycle {0, b/d} = {0, gamma 0} with gamma = [[a, b], [N, d]]:
+the first d >= 2 prime to N on which the symbol is nonzero.  Its exact
+value [b/d]+ - [0]+ is compared with the cycle period of the analytic
+module, whose two ends sit at height 1/N and whose error is bounded.
 """
 
 from __future__ import annotations
@@ -498,6 +503,28 @@ def _isolate_functionals(E: EllipticCurve, space: ManinSpace) -> tuple[tuple[int
     return tuple(spaces[1][0]), tuple(spaces[-1][0])
 
 
+# the largest d tried for a cycle {0, b/d} that the symbol does not kill
+CYCLE_SEARCH_LIMIT = 1000
+
+
+def _nonzero_cycle(sym: EigenSymbol) -> tuple[int, int, int]:
+    """(a, b, d) with gamma = [[a, b], [N, d]] in Gamma_0(N) and the cycle
+    {0, b/d} = {0, gamma 0} not killed by the symbol, for the least d >= 2.
+    """
+    N = sym.space.N
+    base = sym.raw_value(0, 1)
+    for d in range(2, CYCLE_SEARCH_LIMIT + 1):
+        if gcd(d, N) != 1:
+            continue
+        a = pow(d, -1, N)
+        b = (a * d - 1) // N
+        if sym.raw_value(b, d) != base:
+            return a, b, d
+    raise InternalInvariantError(
+        f"eigensymbol vanishes on every cycle {{0, b/d}} with d <= {CYCLE_SEARCH_LIMIT}"
+    )
+
+
 def isolate_eigensymbol(E: EllipticCurve, space: ManinSpace | None = None) -> EigenSymbol:
     """The normalized plus eigensymbol of E, sign pinned numerically.
 
@@ -506,8 +533,13 @@ def isolate_eigensymbol(E: EllipticCurve, space: ManinSpace | None = None) -> Ei
     real sublattice of the period lattice (the star-fixed cycles alone can
     land in an index-2 sublattice), so evaluations agree with
     Re(period integral) / omega_plus on the nose.
+
+    The sign is pinned on one Gamma_0(N) cycle {0, b/d}: its exact value
+    [b/d]+ - [0]+ is compared with the cycle period, which comes with a
+    proven error bound.  The pin needs the exact value to exceed twice the
+    bound, and the pinned value must then lie within the bound.
     """
-    from .analytic import numeric_plus
+    from .analytic import cycle_period
 
     N = E.conductor
     if space is None:
@@ -522,31 +554,21 @@ def isolate_eigensymbol(E: EllipticCurve, space: ManinSpace | None = None) -> Ei
     pairings = []
     for w in space.real_cycle_basis(f_minus):
         pairings.append(sum(fi * wi for fi, wi in zip(f_int, w)))
-    d = gcd_list(pairings)
-    if d == 0:
+    denominator = gcd_list(pairings)
+    if denominator == 0:
         raise InternalInvariantError("eigensymbol vanishes on all real cycles")
 
-    sym = EigenSymbol(curve=E, space=space, fvec=tuple(f_int), denominator=d, sign=1)
+    sym = EigenSymbol(curve=E, space=space, fvec=tuple(f_int), denominator=denominator, sign=1)
 
-    # pin the sign against one numeric integration at a nonzero value
-    probe = None
-    for b in range(1, 40):
-        for a in range(b):
-            if gcd(a, b) == 1 and sym.raw_value(a, b) != 0:
-                probe = (a, b)
-                break
-        if probe:
-            break
-    if probe is None:
-        raise InternalInvariantError("eigensymbol pairs to zero against all short paths")
-    approx = numeric_plus(E, probe[0], probe[1])
-    alg = sym.eval_plus(probe[0], probe[1])
-    if abs(approx) < 1e-4:
-        raise InternalInvariantError("numeric probe too small to pin the sign")
-    if abs(float(alg) - approx) > abs(float(alg) + approx):
+    a, b, d = _nonzero_cycle(sym)
+    exact = float(sym.eval_plus(b, d) - sym.eval_plus(0, 1))
+    approx, bound = cycle_period(E, a, d)
+    if abs(exact) <= 2 * bound:
+        raise InternalInvariantError("cycle value too small to pin the sign")
+    if abs(exact - approx) > abs(exact + approx):
         sym.sign = -1
-    check = float(sym.eval_plus(probe[0], probe[1]))
-    if abs(check - approx) > 1e-4 * max(1.0, abs(approx)):
+    check = sym.sign * exact
+    if abs(check - approx) > bound:
         raise InternalInvariantError(
             f"normalized symbol disagrees with direct integration: {check} vs {approx}"
         )

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.functions.combinatorial.numbers import jacobi_symbol as sympy_jacobi
 from sympy.ntheory import primitive_root as sympy_primitive_root
+from sympy.ntheory import sqrt_mod as sympy_sqrt_mod
 
 from selmerkit.arith import (
     is_fundamental_discriminant,
@@ -105,6 +106,13 @@ def test_sqrt_mod_prime_roundtrip(q, t):
     r = sqrt_mod_prime(a, q)
     assert r * r % q == a
     assert r <= q - r  # canonical smaller root
+
+
+def test_sqrt_mod_prime_matches_sympy_on_every_residue():
+    for q in primerange(3, 2000):
+        for a in {x * x % q for x in range(1, q)}:
+            root = sympy_sqrt_mod(a, q)
+            assert sqrt_mod_prime(a, q) == min(root, q - root), (a, q)
 
 
 def test_sqrt_mod_prime_rejects_nonresidues():

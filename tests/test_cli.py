@@ -415,6 +415,27 @@ def test_waldspurger_subcommand_and_branch_guard(capsys, tmp_path, monkeypatch):
     assert sorted(cache.iterdir()) == entries
 
 
+# 37 and 17 split in Q(sqrt(-3)) and Q(i), so those fields select the
+# Heegner dictionary; 17 is inert in Q(sqrt(-3)), which selects Waldspurger
+@pytest.mark.parametrize("command, label, DK, p", [
+    ("waldspurger", "37a1", "-3", "5"),
+    ("waldspurger", "17a1", "-4", "7"),
+    ("gz", "17a1", "-3", "5"),
+])
+def test_wrong_branch_is_refused_before_any_pipeline(capsys, monkeypatch, command, label, DK, p):
+    def no_work(*args, **kwargs):
+        raise AssertionError("an eigensymbol was computed before the branch was checked")
+
+    monkeypatch.setattr(cli, "isolate_eigensymbol", no_work)
+    code, out, err = run_main(
+        capsys, command, "--curves", SAMPLE, "--label", label, "--p", p, "--DK", DK,
+        "--prime-bound", "300", "--max-nu", "1",
+    )
+    other = "gz" if command == "waldspurger" else "waldspurger"
+    assert code == 2 and out == ""
+    assert f"use the {other} subcommand" in err and "Traceback" not in err
+
+
 def test_bipartite_sim_subcommand(capsys):
     argv = (
         "bipartite-sim", "--p", "5", "--k", "4", "--shape", "2,1", "--delta", "1",

@@ -11,20 +11,23 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from selmerkit.analytic import numeric_plus, real_periods
+from selmerkit import curves, modsym
+from selmerkit.analytic import cycle_period, numeric_plus, real_periods
 from selmerkit.curves import quadratic_twist, trace_of_frobenius
-from selmerkit.errors import InternalInvariantError
+from selmerkit.errors import InputError, InternalInvariantError
 from selmerkit.modsym import (
     EigenSymbol,
     P1List,
     _isolate_functionals,
     _merel_matrices,
+    _nonzero_cycle,
     build_manin_space,
     cusp_number,
     genus_x0,
+    isolate_eigensymbol,
     psi_index,
 )
 
@@ -256,3 +259,99 @@ def test_boundary_kills_relations():
         for i in range(sp.n):
             assert row[i] + row[sp.sigma[i]] == 0
             assert row[i] + row[sp.tau[i]] + row[sp.tau[sp.tau[i]]] == 0
+
+
+# ---------------------------------------------------------------------------
+# the sign pin: one Gamma_0(N) cycle period against the exact cycle value
+
+# (curve, D_K) for the twists at N = 99, 126, 153, 272 and 333
+TWISTS = {99: ("11a1", -3), 126: ("14a1", -3), 153: ("17a1", -3), 272: ("17a1", -4), 333: ("37a1", -3)}
+_TWIST_SYMBOLS = {}
+
+
+def _twist_symbol(curve, N):
+    if N not in _TWIST_SYMBOLS:
+        label, D = TWISTS[N]
+        E = quadratic_twist(curve(label), D)
+        assert E.conductor == N
+        _TWIST_SYMBOLS[N] = isolate_eigensymbol(E)
+    return _TWIST_SYMBOLS[N]
+
+
+def _cycle_exact(sym, d):
+    """a = d^-1 mod N and the exact value [b/d]+ - [0]+ of the cycle of
+    gamma = [[a, b], [N, d]]."""
+    N = sym.space.N
+    a = pow(d, -1, N)
+    b = (a * d - 1) // N
+    return a, float(sym.eval_plus(b, d) - sym.eval_plus(0, 1))
+
+
+@pytest.mark.parametrize("case", SAMPLE_LABELS + [f"N={N}" for N in TWISTS])
+def test_cycle_period_matches_the_exact_cycle_value(eigensymbol, curve, case):
+    if case.startswith("N="):
+        sym = _twist_symbol(curve, int(case[2:]))
+    else:
+        sym = eigensymbol(case)
+    a, b, d = _nonzero_cycle(sym)
+    assert d >= 2 and a * d - b * sym.space.N == 1
+    assert sym.raw_value(b, d) != sym.raw_value(0, 1)
+    value, bound = cycle_period(sym.curve, a, d)
+    _, exact = _cycle_exact(sym, d)
+    assert exact != 0 and abs(exact) > 2 * bound
+    assert abs(value - exact) <= bound
+    assert bound < 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(label=st.sampled_from(["11a1", "37a1", "14a1"]), d=st.integers(2, 2000))
+def test_cycle_period_within_its_bound_for_any_d(eigensymbol, label, d):
+    sym = eigensymbol(label)
+    assume(gcd(d, sym.space.N) == 1)
+    a, exact = _cycle_exact(sym, d)
+    value, bound = cycle_period(sym.curve, a, d)
+    assert abs(value - exact) <= bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(label=st.sampled_from(["11a1", "37a1", "14a1"]), d=st.integers(2, 60), k=st.integers(-1, 8))
+def test_cycle_bound_covers_short_sums(eigensymbol, label, d, k):
+    # a loose tolerance leaves much of the value in the tail; the bound must cover it
+    sym = eigensymbol(label)
+    assume(gcd(d, sym.space.N) == 1)
+    a, exact = _cycle_exact(sym, d)
+    value, bound = cycle_period(sym.curve, a, d, tol=10.0 ** -k)
+    assert abs(value - exact) <= bound
+
+
+def test_cycle_period_refuses_a_matrix_outside_gamma0(curve):
+    with pytest.raises(InputError):
+        cycle_period(curve("11a1"), 2, 5)
+
+
+def test_cycle_search_refuses_past_its_limit(eigensymbol, monkeypatch):
+    # the first cycle 37a1's symbol does not kill has d = 5
+    monkeypatch.setattr(modsym, "CYCLE_SEARCH_LIMIT", 4)
+    with pytest.raises(InternalInvariantError, match="every cycle"):
+        _nonzero_cycle(eigensymbol("37a1"))
+
+
+def test_twisted_level_240_is_refused(curve):
+    # 15a1 x -4: the cycle period is twice the exact value, the index-2
+    # mismatch between the symbol's lattice and this model's real period
+    E = quadratic_twist(curve("15a1"), -4)
+    assert E.conductor == 240
+    with pytest.raises(InternalInvariantError, match="disagrees with direct integration"):
+        isolate_eigensymbol(E)
+
+
+@pytest.mark.parametrize("case", ["37a1", "37a1x-3"])
+def test_sign_pin_counts_points_only_up_to_a_small_multiple_of_N(curve, monkeypatch, case):
+    # the cycle period needs about log(1/tol) N / (2 pi), some 4N, terms and
+    # the Hecke cuts stop past the Sturm bound; a series whose length grows
+    # with b^2 N would count far beyond 5N
+    E = quadratic_twist(curve("37a1"), -3) if case == "37a1x-3" else curve("37a1")
+    monkeypatch.setattr(curves, "_AQ_CACHE", {})
+    isolate_eigensymbol(E)
+    counted = [q for ainvs, q in curves._AQ_CACHE if ainvs == E.ainvs]
+    assert counted and max(counted) <= 5 * E.conductor
