@@ -20,8 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from sympy import isprime
-
+from .arith import isprime
 from .errors import InconclusiveRegionError, InputError, InternalInvariantError
 from .selmer_predict import ModuleShape
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .arith import divisors, factorint, kronecker_symbol, primerange
+from .arith import divisors, factorint, kronecker_symbol, primerange, totient
 from .curves import EllipticCurve, trace_of_frobenius
 from .errors import AmbiguityError, InputError, InternalInvariantError
 from .linalg import gcd_list, integer_kernel, sparse_nullspace
@@ -45,11 +45,9 @@ def psi_index(N: int) -> int:
 
 
 def cusp_number(N: int) -> int:
-    from sympy import totient
-
     total = 0
     for d in divisors(N):
-        total += int(totient(gcd(d, N // d)))
+        total += totient(gcd(d, N // d))
     return total
 
 

@@ -24,7 +24,13 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, TextIO
 
-from .arith import is_fundamental_discriminant, kronecker_symbol, padic_valuation, primerange
+from .arith import (
+    is_fundamental_discriminant,
+    isprime,
+    kronecker_symbol,
+    padic_valuation,
+    primerange,
+)
 from .curves import EllipticCurve, trace_of_frobenius
 from .errors import AmbiguityError, InputError
 
@@ -120,8 +126,6 @@ class SquarefreeIndex:
 
 
 def _require_prime_setup(p: int, k: int, bound: int):
-    from .arith import isprime
-
     if not isprime(p):
         raise InputError(f"p = {p} is not prime")
     if k < 1:

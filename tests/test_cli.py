@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 
 import mpmath
 import pytest
+
+import selmerkit
 
 from selmerkit import cli
 from selmerkit.cli import (
@@ -528,3 +533,63 @@ def test_cache_dir_naming_a_file_is_refused_before_any_work(tmp_path, capsys, mo
     )
     assert code == 2 and out == ""
     assert "cache directory" in err and "Traceback" not in err
+
+
+# A fresh interpreter in which any import of sympy fails.  It runs every
+# subcommand through `cli.main`, so a function-local import on any of their
+# paths shows up, not only the module-level ones.
+NO_SYMPY_CHILD = r"""
+import contextlib, io, json, sys
+
+class NoSympy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "sympy" or name.startswith("sympy."):
+            raise ImportError(f"{name} is not a runtime dependency")
+        return None
+
+sys.meta_path.insert(0, NoSympy())
+from selmerkit import cli
+
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    runs.append({"argv": argv, "code": code, "out": out.getvalue()})
+print(json.dumps({"runs": runs, "sympy_loaded": "sympy" in sys.modules}))
+"""
+
+
+def test_no_subcommand_imports_sympy(tmp_path):
+    region = ["--curves", SAMPLE, "--prime-bound", "150", "--max-nu", "1"]
+    cached = ["predict", "--label", "11a1", "--p", "7", *region, "--cache-dir", str(tmp_path)]
+    commands = [
+        ["sieve", "--label", "11a1", "--p", "7", *region],
+        ["delta", "--label", "11a1", "--p", "7", *region],
+        ["stats", "--label", "11a1", "--p", "7", *region],
+        cached,  # cold
+        cached,  # warm: served from the entry the cold run wrote
+        ["gz", "--label", "37a1", "--DK", "-3", "--p", "5", *region],
+        # 37 splits in Q(sqrt(-3)), so Waldspurger runs on 11a1, which is inert there
+        ["waldspurger", "--label", "11a1", "--DK", "-3", "--p", "7", *region],
+        ["bipartite-sim", "--p", "5", "--k", "4", "--shape", "2,1", "--delta", "1",
+         "--steps", "15", "--seed", "3"],
+        ["gross-points", "--DK", "7", "--q", "5", "--beta", "4", "--case", "p_inert",
+         "--precision", "10"],
+        ["oracle-check", "--curves", SAMPLE, "--label", "11a1", "--tol", "1e-6"],
+    ]
+    src = os.path.dirname(os.path.dirname(selmerkit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run(
+        [sys.executable, "-c", NO_SYMPY_CHILD, json.dumps(commands)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    result = json.loads(child.stdout)
+    assert [(run["argv"][0], run["code"]) for run in result["runs"]] == [
+        (argv[0], 0) for argv in commands
+    ], child.stderr
+    assert result["sympy_loaded"] is False
+    assert len(list(tmp_path.iterdir())) == 1
+    cold, warm = result["runs"][3:5]
+    assert json.loads(cold["out"])["kind"] == "pipeline" and warm["out"] == cold["out"]
