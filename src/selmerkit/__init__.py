@@ -16,7 +16,6 @@ from .bipartite_algebra import (
     recover_shape,
     simulate_prime_step,
 )
-from .cli import CurveRecord, RunConfig, gz_pair, ingest, main, run_pipeline
 from .curves import (
     EllipticCurve,
     hecke_an_list,
@@ -55,6 +54,18 @@ from .selmer_predict import (
 from .sieves import KolyvaginPrime, SquarefreeIndex, build_indices, sieve
 
 __version__ = "0.1.0"
+
+# The cli names load on first use, so `python -m selmerkit.cli` does not find
+# selmerkit.cli already imported by the package.
+_CLI_NAMES = ("CurveRecord", "RunConfig", "gz_pair", "ingest", "main", "run_pipeline")
+
+
+def __getattr__(name):
+    if name in _CLI_NAMES:
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "ArtinianContext",

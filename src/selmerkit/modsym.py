@@ -1,9 +1,11 @@
 """Weight-2 Manin symbols for Gamma_0(N) and normalized plus eigensymbols.
 
 The space of modular symbols is presented by generators indexed by P^1(Z/N)
-subject to the two-term and three-term Manin relations.  We work throughout
-on the dual side: a "functional" is an integer vector orthogonal to every
-relation, so the functional space computed here has dimension 2g + c - 1.
+subject to the two-term and three-term Manin relations.  ManinSpace owns
+P^1(Z/N): one flat N^2 table, filled once from unit orbits, gives the class of
+each pair (c, d) to the relations, the Hecke images and the eigensymbol.  We
+work throughout on the dual side: a "functional" is an integer vector
+orthogonal to every relation, so the functional space has dimension 2g + c - 1.
 
 For a rational elliptic curve of conductor N, the plus eigensymbol is the
 one-dimensional common eigenspace of the Hecke operators (eigenvalues from
@@ -71,97 +73,8 @@ def genus_x0(N: int) -> int:
     return int(g)
 
 
-class P1List:
-    """Canonical representatives of P^1(Z/N) with index lookup."""
-
-    def __init__(self, N: int):
-        if N < 1:
-            raise InputError(f"level must be positive, got N={N}")
-        self.N = N
-        self._reps: list[tuple[int, int]] = []
-        self._index: dict[tuple[int, int], int] = {}
-        if N == 1:
-            self._reps = [(0, 0)]
-            self._index = {(0, 0): 0}
-            return
-        for g in divisors(N):
-            if g == N:
-                continue  # the class c = 0 appears as g = N's partner (0, 1)
-            for d in range(N):
-                if gcd(gcd(g, d), N) != 1:
-                    continue
-                rep = self.normalize(g, d)
-                if rep not in self._index:
-                    self._index[rep] = len(self._reps)
-                    self._reps.append(rep)
-        rep0 = (0, 1)
-        if rep0 not in self._index:
-            self._index[rep0] = len(self._reps)
-            self._reps.append(rep0)
-        if len(self._reps) != psi_index(N):
-            raise InternalInvariantError(
-                f"P^1(Z/{N}) has {len(self._reps)} classes, expected {psi_index(N)}"
-            )
-
-    def __len__(self):
-        return len(self._reps)
-
-    def rep(self, i: int) -> tuple[int, int]:
-        return self._reps[i]
-
-    def normalize(self, c: int, d: int) -> tuple[int, int]:
-        """Canonical representative of the class of (c : d)."""
-        N = self.N
-        if N == 1:
-            return (0, 0)
-        c %= N
-        d %= N
-        if gcd(gcd(c, d), N) != 1:
-            raise InputError(f"({c}:{d}) is not a point of P^1(Z/{N})")
-        if c == 0:
-            return (0, 1)
-        g0 = gcd(c, N)
-        if g0 == 1:
-            return (1, d * pow(c, -1, N) % N)
-        # scale by a unit u with u*c = g0 (mod N)
-        M = N // g0
-        c1 = (c // g0) % M
-        u = pow(c1, -1, M)
-        k = 0
-        while gcd(u + k * M, N) != 1:
-            k += 1
-            if k > N:
-                raise InternalInvariantError(f"no unit lift for ({c}:{d}) mod {N}")
-        u += k * M
-        d1 = u * d % N
-        # the stabilizer of g0 scales d1 by units t = 1 mod M; take the least orbit value
-        best = d1
-        for j in range(1, g0):
-            t = 1 + j * M
-            if gcd(t, N) == 1:
-                cand = t * d1 % N
-                if cand < best:
-                    best = cand
-        return (g0, best)
-
-    def index(self, c: int, d: int) -> int:
-        return self._index[self.normalize(c, d)]
-
-
 # ---------------------------------------------------------------------------
 # the Manin space at level N
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        qt = old_r // r
-        old_r, r = r, old_r - qt * r
-        old_s, s = s, old_s - qt * s
-        old_t, t = t, old_t - qt * t
-    return old_r, old_s, old_t
 
 
 def _merel_matrices(q: int) -> list[tuple[int, int, int, int]]:
@@ -189,18 +102,40 @@ def _merel_matrices(q: int) -> list[tuple[int, int, int, int]]:
 
 
 class ManinSpace:
-    """Relation data, functionals and operators at a fixed level N."""
+    """Relation data, functionals and operators at a fixed level N.
+
+    p1_table[c * N + d] is the class of (c : d), 0 <= c, d < N, or -1 off
+    P^1(Z/N).  Class k is the unit orbit of p1_reps[k]: (g, least d) for a
+    divisor g < N of N, or (0 : 1).
+    """
 
     def __init__(self, N: int):
+        if N < 1:
+            raise InputError(f"level must be positive, got N={N}")
         self.N = N
-        self.p1 = P1List(N)
-        n = len(self.p1)
-        self.n = n
-        idx = self.p1.index
+        units = [u for u in range(N) if gcd(u, N) == 1]
+        table = [-1] * (N * N)
+        reps: list[tuple[int, int]] = []
+        starts = [(g, d) for g in divisors(N) if g < N for d in range(N)]
+        for c, d in starts + [(0, 1 % N)]:
+            if table[c * N + d] >= 0 or gcd(gcd(c, d), N) != 1:
+                continue
+            k = len(reps)  # one int object shared by every slot of the orbit
+            reps.append((c, d))
+            for u in units:
+                table[u * c % N * N + u * d % N] = k
+        if len(reps) != psi_index(N):
+            raise InternalInvariantError(
+                f"P^1(Z/{N}) has {len(reps)} classes, expected {psi_index(N)}"
+            )
+        self.p1_reps = reps
+        self.p1_table = table
+        self.n = n = len(reps)
+        idx = self.index
         # index permutations of the generating actions
-        self.sigma = [idx(d, -c) for (c, d) in self.p1._reps]
-        self.tau = [idx(d, -c - d) for (c, d) in self.p1._reps]
-        self.iota = [idx(-c, d) for (c, d) in self.p1._reps]
+        self.sigma = [idx(d, -c) for (c, d) in reps]
+        self.tau = [idx(d, -c - d) for (c, d) in reps]
+        self.iota = [idx(-c, d) for (c, d) in reps]
 
         rows = []
         seen = set()
@@ -238,6 +173,14 @@ class ManinSpace:
 
         self._build_boundary()
 
+    def index(self, c: int, d: int) -> int:
+        """The class of (c : d) in P^1(Z/N)."""
+        N = self.N
+        k = self.p1_table[c % N * N + d % N]
+        if k < 0:
+            raise InputError(f"({c % N}:{d % N}) is not a point of P^1(Z/{N})")
+        return k
+
     # -- boundary map ------------------------------------------------------
 
     def _lift_to_sl2(self, c: int, d: int) -> tuple[int, int, int, int]:
@@ -253,11 +196,9 @@ class ManinSpace:
             k += 1
             if k > N + 2:
                 raise InternalInvariantError(f"no coprime lift of ({c}:{d}) mod {N}")
-        g, x, y = _xgcd(dd, cc)
-        if g != 1:
-            raise InternalInvariantError("lift failed")
-        # x*dd + y*cc = 1, so det [[x, -y], [cc, dd]] = 1
-        return (x, -y, cc, dd)
+        x = pow(dd, -1, cc)
+        # x*dd - b*cc = 1, so det [[x, b], [cc, dd]] = 1
+        return (x, (x * dd - 1) // cc, cc, dd)
 
     def _cusp_class(self, u: int, v: int) -> int:
         """Index of the cusp u/v (lowest terms) among Gamma_0(N) classes."""
@@ -292,7 +233,7 @@ class ManinSpace:
         n = self.n
         ends = []
         for i in range(n):
-            c, d = self.p1.rep(i)
+            c, d = self.p1_reps[i]
             a, b, cc, dd = self._lift_to_sl2(c, d)
             if a * dd - b * cc != 1:
                 raise InternalInvariantError("lift is not unimodular")
@@ -328,18 +269,18 @@ class ManinSpace:
 
         A functional f goes to (T_q f)_i = sum of mult * f_j over images[i]
         (Merel's matrices of determinant q acting on the symbol (c : d)).
+        Each image pair is looked up in p1_table; pairs that are not points of
+        P^1(Z/N) (entry -1) contribute nothing.
         """
-        idx = self.p1.index
+        N, tab = self.N, self.p1_table
         mats = _merel_matrices(q)
         images = []
-        for c, d in self.p1._reps:
+        for c, d in self.p1_reps:
             counts: dict[int, int] = {}
             for a, b, cc, dd in mats:
-                c1 = c * a + d * cc
-                d1 = c * b + d * dd
-                if gcd(gcd(c1, d1), self.N) != 1:
+                j = tab[(c * a + d * cc) % N * N + (c * b + d * dd) % N]
+                if j < 0:
                     continue
-                j = idx(c1, d1)
                 counts[j] = counts.get(j, 0) + 1
             images.append(list(counts.items()))
         return images
@@ -379,12 +320,13 @@ class EigenSymbol:
     integer pairing against the primitive integer functional, with
     [a/b]+ = sign * raw / denominator.
 
-    Construction builds the P^1(Z/N) lookup table of Cremona's "Algorithms
-    for Modular Elliptic Curves": a flat list of length N^2 whose entry
-    (c mod N) * N + (d mod N) is fvec at the class of (c : d), and 0 at
-    pairs that are not points of P^1(Z/N).  It holds one 8-byte slot per
-    entry, about 8 N^2 bytes (1.2 MB at N = 389).  The functional must be
-    star-invariant, f(iota x) = f(x); anything else is refused.
+    Construction reads the space's P^1(Z/N) index table (Cremona, "Algorithms
+    for Modular Elliptic Curves") through fvec: a flat list of length N^2
+    whose entry (c mod N) * N + (d mod N) is fvec at the class of (c : d), and
+    0 at pairs that are not points of P^1(Z/N).  It holds one 8-byte slot per
+    entry, about 8 N^2 bytes (1.2 MB at N = 389), on top of the space's index
+    table of the same size.  The functional must be star-invariant,
+    f(iota x) = f(x); anything else is refused.
     """
 
     curve: EllipticCurve
@@ -400,14 +342,8 @@ class EigenSymbol:
             raise InternalInvariantError(
                 "eigensymbol functional is not invariant under the star involution"
             )
-        N = space.N
-        units = [u for u in range(N) if gcd(u, N) == 1]
-        tab = [0] * (N * N)
-        # each class of P^1(Z/N) is the unit orbit of its representative
-        for (c, d), value in zip(space.p1._reps, f):
-            for u in units:
-                tab[u * c % N * N + u * d % N] = value
-        self._table = tab
+        values = list(f) + [0]  # index -1, a non-point, reads 0
+        self._table = [values[k] for k in space.p1_table]
 
     def raw_value(self, a: int, b: int) -> int:
         """<fvec, {oo -> a/b}>, one table lookup per continued-fraction step.

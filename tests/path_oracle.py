@@ -1,7 +1,7 @@
 """Reference modular-symbol path evaluation, kept only as a test oracle.
 
 This is the direct Manin-symbol walk: each continued-fraction step is
-normalized into P^1(Z/N) through P1List.index, with the (-1)^k sign kept.
+normalized into P^1(Z/N) through ManinSpace.index, with the (-1)^k sign kept.
 EigenSymbol.raw_value replaces it with a table lookup; the tests compare
 the two.
 """
@@ -18,7 +18,7 @@ def path_indices(space, a: int, b: int):
     g = gcd(a, b)
     if g > 1:
         a, b = a // g, b // g
-    idx = space.p1.index
+    idx = space.index
     # convergent denominators, seeded so the first term is q_0 = 1, q_{-1} = 0
     q_prev, q_cur = 1, 0
     sign = -1  # (-1)^{k-1} at k = 0

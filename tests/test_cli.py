@@ -593,3 +593,26 @@ def test_no_subcommand_imports_sympy(tmp_path):
     assert len(list(tmp_path.iterdir())) == 1
     cold, warm = result["runs"][3:5]
     assert json.loads(cold["out"])["kind"] == "pipeline" and warm["out"] == cold["out"]
+
+
+def test_module_entry_point_runs_without_runtime_warning():
+    src = os.path.dirname(os.path.dirname(selmerkit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run(
+        [sys.executable, "-m", "selmerkit.cli", "sieve", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    assert "RuntimeWarning" not in child.stderr
+
+
+def test_package_serves_the_cli_names_lazily():
+    from selmerkit import RunConfig, ingest, main, run_pipeline
+
+    assert RunConfig is cli.RunConfig and ingest is cli.ingest
+    assert main is cli.main and run_pipeline is cli.run_pipeline
+    namespace: dict = {}
+    exec("from selmerkit import *", namespace)
+    assert set(selmerkit.__all__) <= set(namespace)
+    with pytest.raises(AttributeError):
+        selmerkit.no_such_name

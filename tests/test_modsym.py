@@ -20,7 +20,7 @@ from selmerkit.curves import quadratic_twist, trace_of_frobenius
 from selmerkit.errors import InputError, InternalInvariantError
 from selmerkit.modsym import (
     EigenSymbol,
-    P1List,
+    ManinSpace,
     _isolate_functionals,
     _merel_matrices,
     _nonzero_cycle,
@@ -55,7 +55,11 @@ def test_index_and_genus_formulas():
 
 def test_p1_list_sizes():
     for N in (1, 11, 24, 37, 49):
-        assert len(P1List(N)) == (psi_index(N) if N > 1 else 1)
+        sp = build_manin_space(N)
+        assert len(sp.p1_reps) == sp.n == psi_index(N)
+        assert len(sp.p1_table) == N * N
+    with pytest.raises(InputError):
+        ManinSpace(0)
 
 
 @settings(max_examples=150, deadline=None)
@@ -66,13 +70,34 @@ def test_p1_list_sizes():
     lam=st.integers(-40, 40),
 )
 def test_p1_normalization_is_scalar_invariant(N, c, d, lam):
-    p1 = P1List(N)
+    sp = build_manin_space(N)
     if gcd(gcd(c, d), N) != 1 or gcd(lam, N) != 1:
         return
-    assert p1.normalize(c, d) == p1.normalize(lam * c, lam * d)
-    rep = p1.normalize(c, d)
-    assert p1.normalize(*rep) == rep  # idempotent
-    assert p1.rep(p1.index(c, d)) == rep
+    k = sp.index(c, d)
+    assert sp.index(lam * c, lam * d) == k
+    assert sp.index(*sp.p1_reps[k]) == k  # the representative is in its own class
+
+
+@pytest.mark.parametrize("N", [12, 24, 49, 126, 240, 333])
+def test_p1_table_partitions_the_points_into_unit_orbits(N):
+    sp = ManinSpace(N)
+    units = [u for u in range(N) if gcd(u, N) == 1]
+    assert len(sp.p1_reps) == psi_index(N)
+    classes: dict[int, set] = {}
+    for c in range(N):
+        for d in range(N):
+            k = sp.p1_table[c * N + d]
+            if gcd(gcd(c, d), N) != 1:
+                assert k == -1
+                with pytest.raises(InputError):
+                    sp.index(c, d)
+            else:
+                classes.setdefault(k, set()).add((c, d))
+    assert sorted(classes) == list(range(psi_index(N)))
+    for k, pairs in classes.items():
+        c, d = sp.p1_reps[k]
+        assert pairs == {(u * c % N, u * d % N) for u in units}
+        assert len(pairs) == len(units)
 
 
 def test_functional_dimensions():
@@ -132,7 +157,7 @@ def test_merel_matrices():
 def test_path_vector_basics():
     sp = build_manin_space(11)
     v0 = path_vector(sp, 0, 1)
-    assert v0 == {sp.p1.index(1, 0): 1}
+    assert v0 == {sp.index(1, 0): 1}
     assert path_vector(sp, 2, 6) == path_vector(sp, 1, 3)
     assert path_vector(sp, -1, -3) == path_vector(sp, 1, 3)
     assert path_vector(sp, 1, 0) == {}
@@ -161,16 +186,17 @@ def test_table_raw_value_matches_path_oracle(eigensymbol, label, a, b):
     assert sym.raw_value(a, b) == pair_path(sym.space, sym.fvec, a, b)
 
 
-def test_table_covers_exactly_the_points_of_p1(eigensymbol):
-    sym = eigensymbol("26a1")
-    sp, N = sym.space, sym.space.N
-    for c in range(N):
-        for d in range(N):
-            entry = sym._table[c * N + d]
-            if gcd(gcd(c, d), N) == 1:
-                assert entry == sym.fvec[sp.p1.index(c, d)]
-            else:
-                assert entry == 0
+def test_table_covers_exactly_the_points_of_p1(eigensymbol, curve):
+    # N = 26, and N = 126 for 14a1 twisted by -3
+    for sym in (eigensymbol("26a1"), isolate_eigensymbol(quadratic_twist(curve("14a1"), -3))):
+        sp, N = sym.space, sym.space.N
+        for c in range(N):
+            for d in range(N):
+                entry = sym._table[c * N + d]
+                if gcd(gcd(c, d), N) == 1:
+                    assert entry == sym.fvec[sp.index(c, d)]
+                else:
+                    assert entry == 0
 
 
 def test_star_variant_functional_is_refused(eigensymbol):
