@@ -190,12 +190,6 @@ def ingest(path: str, strict: bool = True) -> list[CurveRecord]:
     return records
 
 
-def write_records(records: list[CurveRecord], fh) -> None:
-    for record in records:
-        fh.write(json.dumps(record.to_json_dict(), sort_keys=True))
-        fh.write("\n")
-
-
 # ---------------------------------------------------------------------------
 # run configuration
 
@@ -751,7 +745,8 @@ def _add_curve_args(sub) -> None:
     sub.add_argument("--lenient", action="store_true", help="warn instead of rejecting unknown fields")
 
 
-def _add_config_args(sub) -> None:
+def _add_config_args(sub, cached: bool) -> None:
+    """The run options; --cache-dir only where run_pipeline serves the call."""
     sub.add_argument("--p", type=int, required=True, help="the working prime")
     sub.add_argument("--k", type=int, default=1, help="congruence depth")
     sub.add_argument("--prime-bound", type=int, default=300)
@@ -759,9 +754,12 @@ def _add_config_args(sub) -> None:
     sub.add_argument("--max-n", type=int, default=10_000_000)
     sub.add_argument("--DK", type=int, default=None, help="imaginary quadratic discriminant (sign normalized)")
     sub.add_argument("--region-label", default="")
-    sub.add_argument("--cache-dir", default=None)
     sub.add_argument("--allow-small-p", action="store_true")
     sub.add_argument("--max-evaluations", type=int, default=DEFAULT_MAX_EVALUATIONS)
+    if cached:
+        sub.add_argument("--cache-dir", default=None, help="report cache for single-curve pipeline runs")
+    else:
+        sub.set_defaults(cache_dir=None)
 
 
 def _add_out_arg(sub) -> None:
@@ -777,38 +775,38 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("sieve", help="list Kolyvagin-type primes for one curve")
     _add_curve_args(sub)
-    _add_config_args(sub)
+    _add_config_args(sub, cached=False)
     _add_out_arg(sub)
     sub.add_argument("--family", choices=("cyc", "ac", "adm"), default="cyc")
     sub.set_defaults(func=cmd_sieve)
 
     sub = subs.add_parser("delta", help="Kurihara numbers over the region")
     _add_curve_args(sub)
-    _add_config_args(sub)
+    _add_config_args(sub, cached=False)
     _add_out_arg(sub)
     sub.set_defaults(func=cmd_delta)
 
     sub = subs.add_parser("stats", help="divisibility statistics over the region")
     _add_curve_args(sub)
-    _add_config_args(sub)
+    _add_config_args(sub, cached=False)
     _add_out_arg(sub)
     sub.set_defaults(func=cmd_stats)
 
     sub = subs.add_parser("predict", help="full pipeline: stats plus Selmer prediction")
     _add_curve_args(sub)
-    _add_config_args(sub)
+    _add_config_args(sub, cached=True)
     _add_out_arg(sub)
     sub.set_defaults(func=cmd_predict)
 
     sub = subs.add_parser("gz", help="curve/twist pair, indefinite (Heegner) dictionary")
     _add_curve_args(sub)
-    _add_config_args(sub)
+    _add_config_args(sub, cached=True)
     _add_out_arg(sub)
     sub.set_defaults(func=cmd_gz)
 
     sub = subs.add_parser("waldspurger", help="curve/twist pair, definite dictionary")
     _add_curve_args(sub)
-    _add_config_args(sub)
+    _add_config_args(sub, cached=True)
     _add_out_arg(sub)
     sub.set_defaults(func=cmd_waldspurger)
 

@@ -2,9 +2,10 @@
 
 Two kernels are needed by the modular symbol machinery:
 
-* the nullspace of a sparse integer matrix (fraction-free Gaussian
-  elimination with content stripping, pivoting on small coefficients),
-  which gives the Manin functionals and cuts them down to eigenspaces,
+* the nullspace of a sparse integer matrix (fraction-free Gauss-Jordan
+  elimination with content stripping; each step pivots on the sparsest
+  remaining row, at its smallest coefficient), which gives the Manin
+  functionals of each star sign and cuts them down to Hecke eigenspaces,
 * integer kernels via unimodular column reduction (lattice computations
   behind the symbol normalization).
 
@@ -13,6 +14,7 @@ Everything is deterministic; no floating point is involved.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 __all__ = [
@@ -43,9 +45,11 @@ def strip_content(row: dict) -> dict:
 def sparse_nullspace(rows, ncols):
     """Nullspace basis of a sparse integer matrix.
 
-    `rows` is an iterable of {column: coefficient} dicts.  Returns a list of
-    primitive integer vectors of length `ncols`, one per non-pivot column,
-    each positive on its own column.
+    `rows` is an iterable of {column: coefficient} dicts.  Zero rows and
+    rows equal to an earlier one after content stripping are dropped, so
+    callers may pass repeats.  Returns a list of primitive integer vectors
+    of length `ncols`, one per non-pivot column, each positive on its own
+    column.
     """
     active: list[dict] = []
     seen = set()
@@ -66,7 +70,9 @@ def sparse_nullspace(rows, ncols):
 
     pivot_of_row: dict[int, int] = {}  # row index -> pivot column
     pivot_rows: dict[int, int] = {}  # pivot column -> row index
-    remaining = set(range(len(active)))
+    # (length, row index) of each unprocessed row; stale lengths are skipped
+    queue = [(len(r), i) for i, r in enumerate(active)]
+    heapify(queue)
 
     def _unlink(i, cols):
         for c in cols:
@@ -76,20 +82,11 @@ def sparse_nullspace(rows, ncols):
                 if not s:
                     del col_rows[c]
 
-    while True:
-        # choose the sparsest unprocessed nonzero row; break ties on size
-        best = None
-        for i in remaining:
-            r = active[i]
-            if not r:
-                continue
-            key = (len(r), max(abs(v) for v in r.values()))
-            if best is None or key < best[0]:
-                best = (key, i)
-        if best is None:
-            break
-        i = best[1]
-        remaining.discard(i)
+    while queue:
+        # pivot on the sparsest unprocessed row; rows reduced to zero never return
+        size, i = heappop(queue)
+        if i in pivot_of_row or size != len(active[i]):
+            continue
         row = active[i]
         # pivot on the smallest coefficient in the row
         pc = min(row, key=lambda c: (abs(row[c]), c))
@@ -119,8 +116,8 @@ def sparse_nullspace(rows, ncols):
             for c in set(new) - set(other):
                 col_rows.setdefault(c, set()).add(j)
             active[j] = new
-            if not new:
-                remaining.discard(j)
+            if new and j not in pivot_of_row and len(new) != len(other):
+                heappush(queue, (len(new), j))
 
     basis = []
     for f in range(ncols):

@@ -6,17 +6,21 @@ P^1(Z/N): one flat N^2 table, filled once from unit orbits, gives the class of
 each pair (c, d) to the relations, the Hecke images and the eigensymbol.  We
 work throughout on the dual side: a "functional" is an integer vector
 orthogonal to every relation, so the functional space has dimension 2g + c - 1.
+The star involution iota preserves the relations, so that space splits into
+its sign +1 and sign -1 parts; each is one sparse kernel, of the relations
+together with the star rows f_i - s f_iota(i), as in Cremona's plus and minus
+quotients.
 
 For a rational elliptic curve of conductor N, the plus eigensymbol is the
 one-dimensional common eigenspace of the Hecke operators (eigenvalues from
-point counts) fixed by the star involution.  It is cut out of the relation
-kernel by integer arithmetic alone: each operator is applied pointwise to
-the current basis vectors, and the combinations it sends to the eigenvalue
-form the integer kernel of a sparse system.  It is normalized to take the
-value group Z exactly on the integral cycles killed by the minus
-eigensymbol (the cycles fixed by the involution can give an index-2
-sublattice), so that evaluations are the classical ratios
-[a/b]+ = Re int / (real period).  The overall sign is pinned once on a
+point counts) in the sign +1 part.  It is cut out by integer arithmetic
+alone: each T_q - a_q is applied pointwise to the current basis vectors, and
+the combinations it sends to zero form the integer kernel of a sparse system;
+the minus eigensymbol is cut out of the sign -1 part the same way.  The plus
+eigensymbol is normalized to take the value group Z exactly on the integral
+cycles killed by the minus eigensymbol (the cycles fixed by the involution
+can give an index-2 sublattice), so that evaluations are the classical
+ratios [a/b]+ = Re int / (real period).  The overall sign is pinned once on a
 Gamma_0(N) cycle {0, b/d} = {0, gamma 0} with gamma = [[a, b], [N, d]]:
 the first d >= 2 prime to N on which the symbol is nonzero.  Its exact
 value [b/d]+ - [0]+ is compared with the cycle period of the analytic
@@ -25,6 +29,7 @@ module, whose two ends sit at height 1/N and whose error is bounded.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -106,7 +111,8 @@ class ManinSpace:
 
     p1_table[c * N + d] is the class of (c : d), 0 <= c, d < N, or -1 off
     P^1(Z/N).  Class k is the unit orbit of p1_reps[k]: (g, least d) for a
-    divisor g < N of N, or (0 : 1).
+    divisor g < N of N, or (0 : 1).  functionals[s], s = +-1, is a primitive
+    integer basis of the functionals with f(iota x) = s f(x); m counts both.
     """
 
     def __init__(self, N: int):
@@ -137,31 +143,21 @@ class ManinSpace:
         self.tau = [idx(d, -c - d) for (c, d) in reps]
         self.iota = [idx(-c, d) for (c, d) in reps]
 
-        rows = []
-        seen = set()
+        # one two-term and one three-term relation per generator; sparse_nullspace
+        # drops the repeats that come from the sigma and tau orbits
+        relations = []
         for i in range(n):
-            j = self.sigma[i]
-            key = (min(i, j), max(i, j), "s")
-            if key in seen:
-                continue
-            seen.add(key)
-            rows.append({i: 2} if i == j else {i: 1, j: 1})
-        for i in range(n):
-            orbit = (i, self.tau[i], self.tau[self.tau[i]])
-            key = (min(orbit), "t")
-            if key in seen:
-                continue
-            seen.add(key)
-            if orbit[1] == i:
-                rows.append({i: 3})
-            else:
-                row: dict[int, int] = {}
-                for t in orbit:
-                    row[t] = row.get(t, 0) + 1
-                rows.append(row)
-
-        self.functionals = sparse_nullspace(rows, n)
-        self.m = len(self.functionals)
+            relations.append(Counter((i, self.sigma[i])))
+            relations.append(Counter((i, self.tau[i], self.tau[self.tau[i]])))
+        # functionals[s] is the kernel of the relations and of f_i - s f_iota(i),
+        # which at a fixed point of iota is 2 f_i for s = -1 and absent for s = +1
+        self.functionals: dict[int, list[list[int]]] = {}
+        for s in (1, -1):
+            star_rows = [{i: 1, j: -s} if i != j else {i: 1 - s}
+                         for i, j in enumerate(self.iota) if i <= j]
+            self.functionals[s] = sparse_nullspace(relations + star_rows, n)
+        # iota preserves the relations, so the two signs split the whole kernel
+        self.m = len(self.functionals[1]) + len(self.functionals[-1])
 
         self.genus = genus_x0(N)
         self.ncusps = cusp_number(N)
@@ -403,14 +399,13 @@ def _eigen_cut(V: list[list[int]], images, eigenvalue: int) -> list[list[int]]:
 
 def _isolate_functionals(E: EllipticCurve, space: ManinSpace) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Primitive integer functionals spanning the (T_q, iota = +1) and
-    (T_q, iota = -1) eigenspaces of E, found by cutting the relation kernel
-    first by the star involution, then by T_q - a_q for good primes q in order.
-    Each sign stops cutting once its space is at most a line; both stop once q
-    passes the Sturm bound.
+    (T_q, iota = -1) eigenspaces of E, found by cutting the space's functionals
+    of each star sign by T_q - a_q for good primes q in order.  Each sign stops
+    cutting once its space is at most a line; both stop once q passes the
+    Sturm bound.
     """
     N = E.conductor
-    star = [[(j, 1)] for j in space.iota]
-    spaces = {sign: _eigen_cut(space.functionals, star, sign) for sign in (1, -1)}
+    spaces = dict(space.functionals)
     sturm = psi_index(N) // 6 + 2
     for q in primerange(2, 6 * sturm):
         if N % q == 0:
@@ -480,7 +475,7 @@ def isolate_eigensymbol(E: EllipticCurve, space: ManinSpace | None = None) -> Ei
         space = build_manin_space(N)
     if space.N != N:
         raise InputError("space level does not match the curve conductor")
-    if space.m == 0:
+    if space.genus == 0:
         raise InputError(f"no cusp forms at level {N}")
 
     f_int, f_minus = _isolate_functionals(E, space)

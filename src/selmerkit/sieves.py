@@ -81,16 +81,6 @@ class KolyvaginPrime:
             "epsilon": self.epsilon,
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "KolyvaginPrime":
-        return cls(
-            q=int(data["q"]),
-            family=data["family"],
-            v1=int(data["v1"]),
-            v2=int(data["v2"]),
-            epsilon=None if data.get("epsilon") is None else int(data["epsilon"]),
-        )
-
 
 @dataclass(frozen=True)
 class SquarefreeIndex:
@@ -282,12 +272,3 @@ def build_indices(
 def dump_primes_jsonl(primes: Iterable[KolyvaginPrime], fh: TextIO):
     for f in primes:
         fh.write(json.dumps(f.to_json_dict(), sort_keys=True) + "\n")
-
-
-def load_primes_jsonl(fh: TextIO) -> list[KolyvaginPrime]:
-    out = []
-    for line in fh:
-        line = line.strip()
-        if line:
-            out.append(KolyvaginPrime.from_json_dict(json.loads(line)))
-    return out

@@ -3,8 +3,9 @@
 One stacked sparse system over the Manin generators: the two- and
 three-term relations, the star rows f(iota x) = sign * f(x), and
 T_q f = a_q f for every good prime q up to the Sturm bound, all solved by a
-single sparse_nullspace.  modsym instead cuts the relation kernel one
-operator at a time; the tests compare the two.
+single sparse_nullspace.  modsym instead solves the relations and star rows
+once per sign, then cuts that kernel by one T_q - a_q at a time; the tests
+compare the two.
 """
 
 from selmerkit.arith import primerange

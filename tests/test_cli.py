@@ -21,7 +21,6 @@ from selmerkit.cli import (
     ingest,
     render_report,
     run_pipeline,
-    write_records,
 )
 from selmerkit.curves import quadratic_twist
 from selmerkit.errors import HypothesisError, InputError
@@ -69,7 +68,8 @@ def test_record_round_trip_hundred_synthetic(tmp_path):
         )
     path = tmp_path / "synth.jsonl"
     with open(path, "w") as fh:
-        write_records(records, fh)
+        for r in records:
+            fh.write(json.dumps(r.to_json_dict(), sort_keys=True) + "\n")
     assert ingest(str(path)) == records
 
 
@@ -517,6 +517,27 @@ def test_out_into_missing_directory_exits_2(tmp_path, capsys, monkeypatch, comma
     assert code == 2 and out == ""
     assert "absent" in err and "Traceback" not in err
     assert not target.exists()
+
+
+@pytest.mark.parametrize("command", ["sieve", "delta", "stats"])
+def test_cache_dir_is_offered_only_where_reports_are_cached(tmp_path, capsys, command):
+    cache = tmp_path / "cache"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--curves", SAMPLE, "--label", "11a1", "--p", "7",
+                  "--prime-bound", "150", "--cache-dir", str(cache)])
+    assert exc.value.code == 2
+    assert "--cache-dir" in capsys.readouterr().err
+    assert not cache.exists()
+
+
+def test_genus_zero_level_is_refused_as_input(tmp_path, capsys):
+    # y^2 = x^3 - x has conductor 32; the record's 16 passes ingest (2 | disc)
+    # but X_0(16) has genus 0, so there is no eigensymbol to find
+    path = tmp_path / "bad16.jsonl"
+    path.write_text('{"label":"bad16","ainvs":[0,0,0,-1,0],"conductor":16}\n')
+    code, out, err = run_main(capsys, "predict", "--curves", str(path), "--p", "5")
+    assert code == 2 and out == ""
+    assert "no cusp forms at level 16" in err and "Traceback" not in err
 
 
 def test_cache_dir_naming_a_file_is_refused_before_any_work(tmp_path, capsys, monkeypatch):

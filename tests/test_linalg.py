@@ -25,6 +25,13 @@ def test_sparse_nullspace_hand_case():
     assert sparse_nullspace([{0: 2, 1: -3}], 2) == [[3, 2]]
 
 
+def test_sparse_nullspace_drops_repeated_and_scaled_rows():
+    single = sparse_nullspace([{0: 1, 2: -3}], 3)
+    assert sorted(single) == [[0, 1, 0], [3, 0, 1]]
+    rows = [{0: 1, 2: -3}, {0: 4, 2: -12}, {0: 1, 2: -3}, {0: -2, 2: 6}, {2: -3, 0: 1}]
+    assert sparse_nullspace(rows, 3) == single
+
+
 def test_sparse_nullspace_zero_matrix():
     basis = sparse_nullspace([{}], 4)
     assert sorted(basis, reverse=True) == [[int(i == j) for i in range(4)] for j in range(4)]

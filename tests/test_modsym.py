@@ -101,6 +101,7 @@ def test_p1_table_partitions_the_points_into_unit_orbits(N):
 
 
 def test_functional_dimensions():
+    assert build_manin_space(1).functionals == {1: [], -1: []}
     assert build_manin_space(1).m == 0
     assert build_manin_space(11).m == 3   # 2g + c - 1 = 2 + 2 - 1
     assert build_manin_space(37).m == 5
@@ -118,10 +119,41 @@ def _satisfies_manin_relations(sp, g):
     )
 
 
+def _rank_mod_prime(vectors, p=2**61 - 1):
+    """Rank over F_p, a lower bound for the rank over Q."""
+    rows = [[x % p for x in v] for v in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col] * inv % p
+                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
 def test_functionals_satisfy_manin_relations():
     sp = build_manin_space(14)
-    for f in sp.functionals:
-        assert _satisfies_manin_relations(sp, f)
+    for s in (1, -1):
+        for f in sp.functionals[s]:
+            assert _satisfies_manin_relations(sp, f)
+
+
+@pytest.mark.parametrize("N", [11, 26, 99, 126, 240, 333])
+def test_functionals_split_by_star_sign(N):
+    sp = build_manin_space(N)
+    for s in (1, -1):
+        for f in sp.functionals[s]:
+            assert _satisfies_manin_relations(sp, f)
+            assert all(f[sp.iota[i]] == s * f[i] for i in range(sp.n)), (N, s)
+    both = sp.functionals[1] + sp.functionals[-1]
+    assert len(both) == sp.m == 2 * sp.genus + sp.ncusps - 1
+    assert _rank_mod_prime(both) == len(both)
 
 
 @pytest.mark.parametrize("N", [11, 26, 99])
@@ -131,7 +163,7 @@ def test_hecke_images_preserve_the_functional_space(N):
         if N % q == 0:
             continue
         images = sp.hecke_images(q)
-        for f in sp.functionals:
+        for f in sp.functionals[1] + sp.functionals[-1]:
             assert _satisfies_manin_relations(sp, _apply(images, f))
 
 
@@ -140,7 +172,7 @@ def test_star_commutes_with_hecke():
         sp = build_manin_space(N)
         t2 = sp.hecke_images(2)
         star = [[(j, 1)] for j in sp.iota]
-        for f in sp.functionals:
+        for f in sp.functionals[1] + sp.functionals[-1]:
             assert _apply(star, _apply(t2, f)) == _apply(t2, _apply(star, f))
 
 

@@ -6,6 +6,7 @@ same way, so a sieve regression cannot hide behind the fast counter.
 """
 
 import io
+import json
 
 import pytest
 
@@ -15,7 +16,6 @@ from selmerkit.sieves import (
     SquarefreeIndex,
     build_indices,
     dump_primes_jsonl,
-    load_primes_jsonl,
     sieve,
 )
 
@@ -232,9 +232,8 @@ def test_jsonl_round_trip(curve):
     primes = sieve("adm", curve("11a1"), 5, 1, 200, D_K=-3)
     buf = io.StringIO()
     dump_primes_jsonl(primes, buf)
-    buf.seek(0)
-    again = load_primes_jsonl(buf)
-    assert again == primes
+    lines = buf.getvalue().splitlines()
+    assert [json.loads(line) for line in lines] == [f.to_json_dict() for f in primes]
     # cyc rows serialize epsilon as null
     buf2 = io.StringIO()
     dump_primes_jsonl(sieve("cyc", curve("11a1"), 7, 1, 500), buf2)
