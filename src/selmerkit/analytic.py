@@ -74,7 +74,13 @@ def modular_symbol_series(E: EllipticCurve, a: int, b: int, tol: float = 1e-8) -
     """sum_n (a_n / n) e^{2 pi i n a/b} e^{-2 pi n delta}, the truncated
     period integral of 2 pi i f from a/b + i*delta up to the cusp at infinity
     combined with the bound on the missing lower segment.
+
+    tol must lie strictly between 0 and 1: log(1/tol) needs tol > 0, past
+    tol = e^3 the damping factor exceeds 1 and the terms grow, and a
+    tolerance of 1 or more asks for no correct digit at all.
     """
+    if not 0 < tol < 1:
+        raise InputError(f"tolerance must lie strictly between 0 and 1, got {tol}")
     if b == 0:
         return 0j
     if b < 0:

@@ -148,7 +148,7 @@ class CurveRecord:
         }
 
     def to_curve(self) -> EllipticCurve:
-        return EllipticCurve(
+        E = EllipticCurve(
             *self.ainvs,
             conductor=self.conductor,
             label=self.label,
@@ -156,6 +156,8 @@ class CurveRecord:
             known_rank=self.known_rank,
             known_sha_order=self.known_sha_order,
         )
+        E.check_conductor_exponents()
+        return E
 
 
 def ingest(path: str, strict: bool = True) -> list[CurveRecord]:

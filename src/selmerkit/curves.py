@@ -2,7 +2,9 @@
 
 Curves are carried as integral (globally minimal) Weierstrass models together
 with their ingested conductor; the conductor is trusted input, never
-recomputed, but its prime support is validated against the discriminant.
+recomputed, but its prime support is validated against the discriminant, and
+`EllipticCurve.check_conductor_exponents` matches its exponent 1 primes with
+the multiplicative ones.
 
 Traces of Frobenius are computed from first principles: direct point counts
 for small residue fields (character sums over the completed square), a
@@ -62,6 +64,22 @@ class EllipticCurve:
                 raise InputError(
                     f"conductor prime {q} does not divide the discriminant "
                     f"of {self.label or self.ainvs}"
+                )
+
+    def check_conductor_exponents(self) -> None:
+        """Refuse a conductor whose exponent 1 primes are not the multiplicative ones.
+
+        On a minimal model q divides N exactly once iff the reduction at q is
+        multiplicative, iff q does not divide c4.  The constructor checks the
+        prime support only; `cli.CurveRecord.to_curve` calls this, so that an
+        ingested record with a wrong exponent is refused as input before any
+        computation instead of surfacing later as an internal inconsistency.
+        """
+        for q, e in factorint(self.conductor).items():
+            if (e == 1) != (self.c4 % q != 0):
+                raise InputError(
+                    f"conductor exponent {e} at q={q} disagrees with the reduction "
+                    f"type of {self.label or self.ainvs}; is the model minimal?"
                 )
 
     @property

@@ -1,13 +1,15 @@
 """Exact integer linear algebra.
 
-Two kernels are needed by the modular symbol machinery:
+Two kernel computations serve the modular symbol machinery:
 
 * the nullspace of a sparse integer matrix (fraction-free Gauss-Jordan
   elimination with content stripping; each step pivots on the sparsest
   remaining row, at its smallest coefficient), which gives the Manin
   functionals of each star sign and cuts them down to Hecke eigenspaces,
-* integer kernels via unimodular column reduction (lattice computations
-  behind the symbol normalization).
+* the gcd of a linear form over the integer kernel of a small dense matrix,
+  by unimodular column reduction with the form carried along as a last row
+  (the value group that normalizes the eigensymbol); no kernel basis and no
+  transform matrix is built.
 
 Everything is deterministic; no floating point is involved.
 """
@@ -21,7 +23,7 @@ __all__ = [
     "gcd_list",
     "strip_content",
     "sparse_nullspace",
-    "integer_kernel",
+    "kernel_image_gcd",
 ]
 
 
@@ -134,44 +136,35 @@ def sparse_nullspace(rows, ncols):
     return basis
 
 
-def integer_kernel(rows):
-    """Z-basis of the integer kernel of an integer matrix.
+def kernel_image_gcd(rows, f) -> int:
+    """gcd of f . x over the integer x with rows . x = 0; 0 if f vanishes there.
 
-    `rows` is a list of integer row lists (all the same length n).  Returns
-    a list of integer vectors of length n spanning {x in Z^n : M x = 0}.
-    Unimodular column operations only, so the result is a genuine basis of
-    the kernel lattice, not merely of the rational kernel.
+    `rows` is a list of integer row lists, each as long as `f`.  Unimodular
+    column operations bring each row in turn to a single pivot column, and
+    are applied to f, carried as a last row, alike.  The columns that never
+    became pivots then vanish on every row and span the kernel lattice: the
+    pivot columns form a triangular block, so no combination that kills the
+    rows can use them.  The answer is the gcd of f on the non-pivot columns.
     """
-    if not rows:
-        raise ValueError("need at least one row (use identity for no constraints)")
-    n = len(rows[0])
     m = len(rows)
-    cols = [[rows[i][j] for i in range(m)] for j in range(n)]
-    transform = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    active = list(range(n))
+    cols = [[row[j] for row in rows] + [fj] for j, fj in enumerate(f)]
+    active = list(range(len(cols)))  # columns not yet used as a pivot
     for r in range(m):
         live = [j for j in active if cols[j][r] != 0]
         if not live:
             continue
         while len(live) > 1:
             live.sort(key=lambda j: abs(cols[j][r]))
-            j0 = live[0]
-            a = cols[j0][r]
-            new_live = [j0]
+            c0 = cols[live[0]]
+            a = c0[r]
+            new_live = [live[0]]
             for j in live[1:]:
-                q = cols[j][r] // a
-                if q:
-                    for i in range(r, m):
-                        cols[j][i] -= q * cols[j0][i]
-                    tj, t0 = transform[j], transform[j0]
-                    for i in range(n):
-                        tj[i] -= q * t0[i]
-                if cols[j][r] != 0:
+                cj = cols[j]
+                q = cj[r] // a
+                for i in range(r, m + 1):
+                    cj[i] -= q * c0[i]
+                if cj[r] != 0:
                     new_live.append(j)
             live = new_live
         active.remove(live[0])
-    kernel = []
-    for j in active:
-        if all(x == 0 for x in cols[j]):
-            kernel.append(list(transform[j]))
-    return kernel
+    return gcd_list(cols[j][m] for j in active)

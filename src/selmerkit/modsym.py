@@ -20,11 +20,14 @@ the minus eigensymbol is cut out of the sign -1 part the same way.  The plus
 eigensymbol is normalized to take the value group Z exactly on the integral
 cycles killed by the minus eigensymbol (the cycles fixed by the involution
 can give an index-2 sublattice), so that evaluations are the classical
-ratios [a/b]+ = Re int / (real period).  The overall sign is pinned once on a
-Gamma_0(N) cycle {0, b/d} = {0, gamma 0} with gamma = [[a, b], [N, d]]:
-the first d >= 2 prime to N on which the symbol is nonzero.  Its exact
-value [b/d]+ - [0]+ is compared with the cycle period of the analytic
-module, whose two ends sit at height 1/N and whose error is bounded.
+ratios [a/b]+ = Re int / (real period).  That value group is read off one
+column reduction of the boundary rows and the minus functional, with the
+plus functional carried along; no basis of the cycles is built.  The
+overall sign is pinned once on a Gamma_0(N) cycle {0, b/d} = {0, gamma 0}
+with gamma = [[a, b], [N, d]]: the first d >= 2 prime to N on which the
+symbol is nonzero.  Its exact value [b/d]+ - [0]+ is compared with the
+cycle period of the analytic module, whose two ends sit at height 1/N and
+whose error is bounded.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from math import gcd
 from .arith import divisors, factorint, kronecker_symbol, primerange, totient
 from .curves import EllipticCurve, trace_of_frobenius
 from .errors import AmbiguityError, InputError, InternalInvariantError
-from .linalg import gcd_list, integer_kernel, sparse_nullspace
+from .linalg import gcd_list, kernel_image_gcd, sparse_nullspace
 
 # ---------------------------------------------------------------------------
 # index sets and dimension formulas
@@ -76,6 +79,16 @@ def genus_x0(N: int) -> int:
     if g.denominator != 1:
         raise InternalInvariantError(f"genus formula not integral at N={N}")
     return int(g)
+
+
+def cusp_key(N: int, u: int, v: int) -> tuple[int, int]:
+    """(g, u (v/g) mod gcd(g, N/g)) with g = gcd(v, N), for u/v in lowest terms.
+
+    Gamma_0(N) and u/v -> -u/-v keep the key, so equivalent cusps share it;
+    it is the class invariant of Cremona's cusp equivalence criterion.
+    """
+    g = gcd(v, N)
+    return g, u * (v // g) % gcd(g, N // g)
 
 
 # ---------------------------------------------------------------------------
@@ -196,67 +209,33 @@ class ManinSpace:
         # x*dd - b*cc = 1, so det [[x, b], [cc, dd]] = 1
         return (x, (x * dd - 1) // cc, cc, dd)
 
-    def _cusp_class(self, u: int, v: int) -> int:
-        """Index of the cusp u/v (lowest terms) among Gamma_0(N) classes."""
-        if v < 0:
-            u, v = -u, -v
-        if v == 0:
-            u = 1
-        for k, (u2, v2) in enumerate(self._cusp_reps):
-            if self._cusps_equivalent(u, v, u2, v2):
-                return k
-        self._cusp_reps.append((u, v))
-        return len(self._cusp_reps) - 1
-
-    def _cusps_equivalent(self, u1, v1, u2, v2) -> bool:
-        N = self.N
-        g = gcd(v1 * v2, N)
-        s1 = self._inv_mod(u1, v1)
-        s2 = self._inv_mod(u2, v2)
-        return (s1 * v2 - s2 * v1) % g == 0
-
-    @staticmethod
-    def _inv_mod(u, v):
-        # inverse of u mod v; v = 0 means the exact inverse (u = +-1)
-        if v == 0:
-            return u
-        if v == 1:
-            return 0
-        return pow(u % v, -1, v)
-
     def _build_boundary(self):
-        self._cusp_reps: list[tuple[int, int]] = []
-        n = self.n
+        """boundary_rows[k][i]: +1 or -1 where generator i ends or starts at
+        cusp class k, classes numbered in order of first appearance.
+
+        Cusps are classed by cusp_key; a key count equal to the number of
+        cusp classes shows that the key also separates classes at this level.
+        """
+        N = self.N
+        classes: dict[tuple[int, int], int] = {}
         ends = []
-        for i in range(n):
-            c, d = self.p1_reps[i]
+        for c, d in self.p1_reps:
             a, b, cc, dd = self._lift_to_sl2(c, d)
             if a * dd - b * cc != 1:
                 raise InternalInvariantError("lift is not unimodular")
-            # generator i is the path {b/dd -> a/cc}
-            k_from = self._cusp_class(*self._reduce_cusp(b, dd))
-            k_to = self._cusp_class(*self._reduce_cusp(a, cc))
+            # generator i is the path {b/dd -> a/cc}; both ends are in lowest terms
+            k_from = classes.setdefault(cusp_key(N, b, dd), len(classes))
+            k_to = classes.setdefault(cusp_key(N, a, cc), len(classes))
             ends.append((k_from, k_to))
-        if len(self._cusp_reps) != self.ncusps:
+        if len(classes) != self.ncusps:
             raise InternalInvariantError(
-                f"found {len(self._cusp_reps)} cusp classes at N={self.N}, "
-                f"expected {self.ncusps}"
+                f"found {len(classes)} cusp classes at N={N}, expected {self.ncusps}"
             )
-        rows = [[0] * n for _ in self._cusp_reps]
+        rows = [[0] * self.n for _ in classes]
         for i, (k_from, k_to) in enumerate(ends):
             rows[k_to][i] += 1
             rows[k_from][i] -= 1
         self.boundary_rows = rows
-
-    @staticmethod
-    def _reduce_cusp(u: int, v: int) -> tuple[int, int]:
-        if v == 0:
-            return (1, 0)
-        g = gcd(u, v)
-        u, v = u // g, v // g
-        if v < 0:
-            u, v = -u, -v
-        return (u, v)
 
     # -- operators on functionals -------------------------------------------
 
@@ -280,19 +259,6 @@ class ManinSpace:
                 counts[j] = counts.get(j, 0) + 1
             images.append(list(counts.items()))
         return images
-
-    # -- integral cycles -------------------------------------------------------
-
-    def real_cycle_basis(self, f_minus: tuple[int, ...]) -> list[list[int]]:
-        """Integral cycles killed by the minus eigensymbol of a given form.
-
-        Their images under the period integral of that form fill out the full
-        intersection of the period lattice with the real line, so the plus
-        pairing takes its value group on exactly this lattice.
-        """
-        rows: list[list[int]] = [list(r) for r in self.boundary_rows]
-        rows.append(list(f_minus))
-        return integer_kernel(rows)
 
 
 _SPACE_CACHE: dict[int, ManinSpace] = {}
@@ -480,10 +446,8 @@ def isolate_eigensymbol(E: EllipticCurve, space: ManinSpace | None = None) -> Ei
 
     f_int, f_minus = _isolate_functionals(E, space)
 
-    pairings = []
-    for w in space.real_cycle_basis(f_minus):
-        pairings.append(sum(fi * wi for fi, wi in zip(f_int, w)))
-    denominator = gcd_list(pairings)
+    # integral cycles: killed by the boundary map, and killed by f_minus
+    denominator = kernel_image_gcd(space.boundary_rows + [list(f_minus)], f_int)
     if denominator == 0:
         raise InternalInvariantError("eigensymbol vanishes on all real cycles")
 

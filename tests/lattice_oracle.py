@@ -1,0 +1,115 @@
+"""Reference lattice computations, kept only as test oracles.
+
+integer_kernel builds a Z-basis of an integer kernel by unimodular column
+reduction with the full n x n transform; linalg.kernel_image_gcd runs the
+same reduction without the transform and returns only the gcd of a form on
+that kernel.  boundary_rows partitions cusps by the pairwise Gamma_0(N)
+equivalence test of Cremona's "Algorithms for Modular Elliptic Curves",
+one scan over the classes found so far per cusp; ManinSpace keys each cusp
+instead.  The tests compare the two sides.
+"""
+
+from math import gcd
+
+
+def integer_kernel(rows):
+    """Z-basis of the integer kernel of an integer matrix.
+
+    `rows` is a list of integer row lists (all the same length n).  Returns
+    a list of integer vectors of length n spanning {x in Z^n : M x = 0}.
+    Unimodular column operations only, so the result is a genuine basis of
+    the kernel lattice, not merely of the rational kernel.
+    """
+    if not rows:
+        raise ValueError("need at least one row (use identity for no constraints)")
+    n = len(rows[0])
+    m = len(rows)
+    cols = [[rows[i][j] for i in range(m)] for j in range(n)]
+    transform = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+    active = list(range(n))
+    for r in range(m):
+        live = [j for j in active if cols[j][r] != 0]
+        if not live:
+            continue
+        while len(live) > 1:
+            live.sort(key=lambda j: abs(cols[j][r]))
+            j0 = live[0]
+            a = cols[j0][r]
+            new_live = [j0]
+            for j in live[1:]:
+                q = cols[j][r] // a
+                if q:
+                    for i in range(r, m):
+                        cols[j][i] -= q * cols[j0][i]
+                    tj, t0 = transform[j], transform[j0]
+                    for i in range(n):
+                        tj[i] -= q * t0[i]
+                if cols[j][r] != 0:
+                    new_live.append(j)
+            live = new_live
+        active.remove(live[0])
+    kernel = []
+    for j in active:
+        if all(x == 0 for x in cols[j]):
+            kernel.append(list(transform[j]))
+    return kernel
+
+
+def _inv_mod(u, v):
+    # inverse of u mod v; v = 0 means the exact inverse (u = +-1)
+    if v == 0:
+        return u
+    if v == 1:
+        return 0
+    return pow(u % v, -1, v)
+
+
+def _reduce_cusp(u, v):
+    if v == 0:
+        return (1, 0)
+    g = gcd(u, v)
+    u, v = u // g, v // g
+    if v < 0:
+        u, v = -u, -v
+    return (u, v)
+
+
+def cusps_equivalent(N, u1, v1, u2, v2):
+    """u1/v1 ~ u2/v2 under Gamma_0(N)."""
+    u1, v1 = _reduce_cusp(u1, v1)
+    u2, v2 = _reduce_cusp(u2, v2)
+    g = gcd(v1 * v2, N)
+    s1 = _inv_mod(u1, v1)
+    s2 = _inv_mod(u2, v2)
+    return (s1 * v2 - s2 * v1) % g == 0
+
+
+def generator_ends(space):
+    """(from, to) cusps (u, v) of each generator's path {b/d -> a/c}, as the
+    space's SL2 lift gives them."""
+    ends = []
+    for c, d in space.p1_reps:
+        a, b, cc, dd = space._lift_to_sl2(c, d)
+        ends.append(((b, dd), (a, cc)))
+    return ends
+
+
+def boundary_rows(space):
+    """The boundary matrix with cusp classes found by pairwise tests, in
+    order of first appearance."""
+    reps = []
+
+    def cusp_class(u, v):
+        for k, (u2, v2) in enumerate(reps):
+            if cusps_equivalent(space.N, u, v, u2, v2):
+                return k
+        reps.append((u, v))
+        return len(reps) - 1
+
+    ends = [(cusp_class(*_reduce_cusp(*frm)), cusp_class(*_reduce_cusp(*to)))
+            for frm, to in generator_ends(space)]
+    rows = [[0] * space.n for _ in reps]
+    for i, (k_from, k_to) in enumerate(ends):
+        rows[k_to][i] += 1
+        rows[k_from][i] -= 1
+    return rows

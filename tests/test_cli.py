@@ -492,6 +492,15 @@ def test_oracle_check_subcommand(capsys):
     assert [row["label"] for row in report["rows"]] == ["11a1", "17a1"]
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "1", "100", "1e30"])
+def test_oracle_check_refuses_a_tolerance_outside_0_1(capsys, tol):
+    code, out, err = run_main(
+        capsys, "oracle-check", "--curves", SAMPLE, "--label", "11a1", "--tol", tol,
+    )
+    assert code == 2 and out == ""
+    assert "tolerance" in err and "Traceback" not in err
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code, out, _ = run_main(
@@ -538,6 +547,17 @@ def test_genus_zero_level_is_refused_as_input(tmp_path, capsys):
     code, out, err = run_main(capsys, "predict", "--curves", str(path), "--p", "5")
     assert code == 2 and out == ""
     assert "no cusp forms at level 16" in err and "Traceback" not in err
+
+
+def test_wrong_conductor_exponent_is_refused_as_input(tmp_path, capsys):
+    # 11a1's model has split multiplicative reduction at 11, so 11 divides
+    # its conductor once; the record's 121 passes ingest but not the curve check
+    path = tmp_path / "bad121.jsonl"
+    path.write_text('{"label":"bad121","ainvs":[0,-1,1,-10,-20],"conductor":121}\n')
+    assert [r.conductor for r in ingest(str(path))] == [121]
+    code, out, err = run_main(capsys, "predict", "--curves", str(path), "--p", "7")
+    assert code == 2 and out == ""
+    assert "conductor exponent 2 at q=11" in err and "Traceback" not in err
 
 
 def test_cache_dir_naming_a_file_is_refused_before_any_work(tmp_path, capsys, monkeypatch):

@@ -27,7 +27,7 @@ from selmerkit.curves import (
     split_conductor,
     trace_of_frobenius,
 )
-from selmerkit.errors import HypothesisError, InputError
+from selmerkit.errors import HypothesisError, InputError, InternalInvariantError
 
 E11 = EllipticCurve(0, -1, 1, -10, -20, conductor=11, label="11a1")
 E14 = EllipticCurve(1, 0, 1, 4, -6, conductor=14, label="14a1")
@@ -202,6 +202,21 @@ def test_constructor_validation():
         EllipticCurve(0, 0, 1, -1, 0, conductor=35)  # support mismatch
     with pytest.raises(InputError):
         EllipticCurve(0, 0, 1, -1, 0, conductor=0)
+
+
+def test_conductor_exponents_match_the_reduction_types():
+    for E in (E11, E14, E15, E27, E37, E49):
+        E.check_conductor_exponents()
+    for D in (-3, -4, -7, 13):
+        quadratic_twist(E11, D).check_conductor_exponents()
+    # the constructor checks the prime support only; the exponent check is
+    # separate, and reduction_type still refuses the mismatch as internal
+    for ainvs, N, q in (((0, -1, 1, -10, -20), 121, 11), ((0, 0, 1, 0, -7), 3, 3)):
+        E = EllipticCurve(*ainvs, conductor=N)
+        with pytest.raises(InputError, match=f"conductor exponent .* at q={q}"):
+            E.check_conductor_exponents()
+        with pytest.raises(InternalInvariantError):
+            reduction_type(E, q)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,10 +1,16 @@
-"""Exact kernels: sparse integer nullspaces and saturated integer kernels."""
+"""Exact kernels: sparse integer nullspaces, and the gcd of a form on an
+integer kernel against the saturated kernel basis of the lattice oracle."""
+
+import tracemalloc
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import Matrix
 
-from selmerkit.linalg import gcd_list, integer_kernel, sparse_nullspace
+from selmerkit.linalg import gcd_list, kernel_image_gcd, sparse_nullspace
+from selmerkit.modsym import build_manin_space
+
+from lattice_oracle import integer_kernel
 
 
 def _matrix_strategy(max_rows=5, max_cols=6):
@@ -73,3 +79,40 @@ def test_integer_kernel_is_saturated():
     assert sorted(map(abs, v)) == [1, 1]
     basis2 = integer_kernel([[4, 6]])
     assert sorted(map(abs, basis2[0])) == [2, 3]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_kernel_image_gcd_matches_the_oracle_kernel(data):
+    mat = data.draw(_matrix_strategy())
+    n = len(mat[0])
+    f = data.draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
+    expected = gcd_list(sum(fi * wi for fi, wi in zip(f, w)) for w in integer_kernel(mat))
+    assert kernel_image_gcd(mat, f) == expected
+
+
+def test_kernel_image_gcd_hand_cases():
+    # the kernel of (2 2) is spanned by (1, -1), so f = (1, 0) takes the value 1
+    assert kernel_image_gcd([[2, 2]], [1, 0]) == 1
+    assert kernel_image_gcd([[4, 6]], [1, 0]) == 3
+    # f = (1, 1) vanishes on that kernel
+    assert kernel_image_gcd([[2, 2]], [1, 1]) == 0
+    assert kernel_image_gcd([[1, 0], [0, 1]], [5, 7]) == 0
+    # no rows: the kernel is all of Z^n
+    assert kernel_image_gcd([], [6, -4, 10]) == 2
+    assert kernel_image_gcd([], [0, 0]) == 0
+
+
+def test_kernel_image_gcd_keeps_no_transform():
+    # N = 1000: 1,800 generators and the boundary rows plus one minus functional;
+    # a kernel basis with its n x n transform peaked at about 56 MB here
+    sp = build_manin_space(1000)
+    rows = sp.boundary_rows + [sp.functionals[-1][0]]
+    f = sp.functionals[1][0]
+    tracemalloc.start()
+    try:
+        kernel_image_gcd(rows, f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20

@@ -25,6 +25,7 @@ from selmerkit.modsym import (
     _merel_matrices,
     _nonzero_cycle,
     build_manin_space,
+    cusp_key,
     cusp_number,
     genus_x0,
     isolate_eigensymbol,
@@ -32,6 +33,7 @@ from selmerkit.modsym import (
 )
 
 from eigen_oracle import stacked_eigenline
+from lattice_oracle import boundary_rows, cusps_equivalent, generator_ends
 from path_oracle import pair_path, path_vector
 
 
@@ -319,6 +321,22 @@ def test_boundary_kills_relations():
             assert row[i] + row[sp.tau[i]] + row[sp.tau[sp.tau[i]]] == 0
 
 
+@pytest.mark.parametrize("N", list(range(1, 121)) + [240, 333, 1000])
+def test_cusp_keys_match_the_pairwise_partition(N):
+    sp = build_manin_space(N)
+    groups = {}
+    for end in generator_ends(sp):
+        for u, v in end:
+            groups.setdefault(cusp_key(N, u, v), []).append((u, v))
+    reps = [cusps[0] for cusps in groups.values()]
+    for rep, cusps in zip(reps, groups.values()):
+        assert all(cusps_equivalent(N, *rep, *c) for c in cusps)
+    for i, r1 in enumerate(reps):
+        assert not any(cusps_equivalent(N, *r1, *r2) for r2 in reps[i + 1:])
+    assert len(sp.boundary_rows) == len(groups) == cusp_number(N)
+    assert sp.boundary_rows == boundary_rows(sp)
+
+
 # ---------------------------------------------------------------------------
 # the sign pin: one Gamma_0(N) cycle period against the exact cycle value
 
@@ -334,6 +352,23 @@ def _twist_symbol(curve, N):
         assert E.conductor == N
         _TWIST_SYMBOLS[N] = isolate_eigensymbol(E)
     return _TWIST_SYMBOLS[N]
+
+
+# the value group of f+ on integral cycles killed by f-, frozen
+FROZEN_DENOMINATORS = {
+    "11a1": 10, "14a1": 6, "15a1": 4, "17a1": 4, "19a1": 6, "26a1": 6,
+    "26b1": 14, "27a1": 6, "37a1": 1, "37b1": 3, "49a1": 4,
+    "N=99": 2, "N=126": 2, "N=153": 2, "N=272": 1, "N=333": 1,
+}
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN_DENOMINATORS))
+def test_frozen_denominators(eigensymbol, curve, case):
+    if case.startswith("N="):
+        sym = _twist_symbol(curve, int(case[2:]))
+    else:
+        sym = eigensymbol(case)
+    assert sym.denominator == FROZEN_DENOMINATORS[case]
 
 
 def _cycle_exact(sym, d):
