@@ -1,11 +1,23 @@
 """Command line driver: curve ingestion, pipeline orchestration, JSON reports.
 
 The library computes; this module plumbs.  Curve files are JSON lines, one
-record per line, schema-validated on ingest.  Every subcommand emits a single
-self-contained JSON document (deterministic key order, embedded config and
-code-version hash) so that number-theoretic claims are reproducible from the
-report alone.  Exit codes: 0 success, 2 hypothesis or input problem, 3
-inconclusive search region, 4 broken internal invariant.
+record per line, schema-validated on ingest.  Every subcommand but sieve
+(which writes its primes as JSON lines) emits a single self-contained JSON
+document (deterministic key order, embedded config and code-version hash) so
+that number-theoretic claims are reproducible from the report alone.  Each
+report opens with the same envelope, kind, schema and code_version, from
+_report; a multi-curve predict wraps its reports in a batch document that
+carries kind and schema only.  Exit codes: 0 success, 2 hypothesis or input
+problem, 3 inconclusive search region, 4 broken internal invariant.
+
+build_parser registers the nine subcommands from one table.  A row names the
+subcommand, its handler, its help line and its option groups.  The shared
+groups are declared once each: curve selection (--curves, --label,
+--lenient), the run options (--p through --max-evaluations), --cache-dir
+(predict, gz and waldspurger, whose curve runs go through the run_pipeline
+cache) and --out.  sieve --family, oracle-check --tol, bipartite-sim and
+gross-points add groups of their own.  gz and waldspurger share one handler
+and differ only in the dictionary branch they want.
 """
 
 from __future__ import annotations
@@ -19,6 +31,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass, field
+from functools import cache, partial
 from pathlib import Path
 
 from .analytic import numeric_plus
@@ -268,8 +281,13 @@ class RunConfig:
         }
 
 
+@cache
 def code_version() -> str:
-    """Hash of the package sources, so reports pin the code that made them."""
+    """Hash of the package sources, so reports pin the code that made them.
+
+    Read once per process, so a cache key and the report stored under it
+    always name the same code.
+    """
     root = Path(__file__).resolve().parent
     digest = hashlib.sha256()
     for path in sorted(root.glob("*.py")):
@@ -281,6 +299,11 @@ def code_version() -> str:
 
 def render_report(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def _report(kind: str, **fields) -> dict:
+    """The envelope every report kind shares: kind, schema and code version."""
+    return {"kind": kind, "schema": SCHEMA_VERSION, "code_version": code_version(), **fields}
 
 
 # ---------------------------------------------------------------------------
@@ -351,22 +374,20 @@ def _gather(E: EllipticCurve, config: RunConfig) -> PipelineData:
 
 
 def _pipeline_report(record: CurveRecord, config: RunConfig, data: PipelineData, prediction) -> dict:
-    report = {
-        "kind": "pipeline",
-        "schema": SCHEMA_VERSION,
-        "code_version": code_version(),
-        "config": config.to_json_dict(),
-        "curve": record.to_json_dict(),
-        "region": data.region.describe(),
-        "hypothesis_notes": data.notes,
-        "prime_count": len(data.primes),
-        "primes": [q.to_json_dict() for q in data.primes],
-        "index_count": len(data.indices),
-        "estimated_evaluations": data.estimated_evaluations,
-        "kurihara": [kn.to_json_dict() for kn in data.collection],
-        "stats": data.stats.to_json_dict(),
-        "prediction": prediction.to_json_dict(),
-    }
+    report = _report(
+        "pipeline",
+        config=config.to_json_dict(),
+        curve=record.to_json_dict(),
+        region=data.region.describe(),
+        hypothesis_notes=data.notes,
+        prime_count=len(data.primes),
+        primes=[q.to_json_dict() for q in data.primes],
+        index_count=len(data.indices),
+        estimated_evaluations=data.estimated_evaluations,
+        kurihara=[kn.to_json_dict() for kn in data.collection],
+        stats=data.stats.to_json_dict(),
+        prediction=prediction.to_json_dict(),
+    )
     if config.tainted:
         report["taint"] = (
             f"p = {config.p} violates the standing hypothesis p >= 5; "
@@ -479,22 +500,20 @@ def gz_pair(record_E: CurveRecord, D_K: int, config: RunConfig,
     else:
         prediction = predict_waldspurger_profile(stats_E, stats_T)
 
-    report = {
-        "kind": "gz_pair",
-        "schema": SCHEMA_VERSION,
-        "code_version": code_version(),
-        "config": config.to_json_dict(),
-        "branch": branch,
-        "field": {
+    report = _report(
+        "gz_pair",
+        config=config.to_json_dict(),
+        branch=branch,
+        field={
             "D_K": splitting.D_K,
             "n_plus": splitting.n_plus,
             "n_minus": splitting.n_minus,
             "nu_minus": splitting.nu_minus,
         },
-        "curve": report_E,
-        "twist": report_T,
-        "prediction": prediction.to_json_dict(),
-    }
+        curve=report_E,
+        twist=report_T,
+        prediction=prediction.to_json_dict(),
+    )
     if config.tainted:
         report["taint"] = report_E.get("taint")
     return report
@@ -572,15 +591,13 @@ def cmd_delta(args) -> None:
     record = _single_record(args)
     config = _config_from_args(args)
     data = _gather(record.to_curve(), config)
-    report = {
-        "kind": "delta",
-        "schema": SCHEMA_VERSION,
-        "code_version": code_version(),
-        "config": config.to_json_dict(),
-        "curve": record.to_json_dict(),
-        "region": data.region.describe(),
-        "kurihara": [kn.to_json_dict() for kn in data.collection],
-    }
+    report = _report(
+        "delta",
+        config=config.to_json_dict(),
+        curve=record.to_json_dict(),
+        region=data.region.describe(),
+        kurihara=[kn.to_json_dict() for kn in data.collection],
+    )
     _emit(args, render_report(report))
 
 
@@ -588,15 +605,13 @@ def cmd_stats(args) -> None:
     record = _single_record(args)
     config = _config_from_args(args)
     data = _gather(record.to_curve(), config)
-    report = {
-        "kind": "stats",
-        "schema": SCHEMA_VERSION,
-        "code_version": code_version(),
-        "config": config.to_json_dict(),
-        "curve": record.to_json_dict(),
-        "region": data.region.describe(),
-        "stats": data.stats.to_json_dict(),
-    }
+    report = _report(
+        "stats",
+        config=config.to_json_dict(),
+        curve=record.to_json_dict(),
+        region=data.region.describe(),
+        stats=data.stats.to_json_dict(),
+    )
     _emit(args, render_report(report))
 
 
@@ -616,14 +631,6 @@ def _run_gz(args, want_branch: str) -> None:
     if config.D_K is None:
         raise InputError("this subcommand needs --DK")
     _emit(args, render_report(gz_pair(record, config.D_K, config, want_branch=want_branch)))
-
-
-def cmd_gz(args) -> None:
-    _run_gz(args, "heegner")
-
-
-def cmd_waldspurger(args) -> None:
-    _run_gz(args, "waldspurger")
 
 
 def cmd_bipartite_sim(args) -> None:
@@ -650,23 +657,21 @@ def cmd_bipartite_sim(args) -> None:
         steps.append(entry)
     stub_ok = system.stub_bound_holds()
     rigidity = system.observed_rigidity()
-    report = {
-        "kind": "bipartite-sim",
-        "schema": SCHEMA_VERSION,
-        "code_version": code_version(),
-        "p": args.p,
-        "k": args.k,
-        "seed": args.seed,
-        "shape": system.shape.to_json_dict(),
-        "delta": system.delta,
-        "profile": {str(r): v for r, v in sorted(lambda_profile(system.shape, system.delta, ctx).items())},
-        "steps": steps,
-        "assertions": {
+    report = _report(
+        "bipartite-sim",
+        p=args.p,
+        k=args.k,
+        seed=args.seed,
+        shape=system.shape.to_json_dict(),
+        delta=system.delta,
+        profile={str(r): v for r, v in sorted(lambda_profile(system.shape, system.delta, ctx).items())},
+        steps=steps,
+        assertions={
             "stub_bound_holds": stub_ok,
             "observed_rigidity": rigidity,
             "rigidity_matches_delta": rigidity == min(ctx.k, system.delta),
         },
-    }
+    )
     _emit(args, render_report(report))
     if not stub_ok:
         raise InternalInvariantError("a simulated value escaped its stub submodule")
@@ -677,16 +682,14 @@ def cmd_bipartite_sim(args) -> None:
 def cmd_gross_points(args) -> None:
     data = make_theta(abs(args.DK))
     theta = local_embedding_theta(args.q, data, args.precision)
-    report = {
-        "kind": "gross-points",
-        "schema": SCHEMA_VERSION,
-        "code_version": code_version(),
-        "D_K": data.D_K,
-        "q": args.q,
-        "precision": args.precision,
-        "theta": {"trace": data.theta_trace, "norm": data.theta_norm},
-        "embedding_theta": {"entries": list(theta.entries), "display": str(theta)},
-    }
+    report = _report(
+        "gross-points",
+        D_K=data.D_K,
+        q=args.q,
+        precision=args.precision,
+        theta={"trace": data.theta_trace, "norm": data.theta_norm},
+        embedding_theta={"entries": list(theta.entries), "display": str(theta)},
+    )
     if args.beta is not None:
         jmat = local_embedding_J(args.q, data, args.beta, args.precision)
         report["beta"] = args.beta
@@ -723,14 +726,12 @@ def cmd_oracle_check(args) -> None:
                 "ok": relative <= args.tol,
             }
         )
-    report = {
-        "kind": "oracle-check",
-        "schema": SCHEMA_VERSION,
-        "code_version": code_version(),
-        "tolerance": args.tol,
-        "rows": rows,
-        "ok": all(row["ok"] for row in rows),
-    }
+    report = _report(
+        "oracle-check",
+        tolerance=args.tol,
+        rows=rows,
+        ok=all(row["ok"] for row in rows),
+    )
     _emit(args, render_report(report))
     if not report["ok"]:
         bad = [row["label"] for row in rows if not row["ok"]]
@@ -741,102 +742,84 @@ def cmd_oracle_check(args) -> None:
 # parser
 
 
-def _add_curve_args(sub) -> None:
-    sub.add_argument("--curves", required=True, help="JSON-lines curve file")
-    sub.add_argument("--label", action="append", help="curve label; repeatable")
-    sub.add_argument("--lenient", action="store_true", help="warn instead of rejecting unknown fields")
-
-
-def _add_config_args(sub, cached: bool) -> None:
-    """The run options; --cache-dir only where run_pipeline serves the call."""
-    sub.add_argument("--p", type=int, required=True, help="the working prime")
-    sub.add_argument("--k", type=int, default=1, help="congruence depth")
-    sub.add_argument("--prime-bound", type=int, default=300)
-    sub.add_argument("--max-nu", type=int, default=1)
-    sub.add_argument("--max-n", type=int, default=10_000_000)
-    sub.add_argument("--DK", type=int, default=None, help="imaginary quadratic discriminant (sign normalized)")
-    sub.add_argument("--region-label", default="")
-    sub.add_argument("--allow-small-p", action="store_true")
-    sub.add_argument("--max-evaluations", type=int, default=DEFAULT_MAX_EVALUATIONS)
-    if cached:
-        sub.add_argument("--cache-dir", default=None, help="report cache for single-curve pipeline runs")
-    else:
-        sub.set_defaults(cache_dir=None)
-
-
-def _add_out_arg(sub) -> None:
-    sub.add_argument("--out", default=None, help="write the report here instead of stdout")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """The subcommand table over shared option groups.
+
+    Each group is an add_help=False parser that declares its options once.
+    A subcommand inherits the groups its table row names, in that order, so
+    its --help lists them in that order too.
+    """
+
+    def group() -> argparse.ArgumentParser:
+        return argparse.ArgumentParser(add_help=False)
+
+    curve = group()
+    curve.add_argument("--curves", required=True, help="JSON-lines curve file")
+    curve.add_argument("--label", action="append", help="curve label; repeatable")
+    curve.add_argument("--lenient", action="store_true", help="warn instead of rejecting unknown fields")
+
+    run = group()
+    run.add_argument("--p", type=int, required=True, help="the working prime")
+    run.add_argument("--k", type=int, default=1, help="congruence depth")
+    run.add_argument("--prime-bound", type=int, default=300)
+    run.add_argument("--max-nu", type=int, default=1)
+    run.add_argument("--max-n", type=int, default=10_000_000)
+    run.add_argument("--DK", type=int, default=None, help="imaginary quadratic discriminant (sign normalized)")
+    run.add_argument("--region-label", default="")
+    run.add_argument("--allow-small-p", action="store_true")
+    run.add_argument("--max-evaluations", type=int, default=DEFAULT_MAX_EVALUATIONS)
+    run.set_defaults(cache_dir=None)  # overridden by the cache group where it is offered
+
+    cache = group()
+    cache.add_argument("--cache-dir", default=None, help="report cache for single-curve pipeline runs")
+
+    out = group()
+    out.add_argument("--out", default=None, help="write the report here instead of stdout")
+
+    family = group()
+    family.add_argument("--family", choices=("cyc", "ac", "adm"), default="cyc")
+
+    walk = group()
+    walk.add_argument("--p", type=int, required=True)
+    walk.add_argument("--k", type=int, required=True)
+    walk.add_argument("--shape", default="", help="comma-separated exponents, e.g. 3,1")
+    walk.add_argument("--delta", type=int, default=None)
+    walk.add_argument("--steps", type=int, default=20)
+    walk.add_argument("--seed", type=int, default=0)
+
+    points = group()
+    points.add_argument("--DK", type=int, required=True)
+    points.add_argument("--q", type=int, required=True)
+    points.add_argument("--case", choices=("away", "split_Nplus", "p_split", "p_inert"), default=None)
+    points.add_argument("--beta", type=int, default=None)
+    points.add_argument("--precision", type=int, default=10)
+
+    tol = group()
+    tol.add_argument("--tol", type=float, default=1e-6)
+
+    pipeline = (curve, run, out)
+    cached = (curve, run, cache, out)
+    commands = (
+        ("sieve", cmd_sieve, "list Kolyvagin-type primes for one curve", (*pipeline, family)),
+        ("delta", cmd_delta, "Kurihara numbers over the region", pipeline),
+        ("stats", cmd_stats, "divisibility statistics over the region", pipeline),
+        ("predict", cmd_predict, "full pipeline: stats plus Selmer prediction", cached),
+        ("gz", partial(_run_gz, want_branch="heegner"),
+         "curve/twist pair, indefinite (Heegner) dictionary", cached),
+        ("waldspurger", partial(_run_gz, want_branch="waldspurger"),
+         "curve/twist pair, definite dictionary", cached),
+        ("bipartite-sim", cmd_bipartite_sim, "synthetic bipartite Selmer walk", (walk, out)),
+        ("gross-points", cmd_gross_points, "local embedding and component matrices", (points, out)),
+        ("oracle-check", cmd_oracle_check,
+         "eigensymbol vs numeric series at the central point", (curve, out, tol)),
+    )
     parser = argparse.ArgumentParser(
         prog="selmerkit",
         description="Kurihara numbers, divisibility statistics, and Selmer predictions",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("sieve", help="list Kolyvagin-type primes for one curve")
-    _add_curve_args(sub)
-    _add_config_args(sub, cached=False)
-    _add_out_arg(sub)
-    sub.add_argument("--family", choices=("cyc", "ac", "adm"), default="cyc")
-    sub.set_defaults(func=cmd_sieve)
-
-    sub = subs.add_parser("delta", help="Kurihara numbers over the region")
-    _add_curve_args(sub)
-    _add_config_args(sub, cached=False)
-    _add_out_arg(sub)
-    sub.set_defaults(func=cmd_delta)
-
-    sub = subs.add_parser("stats", help="divisibility statistics over the region")
-    _add_curve_args(sub)
-    _add_config_args(sub, cached=False)
-    _add_out_arg(sub)
-    sub.set_defaults(func=cmd_stats)
-
-    sub = subs.add_parser("predict", help="full pipeline: stats plus Selmer prediction")
-    _add_curve_args(sub)
-    _add_config_args(sub, cached=True)
-    _add_out_arg(sub)
-    sub.set_defaults(func=cmd_predict)
-
-    sub = subs.add_parser("gz", help="curve/twist pair, indefinite (Heegner) dictionary")
-    _add_curve_args(sub)
-    _add_config_args(sub, cached=True)
-    _add_out_arg(sub)
-    sub.set_defaults(func=cmd_gz)
-
-    sub = subs.add_parser("waldspurger", help="curve/twist pair, definite dictionary")
-    _add_curve_args(sub)
-    _add_config_args(sub, cached=True)
-    _add_out_arg(sub)
-    sub.set_defaults(func=cmd_waldspurger)
-
-    sub = subs.add_parser("bipartite-sim", help="synthetic bipartite Selmer walk")
-    sub.add_argument("--p", type=int, required=True)
-    sub.add_argument("--k", type=int, required=True)
-    sub.add_argument("--shape", default="", help="comma-separated exponents, e.g. 3,1")
-    sub.add_argument("--delta", type=int, default=None)
-    sub.add_argument("--steps", type=int, default=20)
-    sub.add_argument("--seed", type=int, default=0)
-    _add_out_arg(sub)
-    sub.set_defaults(func=cmd_bipartite_sim)
-
-    sub = subs.add_parser("gross-points", help="local embedding and component matrices")
-    sub.add_argument("--DK", type=int, required=True)
-    sub.add_argument("--q", type=int, required=True)
-    sub.add_argument("--case", choices=("away", "split_Nplus", "p_split", "p_inert"), default=None)
-    sub.add_argument("--beta", type=int, default=None)
-    sub.add_argument("--precision", type=int, default=10)
-    _add_out_arg(sub)
-    sub.set_defaults(func=cmd_gross_points)
-
-    sub = subs.add_parser("oracle-check", help="eigensymbol vs numeric series at the central point")
-    _add_curve_args(sub)
-    _add_out_arg(sub)
-    sub.add_argument("--tol", type=float, default=1e-6)
-    sub.set_defaults(func=cmd_oracle_check)
-
+    for name, func, summary, groups in commands:
+        subs.add_parser(name, help=summary, parents=groups).set_defaults(func=func)
     return parser
 
 

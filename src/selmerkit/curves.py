@@ -294,7 +294,7 @@ def _count_points_bsgs(E: EllipticCurve, q: int) -> int:
 
 
 def _smooth_count(E: EllipticCurve, q: int) -> int:
-    """Number of smooth F_q-points (incl. infinity) of the reduced curve."""
+    """Number of smooth F_q-points (incl. infinity) of the reduced curve, q in {2, 3}."""
     a1, a2, a3, a4, a6 = (a % q for a in E.ainvs)
 
     def on_curve(x, y):
@@ -305,25 +305,18 @@ def _smooth_count(E: EllipticCurve, q: int) -> int:
         fx = (a1 * y - (3 * x * x + 2 * a2 * x + a4)) % q
         return fy == 0 and fx == 0
 
-    if q <= 3:
-        count = 1
-        for x in range(q):
-            for y in range(q):
-                if on_curve(x, y) and not singular(x, y):
-                    count += 1
-        return count
-    total = _count_points_naive(E, q)  # includes singular points, if any
-    sing = 0
-    inv2 = pow(2, q - 2, q)
+    count = 1
     for x in range(q):
-        y = (-(a1 * x + a3) * inv2) % q
-        if on_curve(x, y) and singular(x, y):
-            sing += 1
-    return total - sing
+        for y in range(q):
+            if on_curve(x, y) and not singular(x, y):
+                count += 1
+    return count
 
 
 def reduction_type(E: EllipticCurve, q: int) -> str:
     """'good', 'split', 'nonsplit' or 'additive' at the prime q."""
+    if not isprime(q):
+        raise InputError(f"q={q} is not prime")
     if E.conductor % q != 0:
         return "good"
     disc, c4 = E.discriminant, E.c4

@@ -29,7 +29,7 @@ from math import gcd
 from .arith import isprime, padic_valuation, smallest_primitive_root
 from .errors import HypothesisError, InputError, InternalInvariantError
 from .modsym import EigenSymbol
-from .sieves import SquarefreeIndex
+from .sieves import DEFAULT_VALUATION_CAP, SquarefreeIndex
 
 DISCRETE_LOG_TABLE_LIMIT = 10 ** 6
 
@@ -114,7 +114,6 @@ def kurihara_number(
     index: SquarefreeIndex,
     p: int,
     etas: dict[int, int] | None = None,
-    valuation_cap: int = 12,
 ) -> KuriharaNumber:
     """delta_n for one squarefree index from the cyc family (or n = 1).
 
@@ -134,15 +133,15 @@ def kurihara_number(
     if index.n == 1:
         # the ambient ring is Z_p itself; work to the valuation cap
         val = sym.eval_plus(0, 1)
-        modulus = p ** valuation_cap
+        modulus = p ** DEFAULT_VALUATION_CAP
         inv = _p_unit_inverse(val.denominator, p, modulus, "the symbol denominator")
         residue = val.numerator * inv % modulus
         v = padic_valuation(val, p)
-        v = valuation_cap if v is None else min(v, valuation_cap)
+        v = DEFAULT_VALUATION_CAP if v is None else min(v, DEFAULT_VALUATION_CAP)
         return KuriharaNumber(
             index=index,
             p=p,
-            modulus_exponent=valuation_cap,
+            modulus_exponent=DEFAULT_VALUATION_CAP,
             residue=residue,
             valuation=v,
             eta_choices=(),

@@ -261,13 +261,9 @@ class ManinSpace:
         return images
 
 
-_SPACE_CACHE: dict[int, ManinSpace] = {}
-
-
 def build_manin_space(N: int) -> ManinSpace:
-    if N not in _SPACE_CACHE:
-        _SPACE_CACHE[N] = ManinSpace(N)
-    return _SPACE_CACHE[N]
+    """A fresh space at level N; nothing keeps it once its symbols are gone."""
+    return ManinSpace(N)
 
 
 # ---------------------------------------------------------------------------

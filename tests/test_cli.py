@@ -539,6 +539,76 @@ def test_cache_dir_is_offered_only_where_reports_are_cached(tmp_path, capsys, co
     assert not cache.exists()
 
 
+# every option a pipeline subcommand parses, at its default
+PIPELINE_DEFAULTS = {
+    "curves": "c.jsonl", "label": None, "lenient": False,
+    "p": 7, "k": 1, "prime_bound": 300, "max_nu": 1, "max_n": 10_000_000, "DK": None,
+    "region_label": "", "allow_small_p": False, "max_evaluations": 5_000_000,
+    "cache_dir": None, "out": None,
+}
+PIPELINE = ("--curves", "c.jsonl", "--p", "7")
+
+# one representative argv per subcommand, and its parsed namespace minus func
+PARSED = {
+    "sieve": (
+        (*PIPELINE, "--label", "11a1", "--DK", "-3", "--family", "ac"),
+        {**PIPELINE_DEFAULTS, "label": ["11a1"], "DK": -3, "family": "ac"},
+    ),
+    "delta": (
+        (*PIPELINE, "--label", "11a1", "--label", "14a1", "--k", "2", "--prime-bound", "500",
+         "--max-nu", "2", "--out", "r.json"),
+        {**PIPELINE_DEFAULTS, "label": ["11a1", "14a1"], "k": 2, "prime_bound": 500,
+         "max_nu": 2, "out": "r.json"},
+    ),
+    "stats": (
+        ("--curves", "c.jsonl", "--lenient", "--p", "3", "--allow-small-p",
+         "--region-label", "west", "--max-n", "1000"),
+        {**PIPELINE_DEFAULTS, "lenient": True, "p": 3, "allow_small_p": True,
+         "region_label": "west", "max_n": 1000},
+    ),
+    "predict": (
+        (*PIPELINE, "--cache-dir", "cache", "--max-evaluations", "99"),
+        {**PIPELINE_DEFAULTS, "cache_dir": "cache", "max_evaluations": 99},
+    ),
+    "gz": (
+        ("--curves", "c.jsonl", "--label", "37a1", "--p", "5", "--DK", "-3"),
+        {**PIPELINE_DEFAULTS, "label": ["37a1"], "p": 5, "DK": -3},
+    ),
+    "waldspurger": (
+        (*PIPELINE, "--label", "11a1", "--DK", "3", "--out", "w.json"),
+        {**PIPELINE_DEFAULTS, "label": ["11a1"], "DK": 3, "out": "w.json"},
+    ),
+    "bipartite-sim": (
+        ("--p", "5", "--k", "4", "--shape", "2,1", "--seed", "3"),
+        {"p": 5, "k": 4, "shape": "2,1", "delta": None, "steps": 20, "seed": 3, "out": None},
+    ),
+    "gross-points": (
+        ("--DK", "7", "--q", "5", "--case", "p_inert"),
+        {"DK": 7, "q": 5, "case": "p_inert", "beta": None, "precision": 10, "out": None},
+    ),
+    "oracle-check": (
+        ("--curves", "c.jsonl", "--label", "11a1", "--tol", "1e-8"),
+        {"curves": "c.jsonl", "label": ["11a1"], "lenient": False, "out": None, "tol": 1e-8},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PARSED))
+def test_parsed_namespace_is_pinned(command):
+    argv, expected = PARSED[command]
+    parsed = vars(cli.build_parser().parse_args([command, *argv]))
+    assert callable(parsed.pop("func"))
+    assert parsed == {"command": command, **expected}
+
+
+@pytest.mark.parametrize("command", sorted(PARSED))
+def test_help_exits_0(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: selmerkit {command} ")
+
+
 def test_genus_zero_level_is_refused_as_input(tmp_path, capsys):
     # y^2 = x^3 - x has conductor 32; the record's 16 passes ingest (2 | disc)
     # but X_0(16) has genus 0, so there is no eigensymbol to find

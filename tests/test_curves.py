@@ -111,6 +111,13 @@ def test_reduction_types():
     assert reduction_type(E15, 5) in ("split", "nonsplit")
 
 
+@pytest.mark.parametrize("q", [9, 1, 0, -3, 27])
+def test_reduction_type_refuses_a_non_prime_q(q):
+    # 9 and 27 divide the conductor of 27a1, and q = 1 divides every conductor
+    with pytest.raises(InputError, match=f"q={q} is not prime"):
+        reduction_type(E27, q)
+
+
 def test_multiplicative_traces_match_smooth_counts():
     # at a multiplicative prime, a_q = q - #smooth points of the reduction
     for E, q in ((E11, 11), (E14, 2), (E14, 7), (E15, 3), (E15, 5), (E37, 37)):

@@ -7,6 +7,8 @@ relation-space pipeline, and direct numeric integration of the q-expansion
 generator of the intersection of the period lattice with the real line.
 """
 
+import gc
+import weakref
 from fractions import Fraction
 from math import gcd
 
@@ -107,6 +109,15 @@ def test_functional_dimensions():
     assert build_manin_space(1).m == 0
     assert build_manin_space(11).m == 3   # 2g + c - 1 = 2 + 2 - 1
     assert build_manin_space(37).m == 5
+
+
+def test_a_space_lives_only_as_long_as_its_symbols():
+    sym = isolate_eigensymbol(curves.EllipticCurve(0, -1, 1, -10, -20, conductor=11))
+    space = weakref.ref(sym.space)
+    assert build_manin_space(11) is not sym.space
+    del sym
+    gc.collect()
+    assert space() is None
 
 
 def _apply(images, f):
