@@ -52,12 +52,8 @@ def real_periods(E: EllipticCurve, dps: int = 30) -> tuple[float, float]:
             om_p = mp.pi / mp.agm(mp.sqrt(e1 - e3), mp.sqrt(e1 - e2))
             om_m = mp.pi / mp.agm(mp.sqrt(e1 - e3), mp.sqrt(e2 - e3))
         else:
-            e1 = max((r for r in roots if abs(r.imag) < mp.mpf(10) ** (5 - dps)),
-                     key=lambda r: r.real, default=None)
-            if e1 is None:
-                # fall back: the root of least imaginary part is the real one
-                e1 = min(roots, key=lambda r: abs(r.imag))
-            e1 = e1.real
+            # one real root: the root of least imaginary part
+            e1 = min(roots, key=lambda r: abs(r.imag)).real
             a = mp.sqrt(3 * e1 * e1 - g2 / 4)
             om_p = 2 * mp.pi / mp.agm(2 * mp.sqrt(a), mp.sqrt(2 * a + 3 * e1))
             om_m = 2 * mp.pi / mp.agm(2 * mp.sqrt(a), mp.sqrt(2 * a - 3 * e1))

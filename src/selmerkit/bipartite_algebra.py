@@ -311,6 +311,8 @@ def generate_system(
     The canonical walk is always included so both parities reach length 0;
     extra random steps are appended with feasibility-constrained a.
     """
+    if extra_steps < 0:
+        raise InputError("extra_steps must be nonnegative")
     rng = random.Random(seed)
     if shape is None:
         count = rng.randint(0, 3)

@@ -1,14 +1,20 @@
 """Command line driver: curve ingestion, pipeline orchestration, JSON reports.
 
 The library computes; this module plumbs.  Curve files are JSON lines, one
-record per line, schema-validated on ingest.  Every subcommand but sieve
-(which writes its primes as JSON lines) emits a single self-contained JSON
-document (deterministic key order, embedded config and code-version hash) so
-that number-theoretic claims are reproducible from the report alone.  Each
-report opens with the same envelope, kind, schema and code_version, from
-_report; a multi-curve predict wraps its reports in a batch document that
-carries kind and schema only.  Exit codes: 0 success, 2 hypothesis or input
-problem, 3 inconclusive search region, 4 broken internal invariant.
+record per line, schema-validated on ingest.  A CurveRecord is the one home
+of a curve's ingested facts (root number, known rank and Sha order, per-p
+hypothesis flags, Tamagawa numbers); the curve it builds carries only the
+model, the conductor and the label.  _gather runs one curve over the region
+and returns the report fields that delta, stats and predict share.
+
+Every subcommand but sieve (which writes its primes as JSON lines) emits a
+single self-contained JSON document (deterministic key order, embedded
+config and code-version hash) so that number-theoretic claims are
+reproducible from the report alone.  Each report opens with the same
+envelope, kind, schema and code_version, from _report; a multi-curve
+predict wraps its reports in a batch document that carries kind and schema
+only.  Exit codes: 0 success, 2 hypothesis or input problem, 3 inconclusive
+search region, 4 broken internal invariant.
 
 build_parser registers the nine subcommands from one table.  A row names the
 subcommand, its handler, its help line and its option groups.  The shared
@@ -17,7 +23,8 @@ groups are declared once each: curve selection (--curves, --label,
 (predict, gz and waldspurger, whose curve runs go through the run_pipeline
 cache) and --out.  sieve --family, oracle-check --tol, bipartite-sim and
 gross-points add groups of their own.  gz and waldspurger share one handler
-and differ only in the dictionary branch they want.
+and differ only in the dictionary branch they want; delta and stats share
+another and differ only in the entry they report.
 """
 
 from __future__ import annotations
@@ -71,13 +78,25 @@ _RECORD_OPTIONAL = ("root_number", "known_rank", "known_sha_order", "p_flags", "
 _FLAG_KEYS = ("surjective", "manin_ok", "condition_cr")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_prime_key(key) -> bool:
+    """A JSON object key that names a prime in plain decimal, such as "7"."""
+    return isinstance(key, str) and key.isdecimal() and key == str(int(key)) and isprime(int(key))
+
+
 @dataclass
 class CurveRecord:
     """One ingested curve with its asserted (not computed) arithmetic facts.
 
     root_number, known_rank, known_sha_order, the per-p hypothesis flags and
     the Tamagawa numbers are table data carried for gating and cross-checks;
-    nothing here recomputes them.
+    nothing here recomputes them, and the curve that to_curve builds carries
+    none of them.  The constructor checks every field's JSON type: integers
+    are ints (not bools or floats), each flag is true, false or null, and
+    p_flags and tamagawa are objects keyed by primes.
     """
 
     label: str
@@ -90,22 +109,36 @@ class CurveRecord:
     tamagawa: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not isinstance(self.label, str) or not self.label:
+        label = self.label
+        if not isinstance(label, str) or not label:
             raise InputError("curve record needs a non-empty string label")
-        self.ainvs = tuple(int(a) for a in self.ainvs)
-        if len(self.ainvs) != 5:
-            raise InputError(f"{self.label}: ainvs must have exactly 5 entries")
-        if int(self.conductor) < 1:
-            raise InputError(f"{self.label}: conductor must be positive")
-        if self.root_number not in (None, 1, -1):
-            raise InputError(f"{self.label}: root_number must be +1 or -1")
-        if self.known_rank is not None and int(self.known_rank) < 0:
-            raise InputError(f"{self.label}: known_rank must be non-negative")
-        if self.known_sha_order is not None and int(self.known_sha_order) < 1:
-            raise InputError(f"{self.label}: known_sha_order must be positive")
+        if not (isinstance(self.ainvs, (list, tuple)) and len(self.ainvs) == 5
+                and all(map(_is_int, self.ainvs))):
+            raise InputError(f"{label}: ainvs must have exactly 5 entries, all integers")
+        self.ainvs = tuple(self.ainvs)
+        if not (_is_int(self.conductor) and self.conductor >= 1):
+            raise InputError(f"{label}: conductor must be a positive integer")
+        if self.root_number is not None and not (_is_int(self.root_number)
+                                                 and self.root_number in (1, -1)):
+            raise InputError(f"{label}: root_number must be +1 or -1")
+        if self.known_rank is not None and not (_is_int(self.known_rank) and self.known_rank >= 0):
+            raise InputError(f"{label}: known_rank must be a non-negative integer")
+        if self.known_sha_order is not None and not (_is_int(self.known_sha_order)
+                                                     and self.known_sha_order >= 1):
+            raise InputError(f"{label}: known_sha_order must be a positive integer")
+        if not isinstance(self.p_flags, dict):
+            raise InputError(f"{label}: p_flags must be an object")
+        for key, flags in self.p_flags.items():
+            if not _is_prime_key(key):
+                raise InputError(f"{label}: p_flags key {key!r} is not a prime")
+            if not (isinstance(flags, dict)
+                    and all(v is None or isinstance(v, bool) for v in flags.values())):
+                raise InputError(f"{label}: p_flags[{key}] must map flags to true, false or null")
+        if not isinstance(self.tamagawa, dict):
+            raise InputError(f"{label}: tamagawa must be an object")
         for key, value in self.tamagawa.items():
-            if not isprime(int(key)) or int(value) < 1:
-                raise InputError(f"{self.label}: bad tamagawa entry {key}: {value}")
+            if not (_is_prime_key(key) and _is_int(value) and value >= 1):
+                raise InputError(f"{label}: bad tamagawa entry {key}: {value}")
 
     @classmethod
     def from_json_dict(cls, data: dict, strict: bool = True, where: str = "record") -> "CurveRecord":
@@ -120,33 +153,15 @@ class CurveRecord:
             if strict:
                 raise InputError(msg)
             logger.warning(msg)
-        p_flags = data.get("p_flags", {})
-        if not isinstance(p_flags, dict):
-            raise InputError(f"{where}: p_flags must be an object")
-        for p_key, flags in p_flags.items():
-            if not isinstance(flags, dict):
-                raise InputError(f"{where}: p_flags[{p_key}] must be an object")
+        record = cls(**{k: data[k] for k in (*_RECORD_REQUIRED, *_RECORD_OPTIONAL) if k in data})
+        for p_key, flags in record.p_flags.items():
             bad = sorted(set(flags) - set(_FLAG_KEYS))
             if bad:
                 msg = f"{where}: unknown p_flags keys {bad} at p = {p_key}"
                 if strict:
                     raise InputError(msg)
                 logger.warning(msg)
-        try:
-            return cls(
-                label=data["label"],
-                ainvs=tuple(data["ainvs"]),
-                conductor=int(data["conductor"]),
-                root_number=None if data.get("root_number") is None else int(data["root_number"]),
-                known_rank=None if data.get("known_rank") is None else int(data["known_rank"]),
-                known_sha_order=(
-                    None if data.get("known_sha_order") is None else int(data["known_sha_order"])
-                ),
-                p_flags={str(k): dict(v) for k, v in p_flags.items()},
-                tamagawa={str(k): int(v) for k, v in data.get("tamagawa", {}).items()},
-            )
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"{where}: {exc}") from exc
+        return record
 
     def to_json_dict(self) -> dict:
         return {
@@ -161,14 +176,7 @@ class CurveRecord:
         }
 
     def to_curve(self) -> EllipticCurve:
-        E = EllipticCurve(
-            *self.ainvs,
-            conductor=self.conductor,
-            label=self.label,
-            p_flags=self.p_flags,
-            known_rank=self.known_rank,
-            known_sha_order=self.known_sha_order,
-        )
+        E = EllipticCurve(*self.ainvs, conductor=self.conductor, label=self.label)
         E.check_conductor_exponents()
         return E
 
@@ -310,29 +318,14 @@ def _report(kind: str, **fields) -> dict:
 # pipeline
 
 
-@dataclass
-class PipelineData:
-    """Intermediate products of one curve run, before report assembly."""
-
-    region: RegionSpec
-    primes: list
-    indices: list
-    collection: list
-    stats: DeltaStats
-    notes: list[str]
-    estimated_evaluations: int
-
-
-def _hypothesis_gate(E: EllipticCurve, p: int) -> list[str]:
+def _hypothesis_gate(record: CurveRecord, p: int) -> list[str]:
     """Refuse explicit hypothesis failures; note unasserted flags."""
-    flags = E.flags_for(p)
+    flags = record.p_flags.get(str(p), {})
     notes = []
     for key in ("surjective", "manin_ok"):
         value = flags.get(key)
         if value is False:
-            raise HypothesisError(
-                f"{E.label or E.ainvs}: hypothesis flag {key!r} is false at p = {p}"
-            )
+            raise HypothesisError(f"{record.label}: hypothesis flag {key!r} is false at p = {p}")
         if value is None:
             notes.append(f"flag {key!r} not asserted at p = {p}")
     if flags.get("condition_cr") is False:
@@ -347,8 +340,14 @@ def _estimate_evaluations(indices) -> int:
     return evaluations + tables
 
 
-def _gather(E: EllipticCurve, config: RunConfig) -> PipelineData:
-    notes = _hypothesis_gate(E, config.p)
+def _gather(record: CurveRecord, config: RunConfig) -> tuple[dict, DeltaStats]:
+    """One curve's run over the region: its report fields, and its stats.
+
+    The delta, stats and pipeline reports all take their entries from the
+    one fields dict; the stats come back as well for the prediction.
+    """
+    E = record.to_curve()
+    notes = _hypothesis_gate(record, config.p)
     region = config.region()
     primes = sieve("cyc", E, config.p, config.k, config.prime_bound)
     indices = build_indices(primes, config.max_nu, config.max_n)
@@ -359,47 +358,21 @@ def _gather(E: EllipticCurve, config: RunConfig) -> PipelineData:
             f"budget {config.max_evaluations}; shrink the region or raise "
             "--max-evaluations"
         )
-    sym = isolate_eigensymbol(E)
-    collection = kurihara_collection(sym, indices, config.p)
+    collection = kurihara_collection(isolate_eigensymbol(E), indices, config.p)
     stats = delta_stats(collection, region)
-    return PipelineData(
-        region=region,
-        primes=primes,
-        indices=indices,
-        collection=collection,
-        stats=stats,
-        notes=notes,
-        estimated_evaluations=estimated,
-    )
-
-
-def _pipeline_report(record: CurveRecord, config: RunConfig, data: PipelineData, prediction) -> dict:
-    report = _report(
-        "pipeline",
-        config=config.to_json_dict(),
-        curve=record.to_json_dict(),
-        region=data.region.describe(),
-        hypothesis_notes=data.notes,
-        prime_count=len(data.primes),
-        primes=[q.to_json_dict() for q in data.primes],
-        index_count=len(data.indices),
-        estimated_evaluations=data.estimated_evaluations,
-        kurihara=[kn.to_json_dict() for kn in data.collection],
-        stats=data.stats.to_json_dict(),
-        prediction=prediction.to_json_dict(),
-    )
-    if config.tainted:
-        report["taint"] = (
-            f"p = {config.p} violates the standing hypothesis p >= 5; "
-            "results are outside the proven range"
-        )
-    if record.known_rank is not None:
-        report["consistency"] = {
-            "known_rank": record.known_rank,
-            "predicted_corank": prediction.shape.corank,
-            "agrees": prediction.shape.corank == record.known_rank,
-        }
-    return report
+    fields = {
+        "config": config.to_json_dict(),
+        "curve": record.to_json_dict(),
+        "region": region.describe(),
+        "hypothesis_notes": notes,
+        "prime_count": len(primes),
+        "primes": [q.to_json_dict() for q in primes],
+        "index_count": len(indices),
+        "estimated_evaluations": estimated,
+        "kurihara": [kn.to_json_dict() for kn in collection],
+        "stats": stats.to_json_dict(),
+    }
+    return fields, stats
 
 
 def run_pipeline(record: CurveRecord, config: RunConfig) -> dict:
@@ -439,8 +412,20 @@ def run_pipeline(record: CurveRecord, config: RunConfig) -> dict:
                 return cached
             logger.warning("cache entry %s fails its checksum or is not a report; recomputing", path)
 
-    data = _gather(record.to_curve(), config)
-    report = _pipeline_report(record, config, data, predict_selmer_Q(data.stats))
+    fields, stats = _gather(record, config)
+    prediction = predict_selmer_Q(stats)
+    report = _report("pipeline", **fields, prediction=prediction.to_json_dict())
+    if config.tainted:
+        report["taint"] = (
+            f"p = {config.p} violates the standing hypothesis p >= 5; "
+            "results are outside the proven range"
+        )
+    if record.known_rank is not None:
+        report["consistency"] = {
+            "known_rank": record.known_rank,
+            "predicted_corank": prediction.shape.corank,
+            "agrees": prediction.shape.corank == record.known_rank,
+        }
     if path is not None:
         body = render_report(report).encode()
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
@@ -475,6 +460,8 @@ def gz_pair(record_E: CurveRecord, D_K: int, config: RunConfig,
     E = record_E.to_curve()
     splitting = split_conductor(E, D)
     twist = quadratic_twist(E, D)
+    # whether a twist inherits E's hypothesis flags is undecided, so the twist
+    # record asserts none and its run notes them as not asserted
     twist_record = CurveRecord(
         label=f"{record_E.label}x{D}",
         ainvs=twist.ainvs,
@@ -587,31 +574,10 @@ def cmd_sieve(args) -> None:
     _emit(args, text.getvalue())
 
 
-def cmd_delta(args) -> None:
-    record = _single_record(args)
-    config = _config_from_args(args)
-    data = _gather(record.to_curve(), config)
-    report = _report(
-        "delta",
-        config=config.to_json_dict(),
-        curve=record.to_json_dict(),
-        region=data.region.describe(),
-        kurihara=[kn.to_json_dict() for kn in data.collection],
-    )
-    _emit(args, render_report(report))
-
-
-def cmd_stats(args) -> None:
-    record = _single_record(args)
-    config = _config_from_args(args)
-    data = _gather(record.to_curve(), config)
-    report = _report(
-        "stats",
-        config=config.to_json_dict(),
-        curve=record.to_json_dict(),
-        region=data.region.describe(),
-        stats=data.stats.to_json_dict(),
-    )
+def _run_region(args, kind: str, entry: str) -> None:
+    """delta and stats: one curve's run over the region, reporting one entry of it."""
+    fields, _ = _gather(_single_record(args), _config_from_args(args))
+    report = _report(kind, **{key: fields[key] for key in ("config", "curve", "region", entry)})
     _emit(args, render_report(report))
 
 
@@ -637,7 +603,10 @@ def cmd_bipartite_sim(args) -> None:
     ctx = ArtinianContext(p=args.p, k=args.k)
     shape = None
     if args.shape:
-        exponents = tuple(int(part) for part in args.shape.split(",") if part.strip())
+        try:
+            exponents = tuple(int(part) for part in args.shape.split(",") if part.strip())
+        except ValueError:
+            raise InputError(f"--shape takes comma-separated integers, got {args.shape!r}") from None
         shape = ModuleShape(0, exponents)
     system = generate_system(
         ctx, shape=shape, delta=args.delta, extra_steps=args.steps, seed=args.seed
@@ -801,8 +770,10 @@ def build_parser() -> argparse.ArgumentParser:
     cached = (curve, run, cache, out)
     commands = (
         ("sieve", cmd_sieve, "list Kolyvagin-type primes for one curve", (*pipeline, family)),
-        ("delta", cmd_delta, "Kurihara numbers over the region", pipeline),
-        ("stats", cmd_stats, "divisibility statistics over the region", pipeline),
+        ("delta", partial(_run_region, kind="delta", entry="kurihara"),
+         "Kurihara numbers over the region", pipeline),
+        ("stats", partial(_run_region, kind="stats", entry="stats"),
+         "divisibility statistics over the region", pipeline),
         ("predict", cmd_predict, "full pipeline: stats plus Selmer prediction", cached),
         ("gz", partial(_run_gz, want_branch="heegner"),
          "curve/twist pair, indefinite (Heegner) dictionary", cached),

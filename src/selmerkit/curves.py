@@ -1,8 +1,10 @@
 """Rational elliptic curves: Weierstrass data, point counts, twists.
 
-Curves are carried as integral (globally minimal) Weierstrass models together
-with their ingested conductor; the conductor is trusted input, never
-recomputed, but its prime support is validated against the discriminant, and
+A curve is an integral (globally minimal) Weierstrass model, its ingested
+conductor and a label, nothing else: the other ingested facts (root number,
+known rank, hypothesis flags, Tamagawa numbers) live on `cli.CurveRecord`.
+The conductor is trusted input, never recomputed, but its prime support is
+validated against the discriminant, and
 `EllipticCurve.check_conductor_exponents` matches its exponent 1 primes with
 the multiplicative ones.
 
@@ -14,7 +16,7 @@ point count of the reduced curve at bad primes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd, isqrt, lcm
 
 from .arith import (
@@ -36,12 +38,7 @@ _AQ_CACHE: dict[tuple, int] = {}
 
 @dataclass(frozen=True)
 class EllipticCurve:
-    """Integral Weierstrass model with ingested arithmetic metadata.
-
-    `p_flags` carries per-prime working-hypothesis flags as
-    {p: {"surjective": bool, "manin_ok": bool, "condition_cr": bool|None}};
-    they are metadata (asserted by the data source, not verified here).
-    """
+    """Integral Weierstrass model with its conductor and a label."""
 
     a1: int
     a2: int
@@ -50,9 +47,6 @@ class EllipticCurve:
     a6: int
     conductor: int
     label: str = ""
-    p_flags: dict = field(default_factory=dict)
-    known_rank: int | None = None
-    known_sha_order: int | None = None
 
     def __post_init__(self):
         if self.conductor < 1:
@@ -121,9 +115,6 @@ class EllipticCurve:
         b2, b4, b6, b8 = self.b2, self.b4, self.b6, self.b8
         return -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
 
-    def flags_for(self, p: int) -> dict:
-        return self.p_flags.get(p, self.p_flags.get(str(p), {}))
-
 
 @dataclass(frozen=True)
 class FieldSplit:
@@ -142,14 +133,7 @@ class FieldSplit:
 def _count_points_naive(E: EllipticCurve, q: int) -> int:
     """#E(F_q) by direct enumeration, for good q below the crossover."""
     if q <= 3:
-        a1, a2, a3, a4, a6 = (a % q for a in E.ainvs)
-        count = 1
-        for x in range(q):
-            rhs = (x * x * x + a2 * x * x + a4 * x + a6) % q
-            for y in range(q):
-                if (y * y + a1 * x * y + a3 * y) % q == rhs:
-                    count += 1
-        return count
+        return _smooth_count(E, q)  # at a good prime every point is smooth
     # complete the square: z^2 = 4x^3 + b2 x^2 + 2 b4 x + b6 with z = 2y + a1 x + a3
     b2, b4, b6 = E.b2 % q, (2 * E.b4) % q, E.b6 % q
     is_sq = bytearray(q)
@@ -478,13 +462,11 @@ def quadratic_twist(E: EllipticCurve, D: int) -> EllipticCurve:
     if gcd(D, E.conductor) != 1:
         raise InputError(f"twist discriminant {D} shares a factor with N={E.conductor}")
     ai = _minimal_model_from_c4c6(E.c4 * D * D, E.c6 * D ** 3)
-    twisted = EllipticCurve(
+    return EllipticCurve(
         *ai,
         conductor=E.conductor * D * D,
         label=f"{E.label}-tw{D}" if E.label else f"tw{D}",
-        p_flags=dict(E.p_flags),
     )
-    return twisted
 
 
 def split_conductor(E: EllipticCurve, D: int) -> FieldSplit:

@@ -23,7 +23,6 @@ are flagged so they never certify divisibility beyond t_n.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 
 from .arith import isprime, padic_valuation, smallest_primitive_root

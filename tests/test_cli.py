@@ -118,6 +118,42 @@ def test_record_validation():
         CurveRecord.from_json_dict(dict(good, ainvs=[0, 0, 0, 1]))
     with pytest.raises(InputError, match="p_flags"):
         CurveRecord.from_json_dict(dict(good, p_flags={"5": {"shiny": True}}))
+    with pytest.raises(InputError, match="p_flags"):
+        CurveRecord.from_json_dict(dict(good, p_flags={"07": {}}))  # keys name primes
+    with pytest.raises(InputError, match="tamagawa"):
+        CurveRecord.from_json_dict(dict(good, tamagawa={"11": 5.0}))
+
+
+# Each record was accepted with a wrong reading, or crashed, before the
+# constructor checked JSON types; both modes now refuse it as input (exit 2).
+GOOD_11A1 = {
+    "label": "11a1", "ainvs": [0, -1, 1, -10, -20], "conductor": 11, "root_number": 1,
+    "p_flags": {"7": {"surjective": True, "manin_ok": True, "condition_cr": None}},
+}
+BAD_RECORDS = {
+    "float_ainv": ({"ainvs": [0, -1, 1, -10.7, -20]}, "ainvs"),  # read as -10
+    "float_conductor": ({"conductor": 11.9}, "conductor"),  # read as 11
+    "string_ainvs": ({"ainvs": "01234"}, "ainvs"),  # read as (0, 1, 2, 3, 4)
+    "bool_root_number": ({"root_number": True}, "root_number"),  # read as +1
+    "int_and_string_flags": (  # read as asserted, with no hypothesis note
+        {"p_flags": {"7": {"surjective": 0, "manin_ok": "no"}}}, "true, false or null"
+    ),
+    "list_tamagawa": ({"tamagawa": []}, "tamagawa"),  # AttributeError traceback
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_RECORDS))
+@pytest.mark.parametrize("lenient", [False, True], ids=["strict", "lenient"])
+def test_record_with_a_wrong_json_type_is_refused(tmp_path, capsys, case, lenient):
+    change, message = BAD_RECORDS[case]
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(dict(GOOD_11A1, **change)) + "\n")
+    argv = ["predict", "--curves", str(path), "--p", "7", "--prime-bound", "100"]
+    code, out, err = run_main(capsys, *argv, *(["--lenient"] if lenient else []))
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
+    with pytest.raises(InputError, match=message):
+        CurveRecord.from_json_dict(dict(GOOD_11A1, **change), strict=not lenient)
 
 
 # ------------------------------------------------------------------ config
@@ -458,6 +494,16 @@ def test_bipartite_sim_subcommand(capsys):
     assert all("a" in entry for entry in report["steps"][1:])
     code2, out2, _ = run_main(capsys, *argv)
     assert code2 == 0 and out2 == out  # seeded, byte-identical
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--shape", "a", "comma-separated integers"),
+    ("--steps", "-1", "extra_steps must be nonnegative"),
+])
+def test_bipartite_sim_refuses_bad_input(capsys, option, value, message):
+    code, out, err = run_main(capsys, "bipartite-sim", "--p", "5", "--k", "3", option, value)
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
 
 
 def test_seed_is_not_a_pipeline_option(capsys):

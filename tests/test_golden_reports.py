@@ -1,0 +1,52 @@
+"""Golden reports: the stdout of cheap runs of the report subcommands, pinned.
+
+Each digest is the sha256 of a subcommand's stdout with every code_version
+value masked, so a change to the sources alone does not move it.  A change
+to any report byte does, and then the new bytes have to be justified.
+"""
+
+import hashlib
+import re
+
+import pytest
+
+from selmerkit import cli
+
+SAMPLE = "data/sample_curves.jsonl"
+REGION = ["--curves", SAMPLE, "--prime-bound", "150", "--max-nu", "1"]
+CODE_VERSION = re.compile(r'"code_version": "[0-9a-f]{12}"')
+
+GOLDEN = {
+    "delta": (
+        ["delta", "--label", "11a1", "--p", "7", *REGION],
+        "914f0704aaae80d5da718b9208a4d4d80d11d4c02d92c06aebe4dfd3259e19ca",
+    ),
+    "stats": (
+        ["stats", "--label", "11a1", "--p", "7", *REGION],
+        "ecc974daed8517919e4ee0a52a0778e5e2d51e182966842959897557d54e45fe",
+    ),
+    "predict": (
+        ["predict", "--label", "37a1", "--p", "5", *REGION],
+        "bc2d11720c36c2b93ef04fcc8cf983d97ebdb59209937b6f92634c923b0a7199",
+    ),
+    "predict-batch": (
+        ["predict", "--label", "11a1", "--label", "14a1", "--label", "37a1", "--p", "7", *REGION],
+        "3372eb4c5ecb6e66290f9a5858a91a063e2e623c7dda419ee8060fff280f9fcf",
+    ),
+    "gz": (
+        ["gz", "--label", "37a1", "--DK", "-3", "--p", "5", *REGION],
+        "54749be77c2c14694ee9821be11e187848617faafd508d6eb997000ea91ac1cf",
+    ),
+    "waldspurger": (
+        ["waldspurger", "--label", "11a1", "--DK", "-3", "--p", "7", *REGION],
+        "a471392468a14972eac870ffc23ee6bdd484fe4d24d09848f1e95f324cf1246f",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_report_bytes_are_pinned(capsys, name):
+    argv, digest = GOLDEN[name]
+    assert cli.main(argv) == 0
+    out = CODE_VERSION.sub('"code_version": "-"', capsys.readouterr().out)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

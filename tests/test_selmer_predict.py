@@ -28,6 +28,8 @@ from selmerkit.selmer_predict import (
 )
 from selmerkit.sieves import build_indices, sieve
 
+from conftest import KNOWN_RANKS
+
 
 def stats_from_chain(values, start=0, floor=None, saturated_at=()):
     """Hand-build DeltaStats whose parity chain from `start` is `values`."""
@@ -224,7 +226,7 @@ def test_known_rank_zero_curve(eigensymbol, curve):
     pred = predict_selmer_Q(stats)
     assert pred.shape == ModuleShape(0, ())
     assert pred.divisible_quotient_length == 0
-    assert curve("11a1").known_rank == 0
+    assert KNOWN_RANKS["11a1"] == 0
 
 
 def test_known_rank_one_curve(eigensymbol, curve):
@@ -237,7 +239,7 @@ def test_known_rank_one_curve(eigensymbol, curve):
     # corank 1 with trivial finite part: rank 1 and trivial 5-part of Sha
     assert pred.shape == ModuleShape(1, ())
     assert pred.divisible_quotient_length == 0
-    assert curve("37a1").known_rank == 1
+    assert KNOWN_RANKS["37a1"] == 1
 
 
 # ---------------------------------------------------------------- Heegner
