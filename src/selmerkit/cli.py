@@ -185,23 +185,32 @@ def ingest(path: str, strict: bool = True) -> list[CurveRecord]:
     """Read a JSON-lines curve file in deterministic order.
 
     Strict mode rejects unknown fields and duplicate labels; lenient mode
-    logs warnings and keeps going.  Malformed lines are errors in both modes
-    and carry the line number.
+    logs warnings and keeps going.  Malformed lines (not UTF-8, not JSON, or
+    past the parser's nesting or integer-digit limits) are errors in both
+    modes and carry the line number.  Lines end at a newline byte, as JSON
+    Lines specifies, and each is decoded on its own so that a decoding error
+    names its line.
     """
     records: list[CurveRecord] = []
     seen: set[str] = set()
     try:
-        fh = open(path, encoding="utf-8")
+        fh = open(path, "rb")
     except OSError as exc:
         raise InputError(f"cannot read curve file {path}: {exc.strerror or exc}") from exc
     with fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise InputError(f"{path}:{lineno}: not UTF-8 text: {exc}") from exc
             if not line.strip():
                 continue
             try:
                 data = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
                 raise InputError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
+            except RecursionError:
+                raise InputError(f"{path}:{lineno}: malformed JSON: nested too deeply") from None
             record = CurveRecord.from_json_dict(data, strict=strict, where=f"{path}:{lineno}")
             if record.label in seen:
                 msg = f"{path}:{lineno}: duplicate label {record.label!r}"
@@ -733,11 +742,14 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--prime-bound", type=int, default=300)
     run.add_argument("--max-nu", type=int, default=1)
     run.add_argument("--max-n", type=int, default=10_000_000)
-    run.add_argument("--DK", type=int, default=None, help="imaginary quadratic discriminant (sign normalized)")
     run.add_argument("--region-label", default="")
     run.add_argument("--allow-small-p", action="store_true")
     run.add_argument("--max-evaluations", type=int, default=DEFAULT_MAX_EVALUATIONS)
-    run.set_defaults(cache_dir=None)  # overridden by the cache group where it is offered
+    # overridden by the field and cache groups where they are offered
+    run.set_defaults(DK=None, cache_dir=None)
+
+    field = group()
+    field.add_argument("--DK", type=int, default=None, help="imaginary quadratic discriminant (sign normalized)")
 
     cache = group()
     cache.add_argument("--cache-dir", default=None, help="report cache for single-curve pipeline runs")
@@ -767,18 +779,20 @@ def build_parser() -> argparse.ArgumentParser:
     tol.add_argument("--tol", type=float, default=1e-6)
 
     pipeline = (curve, run, out)
-    cached = (curve, run, cache, out)
+    pair = (curve, run, field, cache, out)
     commands = (
-        ("sieve", cmd_sieve, "list Kolyvagin-type primes for one curve", (*pipeline, family)),
+        ("sieve", cmd_sieve, "list Kolyvagin-type primes for one curve",
+         (curve, run, field, out, family)),
         ("delta", partial(_run_region, kind="delta", entry="kurihara"),
          "Kurihara numbers over the region", pipeline),
         ("stats", partial(_run_region, kind="stats", entry="stats"),
          "divisibility statistics over the region", pipeline),
-        ("predict", cmd_predict, "full pipeline: stats plus Selmer prediction", cached),
+        ("predict", cmd_predict, "full pipeline: stats plus Selmer prediction",
+         (curve, run, cache, out)),
         ("gz", partial(_run_gz, want_branch="heegner"),
-         "curve/twist pair, indefinite (Heegner) dictionary", cached),
+         "curve/twist pair, indefinite (Heegner) dictionary", pair),
         ("waldspurger", partial(_run_gz, want_branch="waldspurger"),
-         "curve/twist pair, definite dictionary", cached),
+         "curve/twist pair, definite dictionary", pair),
         ("bipartite-sim", cmd_bipartite_sim, "synthetic bipartite Selmer walk", (walk, out)),
         ("gross-points", cmd_gross_points, "local embedding and component matrices", (points, out)),
         ("oracle-check", cmd_oracle_check,

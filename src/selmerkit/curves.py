@@ -11,7 +11,8 @@ the multiplicative ones.
 Traces of Frobenius are computed from first principles: direct point counts
 for small residue fields (character sums over the completed square), a
 baby-step giant-step group-order search above the crossover, and the smooth
-point count of the reduced curve at bad primes.
+point count of the reduced curve at bad primes.  Quadratic twists come out
+as reduced minimal models, read off their (c4, c6) in closed form.
 """
 
 from __future__ import annotations
@@ -393,41 +394,28 @@ def hecke_an_list(E: EllipticCurve, bound: int) -> list[int]:
 
 
 def _model_from_c4c6(c4: int, c6: int):
-    """An integral Weierstrass model with invariants (c4, c6), or None.
+    """The reduced integral Weierstrass model with invariants (c4, c6), or None.
 
-    Scans b2 over a full period of the congruence conditions; when the scan
-    fails no integral model exists for this pair.
+    Every integral model reduces to one with a1, a3 in {0, 1} and a2 in
+    {-1, 0, 1}; there b2 = a1 + 4 a2 is 0 or 1 mod 4, so c6 = -b2^3 = -b2
+    mod 12 pins b2 in [-5, 6], and None means no integral model exists.
     """
-    num = c4 ** 3 - c6 ** 2
-    if num == 0 or num % 1728 != 0:
+    if c4 ** 3 == c6 ** 2:
+        return None  # singular; the integrality tests below imply 1728 | c4^3 - c6^2
+    b2 = (5 - c6) % 12 - 5
+    r = b2 * b2 - c4
+    if r % 24 != 0:
         return None
-    for b2 in range(-864, 865):
-        r = b2 * b2 - c4
-        if r % 24 != 0:
-            continue
-        b4 = r // 24
-        s = -(b2 ** 3) + 36 * b2 * b4 - c6
-        if s % 216 != 0:
-            continue
-        b6 = s // 216
-        a1 = b2 % 2
-        if (b2 - a1) % 4 != 0:
-            continue
-        a2 = (b2 - a1) // 4
-        a3 = b6 % 2
-        if (b6 - a3) % 4 != 0:
-            continue
-        a6 = (b6 - a3) // 4
-        if (b4 - a1 * a3) % 2 != 0:
-            continue
-        a4 = (b4 - a1 * a3) // 2
-        cand = (a1, a2, a3, a4, a6)
-        cb2 = a1 * a1 + 4 * a2
-        cb4 = 2 * a4 + a1 * a3
-        cb6 = a3 * a3 + 4 * a6
-        if cb2 * cb2 - 24 * cb4 == c4 and -(cb2 ** 3) + 36 * cb2 * cb4 - 216 * cb6 == c6:
-            return cand
-    return None
+    b4 = r // 24
+    s = -(b2 ** 3) + 36 * b2 * b4 - c6
+    if s % 216 != 0:
+        return None
+    b6 = s // 216
+    a1 = b2 % 2
+    a3 = b6 % 2
+    if (b2 - a1) % 4 != 0 or (b6 - a3) % 4 != 0 or (b4 - a1 * a3) % 2 != 0:
+        return None
+    return (a1, (b2 - a1) // 4, a3, (b4 - a1 * a3) // 2, (b6 - a3) // 4)
 
 
 def _minimal_model_from_c4c6(c4: int, c6: int):
@@ -454,8 +442,8 @@ def _minimal_model_from_c4c6(c4: int, c6: int):
 def quadratic_twist(E: EllipticCurve, D: int) -> EllipticCurve:
     """The quadratic twist E^D by a fundamental discriminant prime to N.
 
-    Returns a globally minimal model; the conductor of the twist is
-    N * D^2 under the coprimality assumption.
+    Returns the reduced globally minimal model; the conductor of the twist
+    is N * D^2 under the coprimality assumption.
     """
     if not is_fundamental_discriminant(D):
         raise InputError(f"D={D} is not a fundamental discriminant")

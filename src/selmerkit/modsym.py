@@ -3,7 +3,8 @@
 The space of modular symbols is presented by generators indexed by P^1(Z/N)
 subject to the two-term and three-term Manin relations.  ManinSpace owns
 P^1(Z/N): one flat N^2 table, filled once from unit orbits, gives the class of
-each pair (c, d) to the relations, the Hecke images and the eigensymbol.  We
+each pair (c, d) to the relations, the Hecke images and the eigensymbol; the
+cusps that end each generator's path are read off (c : d) in closed form.  We
 work throughout on the dual side: a "functional" is an integer vector
 orthogonal to every relation, so the functional space has dimension 2g + c - 1.
 The star involution iota preserves the relations, so that space splits into
@@ -85,7 +86,8 @@ def cusp_key(N: int, u: int, v: int) -> tuple[int, int]:
     """(g, u (v/g) mod gcd(g, N/g)) with g = gcd(v, N), for u/v in lowest terms.
 
     Gamma_0(N) and u/v -> -u/-v keep the key, so equivalent cusps share it;
-    it is the class invariant of Cremona's cusp equivalence criterion.
+    it is the class invariant of Cremona's cusp equivalence criterion.  It
+    reads u only modulo gcd(v, N), so u need only be right modulo that.
     """
     g = gcd(v, N)
     return g, u * (v // g) % gcd(g, N // g)
@@ -192,40 +194,22 @@ class ManinSpace:
 
     # -- boundary map ------------------------------------------------------
 
-    def _lift_to_sl2(self, c: int, d: int) -> tuple[int, int, int, int]:
-        """[[a, b], [c', d']] in SL2(Z) whose bottom row is (c, d) mod N."""
-        N = self.N
-        cc = c % N
-        dd = d % N
-        if cc == 0:
-            cc = N
-        k = 0
-        while gcd(cc, dd) != 1:
-            dd += N
-            k += 1
-            if k > N + 2:
-                raise InternalInvariantError(f"no coprime lift of ({c}:{d}) mod {N}")
-        x = pow(dd, -1, cc)
-        # x*dd - b*cc = 1, so det [[x, b], [cc, dd]] = 1
-        return (x, (x * dd - 1) // cc, cc, dd)
-
     def _build_boundary(self):
         """boundary_rows[k][i]: +1 or -1 where generator i ends or starts at
         cusp class k, classes numbered in order of first appearance.
 
-        Cusps are classed by cusp_key; a key count equal to the number of
-        cusp classes shows that the key also separates classes at this level.
+        Generator (c : d) is the path {b/d -> a/c} of any [[a, b], [c, d]] in
+        SL2(Z); cusp_key needs only a = d^-1 mod gcd(c, N) and
+        b = -c^-1 mod gcd(d, N) of it, so no lift is built.  A key count equal
+        to the number of cusp classes shows that the key also separates
+        classes at this level.
         """
         N = self.N
         classes: dict[tuple[int, int], int] = {}
         ends = []
         for c, d in self.p1_reps:
-            a, b, cc, dd = self._lift_to_sl2(c, d)
-            if a * dd - b * cc != 1:
-                raise InternalInvariantError("lift is not unimodular")
-            # generator i is the path {b/dd -> a/cc}; both ends are in lowest terms
-            k_from = classes.setdefault(cusp_key(N, b, dd), len(classes))
-            k_to = classes.setdefault(cusp_key(N, a, cc), len(classes))
+            k_from = classes.setdefault(cusp_key(N, -pow(c, -1, gcd(d, N)), d), len(classes))
+            k_to = classes.setdefault(cusp_key(N, pow(d, -1, gcd(c, N)), c), len(classes))
             ends.append((k_from, k_to))
         if len(classes) != self.ncusps:
             raise InternalInvariantError(

@@ -86,14 +86,12 @@ class KolyvaginPrime:
 class SquarefreeIndex:
     """A squarefree product n of sieved primes with t_n = v_p(I_n).
 
-    t_n is None exactly for n = 1 (the zero ideal).  parity_class is set
-    for adm indices only: "def" when nu(n * N^-) is odd, "ind" when even.
+    t_n is None exactly for n = 1 (the zero ideal).
     """
 
     n: int
     factors: tuple[KolyvaginPrime, ...]
     t_n: int | None
-    parity_class: str | None = None
 
     def __post_init__(self):
         if len({f.family for f in self.factors}) > 1:
@@ -217,32 +215,18 @@ def build_indices(
     primes: list[KolyvaginPrime],
     max_nu: int,
     max_n: int,
-    nu_N_minus: int | None = None,
 ) -> list[SquarefreeIndex]:
     """All squarefree products n <= max_n with nu(n) <= max_nu, n ascending.
 
-    Includes n = 1 (empty product, infinite exponent sentinel).  For adm
-    primes, nu_N_minus must be given and each index is classified def/ind
-    by the parity of nu(n * N^-).
+    Includes n = 1 (empty product, infinite exponent sentinel).
     """
-    families = {f.family for f in primes}
-    if len(families) > 1:
+    if len({f.family for f in primes}) > 1:
         raise InputError("cannot mix prime families in one index set")
-    family = families.pop() if families else None
-    if family == "adm" and nu_N_minus is None:
-        raise InputError("adm indices need nu(N^-) for the def/ind split")
     if len({f.q for f in primes}) != len(primes):
         raise InputError("duplicate primes in sieve output")
 
-    def classify(nu: int) -> str | None:
-        if family != "adm":
-            return None
-        return "def" if (nu + nu_N_minus) % 2 == 1 else "ind"
-
     ordered = sorted(primes, key=lambda f: f.q)
-    results: list[SquarefreeIndex] = [
-        SquarefreeIndex(n=1, factors=(), t_n=None, parity_class=classify(0))
-    ]
+    results: list[SquarefreeIndex] = [SquarefreeIndex(n=1, factors=(), t_n=None)]
 
     def extend(start: int, n: int, chosen: tuple[KolyvaginPrime, ...], t: int):
         for i in range(start, len(ordered)):
@@ -251,14 +235,7 @@ def build_indices(
             if n2 > max_n:
                 break  # ordered ascending: later primes only grow n
             t2 = min(t, f.exponent)
-            results.append(
-                SquarefreeIndex(
-                    n=n2,
-                    factors=chosen + (f,),
-                    t_n=t2,
-                    parity_class=classify(len(chosen) + 1),
-                )
-            )
+            results.append(SquarefreeIndex(n=n2, factors=chosen + (f,), t_n=t2))
             if len(chosen) + 1 < max_nu:
                 extend(i + 1, n2, chosen + (f,), t2)
 

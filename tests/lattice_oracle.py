@@ -5,8 +5,9 @@ reduction with the full n x n transform; linalg.kernel_image_gcd runs the
 same reduction without the transform and returns only the gcd of a form on
 that kernel.  boundary_rows partitions cusps by the pairwise Gamma_0(N)
 equivalence test of Cremona's "Algorithms for Modular Elliptic Curves",
-one scan over the classes found so far per cusp; ManinSpace keys each cusp
-instead.  The tests compare the two sides.
+one scan over the classes found so far per cusp, at the ends of an explicit
+SL2 lift of each generator found by search; ManinSpace keys each cusp, read
+off the generator in closed form.  The tests compare the two sides.
 """
 
 from math import gcd
@@ -84,12 +85,31 @@ def cusps_equivalent(N, u1, v1, u2, v2):
     return (s1 * v2 - s2 * v1) % g == 0
 
 
+def lift_to_sl2(N, c, d):
+    """[[a, b], [c', d']] in SL2(Z) whose bottom row is (c, d) mod N."""
+    cc = c % N
+    dd = d % N
+    if cc == 0:
+        cc = N
+    k = 0
+    while gcd(cc, dd) != 1:
+        dd += N
+        k += 1
+        if k > N + 2:
+            raise ValueError(f"no coprime lift of ({c}:{d}) mod {N}")
+    x = pow(dd, -1, cc)
+    # x*dd - b*cc = 1, so det [[x, b], [cc, dd]] = 1
+    return (x, (x * dd - 1) // cc, cc, dd)
+
+
 def generator_ends(space):
-    """(from, to) cusps (u, v) of each generator's path {b/d -> a/c}, as the
-    space's SL2 lift gives them."""
+    """(from, to) cusps (u, v) of each generator's path {b/d -> a/c}, read
+    off an explicit SL2 lift of its bottom row."""
     ends = []
     for c, d in space.p1_reps:
-        a, b, cc, dd = space._lift_to_sl2(c, d)
+        a, b, cc, dd = lift_to_sl2(space.N, c, d)
+        if a * dd - b * cc != 1:
+            raise ValueError("lift is not unimodular")
         ends.append(((b, dd), (a, cc)))
     return ends
 

@@ -79,11 +79,18 @@ def test_empty_file_gives_empty_list(tmp_path):
     assert ingest(str(path)) == []
 
 
-def test_malformed_line_is_a_numbered_error(tmp_path):
+def test_malformed_line_is_a_numbered_error(tmp_path, capsys):
+    good = b'{"label": "x", "ainvs": [0,0,0,0,1], "conductor": 1}\n'
     path = tmp_path / "bad.jsonl"
-    path.write_text('{"label": "x", "ainvs": [0,0,0,0,1], "conductor": 1}\nnot json\n')
-    with pytest.raises(InputError, match="bad.jsonl:2"):
-        ingest(str(path))
+    # not JSON, not UTF-8 (a UTF-16 byte order mark), nested past the parser's
+    # depth, an integer past the int-from-string digit limit
+    for bad in (b"not json\n", b"\xff\xfe{}\n", b"[" * 100_000 + b"\n", b"1" * 5000 + b"\n"):
+        path.write_bytes(good + bad)
+        with pytest.raises(InputError, match="bad.jsonl:2"):
+            ingest(str(path))
+        code, out, err = run_main(capsys, "predict", "--curves", str(path), "--p", "7")
+        assert code == 2 and out == ""
+        assert "bad.jsonl:2" in err and "Traceback" not in err
 
 
 def test_duplicate_label_strict_vs_lenient(tmp_path):
@@ -583,6 +590,15 @@ def test_cache_dir_is_offered_only_where_reports_are_cached(tmp_path, capsys, co
     assert exc.value.code == 2
     assert "--cache-dir" in capsys.readouterr().err
     assert not cache.exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "delta", "stats"])
+def test_DK_is_offered_only_where_a_field_is_used(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--curves", SAMPLE, "--label", "11a1", "--p", "7",
+                  "--prime-bound", "150", "--DK", "-3"])
+    assert exc.value.code == 2
+    assert "--DK" in capsys.readouterr().err
 
 
 # every option a pipeline subcommand parses, at its default

@@ -7,13 +7,13 @@ out by hand from the reduced equations before the library existed.
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selmerkit.arith import kronecker_symbol, primerange
+from selmerkit.arith import is_fundamental_discriminant, kronecker_symbol, primerange
 from selmerkit.curves import (
     EllipticCurve,
     FieldSplit,
@@ -28,6 +28,8 @@ from selmerkit.curves import (
     trace_of_frobenius,
 )
 from selmerkit.errors import HypothesisError, InputError, InternalInvariantError
+
+from conftest import CURVES
 
 E11 = EllipticCurve(0, -1, 1, -10, -20, conductor=11, label="11a1")
 E14 = EllipticCurve(1, 0, 1, 4, -6, conductor=14, label="14a1")
@@ -165,6 +167,72 @@ def test_minimization_undoes_an_unscaled_pair():
             ai = _minimal_model_from_c4c6(E.c4 * D ** 4, E.c6 * D ** 6)
             cand = EllipticCurve(*ai, conductor=E.conductor)
             assert (cand.c4, cand.c6) == (E.c4, E.c6)
+
+
+def scan_model_from_c4c6(c4, c6):
+    """The first integral model with invariants (c4, c6) met by scanning b2
+    upward from -864 over a full period of the congruence conditions, or None.
+    """
+    num = c4 ** 3 - c6 ** 2
+    if num == 0 or num % 1728 != 0:
+        return None
+    for b2 in range(-864, 865):
+        r = b2 * b2 - c4
+        if r % 24 != 0:
+            continue
+        b4 = r // 24
+        s = -(b2 ** 3) + 36 * b2 * b4 - c6
+        if s % 216 != 0:
+            continue
+        b6 = s // 216
+        a1 = b2 % 2
+        if (b2 - a1) % 4 != 0:
+            continue
+        a2 = (b2 - a1) // 4
+        a3 = b6 % 2
+        if (b6 - a3) % 4 != 0:
+            continue
+        a6 = (b6 - a3) // 4
+        if (b4 - a1 * a3) % 2 != 0:
+            continue
+        a4 = (b4 - a1 * a3) // 2
+        cand = (a1, a2, a3, a4, a6)
+        cb2 = a1 * a1 + 4 * a2
+        cb4 = 2 * a4 + a1 * a3
+        cb6 = a3 * a3 + 4 * a6
+        if cb2 * cb2 - 24 * cb4 == c4 and -(cb2 ** 3) + 36 * cb2 * cb4 - 216 * cb6 == c6:
+            return cand
+    return None
+
+
+def scan_minimal_model(c4, c6):
+    """(ainvs, u): the scanned model of (c4 / u^4, c6 / u^6) for the largest u
+    that has one; every integral model scales the minimal one by an integer."""
+    best, u = None, 1
+    while u ** 4 <= abs(c4) or u ** 6 <= abs(c6):
+        if c4 % u ** 4 == 0 and c6 % u ** 6 == 0:
+            ai = scan_model_from_c4c6(c4 // u ** 4, c6 // u ** 6)
+            if ai is not None:
+                best = (ai, u)
+        u += 1
+    return best
+
+
+def test_twists_are_the_reduced_minimal_models_of_the_scan():
+    assert quadratic_twist(E37, -3).ainvs == (0, 0, 1, -9, -7)
+    pairs = 0
+    for E in CURVES.values():
+        for D in range(-200, 201):
+            if not is_fundamental_discriminant(D) or gcd(D, E.conductor) != 1:
+                continue
+            Et = quadratic_twist(E, D)
+            ai, u = scan_minimal_model(E.c4 * D * D, E.c6 * D ** 3)
+            scanned = EllipticCurve(*ai, conductor=Et.conductor)
+            assert (Et.c4, Et.c6) == (scanned.c4, scanned.c6), (E.label, D)
+            assert (Et.c4 * u ** 4, Et.c6 * u ** 6) == (E.c4 * D * D, E.c6 * D ** 3)
+            assert Et.a1 in (0, 1) and Et.a3 in (0, 1) and Et.a2 in (-1, 0, 1), (E.label, D)
+            pairs += 1
+    assert pairs > 1000
 
 
 def test_twist_traces_follow_the_quadratic_character():

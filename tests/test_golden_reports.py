@@ -35,11 +35,11 @@ GOLDEN = {
     ),
     "gz": (
         ["gz", "--label", "37a1", "--DK", "-3", "--p", "5", *REGION],
-        "54749be77c2c14694ee9821be11e187848617faafd508d6eb997000ea91ac1cf",
+        "f39672cf575ac591bde0965ac8a8ee5bab6b76bae6a22ebd1b549d2c5c473416",
     ),
     "waldspurger": (
         ["waldspurger", "--label", "11a1", "--DK", "-3", "--p", "7", *REGION],
-        "a471392468a14972eac870ffc23ee6bdd484fe4d24d09848f1e95f324cf1246f",
+        "1bf4d4c22f7d757946b4206749912ec42ebb908b3a51e3bdf94a7ba0efb1357f",
     ),
 }
 

@@ -1,4 +1,5 @@
-"""No module of the package imports a name it never uses."""
+"""No module of the package imports a name it never uses, and no private
+function or method of the package goes without a caller."""
 
 import ast
 from pathlib import Path
@@ -41,3 +42,35 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def uncalled_private_functions(sources: list[str]) -> list[str]:
+    """Names of the `_`-prefixed functions and methods, dunders aside, that no
+    source reads as an expression name or an attribute."""
+    defined, used = set(), set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined.add(node.name)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return sorted(defined - used)
+
+
+def test_the_check_sees_an_uncalled_private_function():
+    source = (
+        "class A:\n"
+        "    def __init__(self):\n        self._used()\n"
+        "    def _used(self):\n        return _helper()\n"
+        "    def _lift(self):\n        pass\n"
+        "def _helper():\n    pass\n"
+    )
+    assert uncalled_private_functions([source]) == ["_lift"]
+
+
+def test_every_private_function_has_a_caller():
+    sources = [path.read_text(encoding="utf-8") for path in MODULES]
+    assert uncalled_private_functions(sources) == []

@@ -166,9 +166,7 @@ def test_factor_order_symmetry(eigensymbol, curve):
     primes = [f for f in sieve("cyc", curve("37a1"), 5, 1, 500) if f.q in (61, 211)]
     ix = build_indices(primes, 2, 10 ** 6)[-1]
     assert ix.n == 61 * 211
-    flipped = SquarefreeIndex(
-        n=ix.n, factors=tuple(reversed(ix.factors)), t_n=ix.t_n, parity_class=None
-    )
+    flipped = SquarefreeIndex(n=ix.n, factors=tuple(reversed(ix.factors)), t_n=ix.t_n)
     a = kurihara_number(sym, ix, 5)
     b = kurihara_number(sym, flipped, 5)
     assert a.residue == b.residue and a.valuation == b.valuation
@@ -243,7 +241,7 @@ def test_paired_sum_matches_reference_sum(eigensymbol, curve, label, p, bound):
 def test_rejects_wrong_family_and_unit_ideal(eigensymbol):
     sym = eigensymbol("11a1")
     f = KolyvaginPrime(q=13, family="adm", v1=0, v2=1, epsilon=1)
-    ix = SquarefreeIndex(n=13, factors=(f,), t_n=1, parity_class="ind")
+    ix = SquarefreeIndex(n=13, factors=(f,), t_n=1)
     with pytest.raises(InputError):
         kurihara_number(sym, ix, 5)
     g = KolyvaginPrime(q=29, family="cyc", v1=1, v2=0)

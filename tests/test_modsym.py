@@ -35,7 +35,7 @@ from selmerkit.modsym import (
 )
 
 from eigen_oracle import stacked_eigenline
-from lattice_oracle import boundary_rows, cusps_equivalent, generator_ends
+from lattice_oracle import boundary_rows, cusps_equivalent, generator_ends, lift_to_sl2
 from path_oracle import pair_path, path_vector
 
 
@@ -346,6 +346,19 @@ def test_cusp_keys_match_the_pairwise_partition(N):
         assert not any(cusps_equivalent(N, *r1, *r2) for r2 in reps[i + 1:])
     assert len(sp.boundary_rows) == len(groups) == cusp_number(N)
     assert sp.boundary_rows == boundary_rows(sp)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_closed_form_cusp_ends_match_an_sl2_lift(data):
+    # the boundary map keys a generator's ends without lifting it to SL2(Z)
+    N = data.draw(st.integers(1, 3000))
+    c = data.draw(st.integers(0, N - 1))
+    d = data.draw(st.integers(0, N - 1))
+    assume(gcd(gcd(c, d), N) == 1)
+    a, b, cc, dd = lift_to_sl2(N, c, d)
+    assert cusp_key(N, pow(d, -1, gcd(c, N)), c) == cusp_key(N, a, cc)
+    assert cusp_key(N, -pow(c, -1, gcd(d, N)), d) == cusp_key(N, b, dd)
 
 
 # ---------------------------------------------------------------------------

@@ -197,23 +197,11 @@ def test_build_indices_respects_bounds(curve):
     assert len(nu1) == 5
 
 
-def test_adm_parity_classification(curve):
-    primes = sieve("adm", curve("11a1"), 5, 1, 60, D_K=-3)
-    idxs = build_indices(primes, max_nu=2, max_n=10 ** 5, nu_N_minus=1)
-    for ix in idxs:
-        expected = "def" if (ix.nu + 1) % 2 == 1 else "ind"
-        assert ix.parity_class == expected
-    by_nu = {ix.nu: ix.parity_class for ix in idxs}
-    assert by_nu[0] == "def" and by_nu[1] == "ind" and by_nu[2] == "def"
-    with pytest.raises(InputError):
-        build_indices(primes, max_nu=2, max_n=10 ** 5)  # nu(N^-) required
-
-
 def test_build_indices_rejects_mixed_families(curve):
     a = sieve("cyc", curve("11a1"), 7, 1, 500)
     b = sieve("adm", curve("11a1"), 5, 1, 60, D_K=-3)
     with pytest.raises(InputError):
-        build_indices(a + b[:1], max_nu=1, max_n=10 ** 6, nu_N_minus=1)
+        build_indices(a + b[:1], max_nu=1, max_n=10 ** 6)
     with pytest.raises(InputError):
         build_indices(a + a, max_nu=1, max_n=10 ** 6)  # duplicated primes
 
