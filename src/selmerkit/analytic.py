@@ -36,13 +36,16 @@ from .curves import EllipticCurve, hecke_an_list
 from .errors import InputError
 
 
-def real_periods(E: EllipticCurve, dps: int = 30) -> tuple[float, float]:
+PERIOD_DPS = 30  # working precision of the AGM, in decimal digits
+
+
+def real_periods(E: EllipticCurve) -> tuple[float, float]:
     """(omega_plus, omega_minus): least real period and its imaginary partner.
 
     omega_plus generates the intersection of the period lattice with the
     real line for either lattice shape.
     """
-    with mp.workdps(dps):
+    with mp.workdps(PERIOD_DPS):
         g2 = mp.mpf(E.c4) / 12
         g3 = mp.mpf(E.c6) / 216
         roots = mp.polyroots([4, 0, -g2, -g3])

@@ -21,7 +21,6 @@ and capped p-adic valuations with explicit sentinel handling.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import compress
 from math import gcd, isqrt
 from typing import Iterator
@@ -265,17 +264,12 @@ def kronecker_symbol(a: int, n: int) -> int:
     return sign * jacobi_symbol(a % n, n)
 
 
-def padic_valuation(x, p: int, cap: int | None = None) -> int | None:
-    """v_p(x) for an integer or Fraction; None encodes +infinity (x == 0).
+def padic_valuation(x: int, p: int, cap: int | None = None) -> int | None:
+    """v_p(x) for an integer; None encodes +infinity (x == 0).
 
     With `cap` set, values >= cap are reported as cap (never None unless x
     is exactly zero and cap is None).
     """
-    if isinstance(x, Fraction):
-        if x == 0:
-            return cap if cap is not None else None
-        return padic_valuation(x.numerator, p) - padic_valuation(x.denominator, p)
-    x = int(x)
     if x == 0:
         return cap if cap is not None else None
     v = 0

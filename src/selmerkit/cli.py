@@ -53,7 +53,7 @@ from .gross_points import (
     make_theta,
     relation_report,
 )
-from .kurihara import DeltaStats, RegionSpec, delta_stats, kurihara_collection
+from .kurihara import DeltaStats, RegionSpec, delta_stats, kurihara_number
 from .modsym import isolate_eigensymbol
 from .selmer_predict import (
     ModuleShape,
@@ -367,7 +367,8 @@ def _gather(record: CurveRecord, config: RunConfig) -> tuple[dict, DeltaStats]:
             f"budget {config.max_evaluations}; shrink the region or raise "
             "--max-evaluations"
         )
-    collection = kurihara_collection(isolate_eigensymbol(E), indices, config.p)
+    sym = isolate_eigensymbol(E)
+    collection = [kurihara_number(sym, ix, config.p) for ix in indices]
     stats = delta_stats(collection, region)
     fields = {
         "config": config.to_json_dict(),
@@ -391,9 +392,11 @@ def run_pipeline(record: CurveRecord, config: RunConfig) -> dict:
     render_report is byte-identical across runs of the same (record, config,
     code) triple, which is also the cache key.  This is the one cached
     computation.  An entry is the hex sha256 of the rest of the file on its
-    first line, then exactly render_report(report).  An entry whose digest
-    does not match its stored bytes, that does not decode, or that is not a
-    pipeline report is logged as a miss, recomputed and rewritten atomically.
+    first line, then exactly render_report(report).  An entry that cannot be
+    read, whose digest does not match its stored bytes, that does not
+    decode, or that is not a pipeline report is logged as a miss, recomputed
+    and rewritten atomically.  An entry that cannot be written is refused as
+    input (exit 2), and the error names it.
     """
     path = None
     if config.cache_dir is not None:
@@ -410,16 +413,21 @@ def run_pipeline(record: CurveRecord, config: RunConfig) -> dict:
         key = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:24]
         path = directory / f"{key}.json"
         if path.exists():
-            digest, _, body = path.read_bytes().partition(b"\n")
-            cached = None
-            if digest == hashlib.sha256(body).hexdigest().encode():
-                try:
-                    cached = json.loads(body)
-                except ValueError:  # JSONDecodeError or UnicodeDecodeError
-                    pass
-            if isinstance(cached, dict) and cached.get("kind") == "pipeline":
-                return cached
-            logger.warning("cache entry %s fails its checksum or is not a report; recomputing", path)
+            try:
+                entry = path.read_bytes()
+            except OSError as exc:
+                logger.warning("cache entry %s cannot be read (%s); recomputing", path, exc.strerror or exc)
+            else:
+                digest, _, body = entry.partition(b"\n")
+                cached = None
+                if digest == hashlib.sha256(body).hexdigest().encode():
+                    try:
+                        cached = json.loads(body)
+                    except ValueError:  # JSONDecodeError or UnicodeDecodeError
+                        pass
+                if isinstance(cached, dict) and cached.get("kind") == "pipeline":
+                    return cached
+                logger.warning("cache entry %s fails its checksum or is not a report; recomputing", path)
 
     fields, stats = _gather(record, config)
     prediction = predict_selmer_Q(stats)
@@ -437,14 +445,17 @@ def run_pipeline(record: CurveRecord, config: RunConfig) -> dict:
         }
     if path is not None:
         body = render_report(report).encode()
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        tmp = None
         try:
+            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
             with os.fdopen(fd, "wb") as fh:
                 fh.write(hashlib.sha256(body).hexdigest().encode() + b"\n" + body)
             # atomic publish: concurrent readers see the old file or the new one
             os.replace(tmp, path)
+        except OSError as exc:
+            raise InputError(f"cannot write cache entry {path}: {exc.strerror or exc}") from exc
         finally:
-            if os.path.exists(tmp):
+            if tmp is not None and os.path.exists(tmp):
                 os.unlink(tmp)
     return report
 

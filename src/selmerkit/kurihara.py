@@ -91,21 +91,12 @@ class KuriharaNumber:
         return {
             "n": self.n,
             "nu": self.nu,
-            "t_n": self.modulus_exponent if self.n > 1 else None,
+            "t_n": self.index.t_n,
             "residue": self.residue,
             "valuation": self.valuation,
             "saturated": self.saturated,
             "eta": {str(ell): eta for ell, eta in self.eta_choices},
         }
-
-
-def _p_unit_inverse(d: int, p: int, modulus: int, what: str) -> int:
-    if d % p == 0:
-        raise HypothesisError(
-            f"{what} is divisible by p = {p}; "
-            "the p-integrality hypothesis on modular symbols fails"
-        )
-    return pow(d, -1, modulus)
 
 
 def kurihara_number(
@@ -114,46 +105,31 @@ def kurihara_number(
     p: int,
     etas: dict[int, int] | None = None,
 ) -> KuriharaNumber:
-    """delta_n for one squarefree index from the cyc family (or n = 1).
+    """delta_n for one squarefree index from the cyc family, n = 1 included.
 
     etas overrides the primitive-root choice per prime factor; the default
     is the smallest primitive root, making residues reproducible.  Only
     valuation and saturation are unit-independent.
 
-    For n > 1 the symbol is evaluated once per pair {a, n - a}: the
-    star-invariant plus symbol has [(n - a)/n]+ = [a/n]+, so the pair
-    contributes raw(a, n) * (w(a) + w(n - a)) with w the log product.  n is
-    odd (each prime factor is 1 mod p), so no unit is its own partner.  The
-    sign and the denominator are applied once to the total.
+    Every n takes one path, mod p^t with t = t_n, or t the valuation cap at
+    n = 1, where I_1 = (0) and delta_1 lives in Z_p itself.  The symbol is
+    evaluated once per pair {a, n - a}: the star-invariant plus symbol has
+    [(n - a)/n]+ = [a/n]+, so the pair contributes raw(a, n) * (w(a) +
+    w(n - a)) with w the log product.  n is odd (each prime factor is 1 mod
+    p), so no unit a > 0 is its own partner; at n = 1, (Z/1)^* = {0} is, and
+    the sum is its single term raw(0, 1).  The sign and the denominator are
+    applied once to the total.
     """
     if index.family not in (None, "cyc"):
         raise InputError(f"Kurihara numbers need cyc indices, got {index.family}")
-
-    if index.n == 1:
-        # the ambient ring is Z_p itself; work to the valuation cap
-        val = sym.eval_plus(0, 1)
-        modulus = p ** DEFAULT_VALUATION_CAP
-        inv = _p_unit_inverse(val.denominator, p, modulus, "the symbol denominator")
-        residue = val.numerator * inv % modulus
-        v = padic_valuation(val, p)
-        v = DEFAULT_VALUATION_CAP if v is None else min(v, DEFAULT_VALUATION_CAP)
-        return KuriharaNumber(
-            index=index,
-            p=p,
-            modulus_exponent=DEFAULT_VALUATION_CAP,
-            residue=residue,
-            valuation=v,
-            eta_choices=(),
-        )
-
-    t = index.t_n
+    n = index.n
+    t = DEFAULT_VALUATION_CAP if n == 1 else index.t_n
     if t == 0:
         raise InputError(
-            f"I_n at n = {index.n} is the unit ideal (t_n = 0); "
+            f"I_n at n = {n} is the unit ideal (t_n = 0); "
             "sieve at a larger congruence level k"
         )
     modulus = p ** t
-    n = index.n
     if n % 2 == 0:
         raise InternalInvariantError(f"cyc index n = {n} is even; a and n - a would collide")
 
@@ -165,8 +141,13 @@ def kurihara_number(
         tab = discrete_log_table(f.q, eta)
         tables.append((f.q, [x % modulus for x in tab]))
 
-    dinv = _p_unit_inverse(sym.denominator, p, modulus, "the symbol denominator")
-    total = 0
+    if sym.denominator % p == 0:
+        raise HypothesisError(
+            f"the symbol denominator is divisible by p = {p}; "
+            "the p-integrality hypothesis on modular symbols fails"
+        )
+    dinv = pow(sym.denominator, -1, modulus)
+    total = sym.raw_value(0, 1) if n == 1 else 0
     for a in range(1, (n + 1) // 2):
         if gcd(a, n) != 1:
             continue
@@ -189,10 +170,6 @@ def kurihara_number(
         valuation=padic_valuation(total, p, cap=t),
         eta_choices=tuple(chosen),
     )
-
-
-def kurihara_collection(sym: EigenSymbol, indices: list[SquarefreeIndex], p: int) -> list[KuriharaNumber]:
-    return [kurihara_number(sym, ix, p) for ix in indices]
 
 
 # ---------------------------------------------------------------------------

@@ -9,19 +9,21 @@ on the Frobenius trace a_q and carrying a local ideal I_q = p^{t_q} Z_p:
        a_q = eps * (q + 1) (mod p^k), eps = +-1;   I_q = (a_q - eps * (q + 1))
 
 For squarefree n built from one family, I_n is the sum of the I_q over
-q | n, so t_n = min over q | n of t_q.  The empty product n = 1 has
-I_1 = (0) and its exponent is an infinity sentinel (t_n = None); every
-consumer must branch on it.
+q | n, so t_n = min over q | n of t_q.  A SquarefreeIndex holds only its
+factors and reads n and t_n off them.  The empty product n = 1 has
+I_1 = (0), so its t_n is None; delta_1 lives in Z_p itself, and
+kurihara_number works to the valuation cap there.
 
-Valuations are computed with a hard cap (default 12): a reported value
-equal to the cap means "at least the cap", which keeps all arithmetic in
-bounded exact integers.
+Valuations are computed with a hard cap of 12: a reported value equal to
+the cap means "at least the cap", which keeps all arithmetic in bounded
+exact integers.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from math import prod
 from typing import Iterable, TextIO
 
 from .arith import (
@@ -84,25 +86,25 @@ class KolyvaginPrime:
 
 @dataclass(frozen=True)
 class SquarefreeIndex:
-    """A squarefree product n of sieved primes with t_n = v_p(I_n).
+    """The squarefree product n of distinct sieved primes of one family.
 
-    t_n is None exactly for n = 1 (the zero ideal).
+    n is computed once, at construction; t_n = v_p(I_n) is the least factor
+    exponent, and None for the empty product n = 1 (the zero ideal).
     """
 
-    n: int
     factors: tuple[KolyvaginPrime, ...]
-    t_n: int | None
+    n: int = field(init=False)
 
     def __post_init__(self):
         if len({f.family for f in self.factors}) > 1:
             raise InputError("index mixes prime families")
-        prod = 1
-        for f in self.factors:
-            prod *= f.q
-        if prod != self.n:
-            raise InputError(f"factors do not multiply to n={self.n}")
-        if (self.t_n is None) != (self.n == 1):
-            raise InputError("t_n is the infinity sentinel exactly at n = 1")
+        if len({f.q for f in self.factors}) != len(self.factors):
+            raise InputError("index repeats a prime; n must be squarefree")
+        object.__setattr__(self, "n", prod(f.q for f in self.factors))
+
+    @property
+    def t_n(self) -> int | None:
+        return min((f.exponent for f in self.factors), default=None)
 
     @property
     def nu(self) -> int:
@@ -134,7 +136,6 @@ def sieve(
     k: int,
     bound: int,
     D_K: int | None = None,
-    valuation_cap: int = DEFAULT_VALUATION_CAP,
 ) -> list[KolyvaginPrime]:
     """All family primes q <= bound for (E, p) at congruence level k.
 
@@ -149,7 +150,7 @@ def sieve(
         if D_K is None:
             raise InputError(f"the {family} family needs the field discriminant D_K")
         _require_imaginary_field(D_K)
-    if valuation_cap < k:
+    if DEFAULT_VALUATION_CAP < k:
         raise InputError("valuation cap below the congruence level loses information")
 
     N = E.conductor
@@ -168,8 +169,8 @@ def sieve(
                 KolyvaginPrime(
                     q=q,
                     family="cyc",
-                    v1=padic_valuation(q - 1, p, cap=valuation_cap),
-                    v2=padic_valuation(aq - q - 1, p, cap=valuation_cap),
+                    v1=padic_valuation(q - 1, p, cap=DEFAULT_VALUATION_CAP),
+                    v2=padic_valuation(aq - q - 1, p, cap=DEFAULT_VALUATION_CAP),
                 )
             )
         elif family == "ac":
@@ -182,8 +183,8 @@ def sieve(
                 KolyvaginPrime(
                     q=q,
                     family="ac",
-                    v1=padic_valuation(q + 1, p, cap=valuation_cap),
-                    v2=padic_valuation(aq, p, cap=valuation_cap),
+                    v1=padic_valuation(q + 1, p, cap=DEFAULT_VALUATION_CAP),
+                    v2=padic_valuation(aq, p, cap=DEFAULT_VALUATION_CAP),
                 )
             )
         else:
@@ -204,7 +205,7 @@ def sieve(
                     q=q,
                     family="adm",
                     v1=0,
-                    v2=padic_valuation(aq - eps * (q + 1), p, cap=valuation_cap),
+                    v2=padic_valuation(aq - eps * (q + 1), p, cap=DEFAULT_VALUATION_CAP),
                     epsilon=eps,
                 )
             )
@@ -218,7 +219,7 @@ def build_indices(
 ) -> list[SquarefreeIndex]:
     """All squarefree products n <= max_n with nu(n) <= max_nu, n ascending.
 
-    Includes n = 1 (empty product, infinite exponent sentinel).
+    Includes n = 1, the empty product.
     """
     if len({f.family for f in primes}) > 1:
         raise InputError("cannot mix prime families in one index set")
@@ -226,22 +227,20 @@ def build_indices(
         raise InputError("duplicate primes in sieve output")
 
     ordered = sorted(primes, key=lambda f: f.q)
-    results: list[SquarefreeIndex] = [SquarefreeIndex(n=1, factors=(), t_n=None)]
+    results: list[SquarefreeIndex] = [SquarefreeIndex(())]
 
-    def extend(start: int, n: int, chosen: tuple[KolyvaginPrime, ...], t: int):
+    def extend(start: int, n: int, chosen: tuple[KolyvaginPrime, ...]):
         for i in range(start, len(ordered)):
             f = ordered[i]
             n2 = n * f.q
             if n2 > max_n:
                 break  # ordered ascending: later primes only grow n
-            t2 = min(t, f.exponent)
-            results.append(SquarefreeIndex(n=n2, factors=chosen + (f,), t_n=t2))
+            results.append(SquarefreeIndex(chosen + (f,)))
             if len(chosen) + 1 < max_nu:
-                extend(i + 1, n2, chosen + (f,), t2)
+                extend(i + 1, n2, chosen + (f,))
 
     if max_nu >= 1:
-        no_cap = max((f.exponent for f in ordered), default=0) + 1
-        extend(0, 1, (), t=no_cap)
+        extend(0, 1, ())
     results.sort(key=lambda ix: ix.n)
     return results
 

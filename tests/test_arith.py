@@ -4,8 +4,6 @@ sympy is only a test dependency: it is the oracle for the integer
 primitives that `selmerkit.arith` writes out itself.
 """
 
-from fractions import Fraction
-
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -73,9 +71,7 @@ def test_padic_valuation():
     assert padic_valuation(12, 3) == 1
     assert padic_valuation(12, 5) == 0
     assert padic_valuation(0, 7) is None  # infinite
-    assert padic_valuation(Fraction(9, 4), 3) == 2
-    assert padic_valuation(Fraction(9, 4), 2) == -2
-    assert padic_valuation(Fraction(-5, 7), 7) == -1
+    assert padic_valuation(-5 * 7 ** 3, 7) == 3
     assert padic_valuation(3 ** 12, 3, cap=5) == 5
     assert padic_valuation(7, 3, cap=5) == 0
 

@@ -32,6 +32,7 @@ from selmerkit.selmer_predict import (
 )
 
 SAMPLE = "data/sample_curves.jsonl"
+LARGE = "data/large_conductor.jsonl"
 
 
 def sample_record(label):
@@ -50,6 +51,30 @@ def test_sample_file_ingests():
     assert r11.root_number == 1 and r11.known_rank == 0
     assert r11.tamagawa == {"11": 5}
     assert r11.p_flags["5"]["surjective"] is False
+
+
+def test_large_conductor_file_ingests_strictly():
+    records = ingest(LARGE)
+    assert [(r.label, r.ainvs, r.conductor, r.root_number, r.known_rank) for r in records] == [
+        ("389a1", (0, 1, 1, -2, 0), 389, 1, 2),
+        ("5077a1", (0, 0, 1, -7, 6), 5077, -1, 3),
+    ]
+    # no p-flags are asserted: nothing in the repository backs them
+    assert all(not r.p_flags for r in records)
+    assert [r.to_curve().conductor for r in records] == [389, 5077]
+
+
+def test_predict_certifies_corank_two_for_389a1(capsys):
+    code, out, _ = run_main(
+        capsys, "predict", "--curves", LARGE, "--label", "389a1", "--p", "5",
+        "--prime-bound", "500", "--max-nu", "2",
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["index_count"] == 22
+    assert report["prediction"]["shape"] == {"corank": 2, "exponents": []}
+    assert report["consistency"]["agrees"]
+    assert "flag 'surjective' not asserted at p = 5" in report["hypothesis_notes"]
 
 
 def test_record_round_trip_hundred_synthetic(tmp_path):
@@ -276,6 +301,32 @@ def test_unreadable_cache_entry_is_recomputed(tmp_path, capsys):
         assert code == 0 and "Traceback" not in err, what
         assert warm == cold, what
         assert entry.read_bytes() == digest + b"\n" + cold.encode(), what
+
+
+@pytest.mark.parametrize("command, label, p, field", [
+    ("predict", "11a1", "7", ()),
+    ("gz", "37a1", "5", ("--DK", "-3")),
+])
+def test_cache_entry_that_cannot_be_read_or_written_exits_2(tmp_path, capsys, caplog, command, label, p, field):
+    cache = tmp_path / "cache"
+    argv = (
+        command, "--curves", SAMPLE, "--label", label, "--p", p, *field,
+        "--prime-bound", "150", "--max-nu", "1", "--cache-dir", str(cache),
+    )
+    code, _, _ = run_main(capsys, *argv)
+    assert code == 0
+    entries = sorted(cache.iterdir())
+    for entry in entries:
+        # a directory in the entry's place can be neither read nor replaced
+        entry.unlink()
+        entry.mkdir()
+    code, out, err = run_main(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+    assert "cannot write cache entry" in err and any(str(e) in err for e in entries)
+    # the read failure was a logged miss, so the run went on to the write
+    assert "cannot be read" in caplog.text
+    assert sorted(cache.iterdir()) == entries  # no temporary file is left
 
 
 def test_missing_curve_file_exits_2(tmp_path, capsys):

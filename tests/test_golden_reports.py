@@ -2,7 +2,9 @@
 
 Each digest is the sha256 of a subcommand's stdout with every code_version
 value masked, so a change to the sources alone does not move it.  A change
-to any report byte does, and then the new bytes have to be justified.
+to any report byte does, and then the new bytes have to be justified.  The
+sieve rows pin the JSON lines of one run per prime family; those carry no
+code_version.
 """
 
 import hashlib
@@ -36,6 +38,21 @@ GOLDEN = {
     "gz": (
         ["gz", "--label", "37a1", "--DK", "-3", "--p", "5", *REGION],
         "f39672cf575ac591bde0965ac8a8ee5bab6b76bae6a22ebd1b549d2c5c473416",
+    ),
+    "sieve-cyc": (  # 3 primes
+        ["sieve", "--family", "cyc", "--label", "37a1", "--p", "5",
+         "--curves", SAMPLE, "--prime-bound", "300"],
+        "d94ca600c6411f6c6ca923a5fa1f56c2bd21d6ed64166e0e0eed915acc099ff0",
+    ),
+    "sieve-adm": (  # 12 primes
+        ["sieve", "--family", "adm", "--label", "11a1", "--p", "5", "--DK", "-3",
+         "--curves", SAMPLE, "--prime-bound", "200"],
+        "f931ed464dc509c88cb602cb8b0767eaa6de55085afe758ce064e87a2ae04dce",
+    ),
+    "sieve-ac": (  # 1 prime
+        ["sieve", "--family", "ac", "--label", "37a1", "--p", "5", "--DK", "-4",
+         "--curves", SAMPLE, "--prime-bound", "300"],
+        "aff1a167df64b209bb8f0607864c38f01ae7c75fa62f6a8f77396ecf3adb6203",
     ),
     "waldspurger": (
         ["waldspurger", "--label", "11a1", "--DK", "-3", "--p", "7", *REGION],

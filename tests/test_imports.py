@@ -1,5 +1,6 @@
-"""No module of the package imports a name it never uses, and no private
-function or method of the package goes without a caller."""
+"""No module of the package imports a name it never uses, no private
+function or method of the package goes without a caller, and no parameter
+default goes without a call that overrides it."""
 
 import ast
 from pathlib import Path
@@ -74,3 +75,76 @@ def test_the_check_sees_an_uncalled_private_function():
 def test_every_private_function_has_a_caller():
     sources = [path.read_text(encoding="utf-8") for path in MODULES]
     assert uncalled_private_functions(sources) == []
+
+
+def defaults_without_a_caller(package: list[str], callers: list[str]) -> list[str]:
+    """`function(parameter=)` for each defaulted parameter of a function in
+    the package sources that no call in the caller sources passes, by keyword
+    or positionally past its index.
+
+    A call is matched to a function by name, as `name(...)` or
+    `obj.name(...)`.  The first parameter of a method (self, cls) is bound,
+    so a call's positional arguments start at the second one.
+    """
+    defaults: dict[str, dict[str, int]] = {}
+    for source in package:
+        tree = ast.parse(source)
+        methods = {
+            id(item)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in item.decorator_list)
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            bound = 1 if id(node) in methods else 0
+            named = defaults.setdefault(node.name, {})
+            for index in range(len(positional) - len(args.defaults), len(positional)):
+                named[positional[index].arg] = index - bound
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    named[arg.arg] = -1  # keyword only
+    passed: set[tuple[str, str]] = set()
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name not in defaults:
+                continue
+            count = len(node.args)
+            for parameter, index in defaults[name].items():
+                by_position = 0 <= index < count
+                if by_position or any(kw.arg == parameter for kw in node.keywords):
+                    passed.add((name, parameter))
+    return sorted(
+        f"{name}({parameter}=)"
+        for name, named in defaults.items()
+        for parameter in named
+        if (name, parameter) not in passed
+    )
+
+
+def test_the_check_sees_a_default_without_a_caller():
+    package = (
+        "def f(a, b=1, c=2, *, d=3):\n    pass\n"
+        "class A:\n"
+        "    def m(self, x=0, y=0):\n        pass\n"
+    )
+    callers = "f(0, 1)\nf(0, d=4)\nA().m(5)\n"
+    assert defaults_without_a_caller([package], [callers]) == ["f(c=)", "m(y=)"]
+    assert defaults_without_a_caller([package], [callers + "f(0, 1, 2)\nA().m(y=1)\n"]) == []
+
+
+def test_every_parameter_default_has_a_caller():
+    root = Path(selmerkit.__file__).parents[2]
+    callers = [*MODULES, *(root / "tests").glob("*.py"), *(root / "selmerbench").rglob("*.py")]
+    package = [path.read_text(encoding="utf-8") for path in MODULES]
+    sources = [path.read_text(encoding="utf-8") for path in callers]
+    assert defaults_without_a_caller(package, sources) == []

@@ -23,12 +23,12 @@ from selmerkit.kurihara import (
     RegionSpec,
     delta_stats,
     discrete_log_table,
-    kurihara_collection,
     kurihara_number,
 )
 from selmerkit.selmer_predict import ModuleShape, synthetic_delta_stats
-from selmerkit.sieves import KolyvaginPrime, SquarefreeIndex, build_indices, sieve
+from selmerkit.sieves import DEFAULT_VALUATION_CAP, KolyvaginPrime, SquarefreeIndex, build_indices, sieve
 
+from conftest import CURVES
 from path_oracle import pair_path
 
 
@@ -85,7 +85,7 @@ def test_log_table_is_a_homomorphism(a, b):
 
 def test_delta_1_is_the_p_adic_symbol_value(eigensymbol):
     sym = eigensymbol("11a1")  # [0/1]+ = 1/5
-    one = SquarefreeIndex(n=1, factors=(), t_n=None)
+    one = SquarefreeIndex(())
     kn = kurihara_number(sym, one, 7)
     assert kn.valuation == 0 and not kn.saturated
     assert kn.modulus_exponent == 12
@@ -95,7 +95,7 @@ def test_delta_1_is_the_p_adic_symbol_value(eigensymbol):
 
 def test_delta_1_vanishes_for_rank_one(eigensymbol):
     sym = eigensymbol("37a1")  # [0/1]+ = 0
-    one = SquarefreeIndex(n=1, factors=(), t_n=None)
+    one = SquarefreeIndex(())
     kn = kurihara_number(sym, one, 5)
     assert kn.residue == 0
     assert kn.saturated and kn.valuation == 12
@@ -104,9 +104,47 @@ def test_delta_1_vanishes_for_rank_one(eigensymbol):
 def test_p_dividing_symbol_denominator_is_refused(eigensymbol):
     # [0/1]+ of 11a1 is 1/5: not 5-integral, the p = 5 hypotheses fail
     sym = eigensymbol("11a1")
-    one = SquarefreeIndex(n=1, factors=(), t_n=None)
+    one = SquarefreeIndex(())
     with pytest.raises(HypothesisError):
         kurihara_number(sym, one, 5)
+
+
+def _delta_1_from_the_rational_value(sym, p):
+    """(residue, valuation, modulus exponent) of delta_1, read off the reduced
+    rational [0/1]+ in Z_p; None where its denominator is divisible by p."""
+    value = sym.eval_plus(0, 1)
+    if value.denominator % p == 0:
+        return None
+    cap = DEFAULT_VALUATION_CAP
+    modulus = p ** cap
+    residue = value.numerator * pow(value.denominator, -1, modulus) % modulus
+    valuation = padic_valuation(value.numerator, p, cap=cap)
+    return residue, valuation, cap
+
+
+@pytest.mark.parametrize("label", sorted(CURVES))
+def test_delta_1_matches_the_rational_symbol_value(eigensymbol, label):
+    sym = eigensymbol(label)
+    (one,) = build_indices([], max_nu=0, max_n=1)
+    for p in (5, 7, 11, 13):
+        expected = _delta_1_from_the_rational_value(sym, p)
+        if expected is None:
+            with pytest.raises(HypothesisError, match="symbol denominator"):
+                kurihara_number(sym, one, p)
+            continue
+        kn = kurihara_number(sym, one, p)
+        assert (kn.residue, kn.valuation, kn.modulus_exponent) == expected, (label, p)
+
+
+def test_delta_1_refuses_a_symbol_denominator_divisible_by_p(eigensymbol):
+    # 11a1's symbol has denominator 10, while [0/1]+ = -2 * -1 / 10 reduces to
+    # 1/5: the reduced value is 2-integral, but delta_1 checks the symbol's
+    # own denominator, as every other delta_n does
+    sym = eigensymbol("11a1")
+    assert sym.denominator == 10 and sym.eval_plus(0, 1).denominator == 5
+    (one,) = build_indices([], max_nu=0, max_n=1)
+    with pytest.raises(HypothesisError, match="the symbol denominator is divisible by p = 2"):
+        kurihara_number(sym, one, 2)
 
 
 def test_frozen_values_11a1_p7(eigensymbol, curve):
@@ -166,7 +204,7 @@ def test_factor_order_symmetry(eigensymbol, curve):
     primes = [f for f in sieve("cyc", curve("37a1"), 5, 1, 500) if f.q in (61, 211)]
     ix = build_indices(primes, 2, 10 ** 6)[-1]
     assert ix.n == 61 * 211
-    flipped = SquarefreeIndex(n=ix.n, factors=tuple(reversed(ix.factors)), t_n=ix.t_n)
+    flipped = SquarefreeIndex(tuple(reversed(ix.factors)))
     a = kurihara_number(sym, ix, 5)
     b = kurihara_number(sym, flipped, 5)
     assert a.residue == b.residue and a.valuation == b.valuation
@@ -241,17 +279,17 @@ def test_paired_sum_matches_reference_sum(eigensymbol, curve, label, p, bound):
 def test_rejects_wrong_family_and_unit_ideal(eigensymbol):
     sym = eigensymbol("11a1")
     f = KolyvaginPrime(q=13, family="adm", v1=0, v2=1, epsilon=1)
-    ix = SquarefreeIndex(n=13, factors=(f,), t_n=1)
+    ix = SquarefreeIndex((f,))
     with pytest.raises(InputError):
         kurihara_number(sym, ix, 5)
     g = KolyvaginPrime(q=29, family="cyc", v1=1, v2=0)
-    ix0 = SquarefreeIndex(n=29, factors=(g,), t_n=0)
+    ix0 = SquarefreeIndex((g,))
     with pytest.raises(InputError):
         kurihara_number(sym, ix0, 7)
     # 2 is never 1 mod p, so an even n would break the a <-> n - a pairing
     two = KolyvaginPrime(q=2, family="cyc", v1=1, v2=1)
     with pytest.raises(InternalInvariantError, match="even"):
-        kurihara_number(sym, SquarefreeIndex(n=2, factors=(two,), t_n=1), 7)
+        kurihara_number(sym, SquarefreeIndex((two,)), 7)
 
 
 # -- statistics ---------------------------------------------------------------
@@ -261,7 +299,7 @@ def test_stats_rank_zero_picture(eigensymbol, curve):
     sym = eigensymbol("11a1")
     primes = sieve("cyc", curve("11a1"), 7, 1, 500)
     idxs = build_indices(primes, max_nu=2, max_n=10 ** 6)
-    st_ = delta_stats(kurihara_collection(sym, idxs, 7), region(7, label="11a1"))
+    st_ = delta_stats([kurihara_number(sym, ix, 7) for ix in idxs], region(7, label="11a1"))
     assert st_.ord_bound == 0
     assert st_.ord_is_certified_on_region
     assert st_.partial[0].value == 0
@@ -279,7 +317,7 @@ def test_stats_rank_one_picture(eigensymbol, curve):
     primes = sieve("cyc", curve("37a1"), 5, 1, 500)
     idxs = build_indices(primes, max_nu=1, max_n=10 ** 6)
     st_ = delta_stats(
-        kurihara_collection(sym, idxs, 5), region(5, max_nu=1, label="37a1")
+        [kurihara_number(sym, ix, 5) for ix in idxs], region(5, max_nu=1, label="37a1")
     )
     assert st_.ord_bound == 1
     assert st_.ord_is_certified_on_region  # delta_1 vanished identically
@@ -291,11 +329,7 @@ def test_stats_rank_one_picture(eigensymbol, curve):
 
 def _fake(nu, valuation, t=3, p=5):
     qs = [13, 17, 19][:nu]
-    fs = tuple(KolyvaginPrime(q=q, family="cyc", v1=t, v2=t) for q in qs)
-    n = 1
-    for q in qs:
-        n *= q
-    ix = SquarefreeIndex(n=n, factors=fs, t_n=(t if nu else None))
+    ix = SquarefreeIndex(tuple(KolyvaginPrime(q=q, family="cyc", v1=t, v2=t) for q in qs))
     return KuriharaNumber(
         index=ix,
         p=p,
@@ -364,7 +398,8 @@ def test_delta_stats_json_round_trip_inconclusive_and_real(eigensymbol, curve):
     assert _json_round_trip(inconclusive) == inconclusive
     primes = sieve("cyc", curve("11a1"), 7, 1, 500)
     idxs = build_indices(primes, max_nu=2, max_n=10 ** 6)
-    real = delta_stats(kurihara_collection(eigensymbol("11a1"), idxs, 7), region(7, label="11a1"))
+    sym = eigensymbol("11a1")
+    real = delta_stats([kurihara_number(sym, ix, 7) for ix in idxs], region(7, label="11a1"))
     assert real.notes  # the unstabilized parity chain note survives too
     assert _json_round_trip(real) == real
 
@@ -373,9 +408,9 @@ def test_kurihara_number_json_shape(eigensymbol, curve):
     sym = eigensymbol("37a1")
     primes = sieve("cyc", curve("37a1"), 5, 1, 500)
     idxs = build_indices(primes, max_nu=1, max_n=10 ** 6)
-    kn = kurihara_collection(sym, idxs, 5)[1]
+    kn = kurihara_number(sym, idxs[1], 5)
     d = kn.to_json_dict()
     assert d["n"] == kn.n and d["valuation"] == kn.valuation
     assert isinstance(d["eta"], dict)
-    one = kurihara_number(sym, SquarefreeIndex(n=1, factors=(), t_n=None), 5)
+    one = kurihara_number(sym, SquarefreeIndex(()), 5)
     assert one.to_json_dict()["t_n"] is None

@@ -12,7 +12,7 @@ from selmerkit.kurihara import (
     RegionSpec,
     StratumStat,
     delta_stats,
-    kurihara_collection,
+    kurihara_number,
 )
 from selmerkit.selmer_predict import (
     GrossZagierPrediction,
@@ -222,7 +222,7 @@ def test_known_rank_zero_curve(eigensymbol, curve):
     primes = sieve("cyc", curve("11a1"), 7, 1, 500)
     region = RegionSpec(p=7, k=1, prime_bound=500, max_nu=1, max_n=10**6)
     idxs = build_indices(primes, max_nu=region.max_nu, max_n=region.max_n)
-    stats = delta_stats(kurihara_collection(sym, idxs, 7), region)
+    stats = delta_stats([kurihara_number(sym, ix, 7) for ix in idxs], region)
     pred = predict_selmer_Q(stats)
     assert pred.shape == ModuleShape(0, ())
     assert pred.divisible_quotient_length == 0
@@ -234,7 +234,7 @@ def test_known_rank_one_curve(eigensymbol, curve):
     primes = sieve("cyc", curve("37a1"), 5, 1, 600)
     region = RegionSpec(p=5, k=1, prime_bound=600, max_nu=1, max_n=10**6)
     idxs = build_indices(primes, max_nu=region.max_nu, max_n=region.max_n)
-    stats = delta_stats(kurihara_collection(sym, idxs, 5), region)
+    stats = delta_stats([kurihara_number(sym, ix, 5) for ix in idxs], region)
     pred = predict_selmer_Q(stats)
     # corank 1 with trivial finite part: rank 1 and trivial 5-part of Sha
     assert pred.shape == ModuleShape(1, ())

@@ -144,7 +144,7 @@ def test_sieve_input_validation(curve):
     with pytest.raises(InputError):
         sieve("adm", E, 5, 1, 100, D_K=-14)  # not fundamental
     with pytest.raises(InputError):
-        sieve("cyc", E, 7, 3, 100, valuation_cap=2)
+        sieve("cyc", E, 7, 13, 100)  # k above the valuation cap of 12
     with pytest.raises(InputError):
         sieve("heeg", E, 7, 1, 100)
 
@@ -207,13 +207,19 @@ def test_build_indices_rejects_mixed_families(curve):
 
 
 def test_squarefree_index_validation():
-    f = KolyvaginPrime(q=13, family="cyc", v1=1, v2=1)
-    with pytest.raises(InputError):
-        SquarefreeIndex(n=14, factors=(f,), t_n=1)
-    with pytest.raises(InputError):
-        SquarefreeIndex(n=13, factors=(f,), t_n=None)
-    with pytest.raises(InputError):
-        SquarefreeIndex(n=1, factors=(), t_n=0)
+    f = KolyvaginPrime(q=13, family="cyc", v1=1, v2=2)
+    g = KolyvaginPrime(q=31, family="cyc", v1=1, v2=1)
+    ix = SquarefreeIndex((f, g))
+    assert (ix.n, ix.t_n, ix.nu, ix.family) == (13 * 31, 1, 2, "cyc")
+    one = SquarefreeIndex(())
+    assert (one.n, one.t_n, one.nu, one.family) == (1, None, 0, None)
+    with pytest.raises(InputError, match="repeats a prime"):
+        SquarefreeIndex((f, f))
+    with pytest.raises(InputError, match="repeats a prime"):
+        SquarefreeIndex((f, KolyvaginPrime(q=13, family="cyc", v1=2, v2=2)))
+    adm = KolyvaginPrime(q=17, family="adm", v1=0, v2=1, epsilon=1)
+    with pytest.raises(InputError, match="mixes prime families"):
+        SquarefreeIndex((f, adm))
 
 
 def test_jsonl_round_trip(curve):
