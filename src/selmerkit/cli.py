@@ -37,7 +37,7 @@ import logging
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache, partial
 from pathlib import Path
 
@@ -468,7 +468,9 @@ def gz_pair(record_E: CurveRecord, D_K: int, config: RunConfig,
     the root number of E); odd is the definite setting (toric-period
     dictionary).  Both sub-pipelines must certify their vanishing orders.
     The pair itself is not cached: its two curve runs go through the
-    run_pipeline cache, and the dictionary reads their "stats" back.
+    run_pipeline cache, and the dictionary reads their "stats" back.  Those
+    runs do not read the field, so they run with D_K unset and share their
+    cache entries with predict and with every other field.
     The branch depends only on the field, so a missing root number or a
     branch other than want_branch is refused before either pipeline runs.
     """
@@ -483,7 +485,7 @@ def gz_pair(record_E: CurveRecord, D_K: int, config: RunConfig,
     # whether a twist inherits E's hypothesis flags is undecided, so the twist
     # record asserts none and its run notes them as not asserted
     twist_record = CurveRecord(
-        label=f"{record_E.label}x{D}",
+        label=twist.label,
         ainvs=twist.ainvs,
         conductor=twist.conductor,
     )
@@ -498,8 +500,9 @@ def gz_pair(record_E: CurveRecord, D_K: int, config: RunConfig,
             f"nu(N^-) = {splitting.nu_minus} selects the "
             f"{branch} dictionary for this field; use the {other} subcommand"
         )
-    report_E = run_pipeline(record_E, config)
-    report_T = run_pipeline(twist_record, config)
+    curve_config = replace(config, D_K=None)
+    report_E = run_pipeline(record_E, curve_config)
+    report_T = run_pipeline(twist_record, curve_config)
     stats_E = DeltaStats.from_json_dict(report_E["stats"])
     stats_T = DeltaStats.from_json_dict(report_T["stats"])
     if branch == "heegner":

@@ -9,10 +9,11 @@ validated against the discriminant, and
 the multiplicative ones.
 
 Traces of Frobenius are computed from first principles: direct point counts
-for small residue fields (character sums over the completed square), a
-baby-step giant-step group-order search above the crossover, and the smooth
-point count of the reduced curve at bad primes.  Quadratic twists come out
-as reduced minimal models, read off their (c4, c6) in closed form.
+(character sums over the completed square) up to Mestre's bound q = 457, a
+baby-step giant-step group-order search above it, and the smooth point
+count of the reduced curve at bad primes.  `trace_of_frobenius` is the one
+place that picks the counter.  Quadratic twists come out as reduced
+minimal models, read off their (c4, c6) in closed form.
 """
 
 from __future__ import annotations
@@ -31,8 +32,10 @@ from .arith import (
 )
 from .errors import HypothesisError, InputError, InternalInvariantError
 
-# point counting strategy switch: direct counts below, group order search above
-NAIVE_COUNT_LIMIT = 10_000
+# Mestre's bound (Cremona, "Algorithms for Modular Elliptic Curves"): above it
+# a point of the curve or of its quadratic twist pins #E(F_q) in the Hasse
+# window; at or below it neither need, so those q are counted directly
+MESTRE_BOUND = 457
 
 _AQ_CACHE: dict[tuple, int] = {}
 
@@ -132,7 +135,7 @@ class FieldSplit:
 
 
 def _count_points_naive(E: EllipticCurve, q: int) -> int:
-    """#E(F_q) by direct enumeration, for good q below the crossover."""
+    """#E(F_q) by direct enumeration, for good q."""
     if q <= 3:
         return _smooth_count(E, q)  # at a good prime every point is smooth
     # complete the square: z^2 = 4x^3 + b2 x^2 + 2 b4 x + b6 with z = 2y + a1 x + a3
@@ -233,15 +236,14 @@ def _count_points_bsgs(E: EllipticCurve, q: int) -> int:
     """#E(F_q) via point-order lattices inside the Hasse window.
 
     Alternates between the curve and its quadratic twist: the two orders sum
-    to 2(q + 1), so a window ambiguity on one side is usually broken by the
-    other (always, for q > 457).
+    to 2(q + 1), so a window ambiguity on one side is broken by the other.
+    That holds only above Mestre's bound: at or below it neither side need
+    have a point whose order pins the window (orders 16 and 32 at q = 23 are
+    annihilator-equivalent), and characteristics 2 and 3 have no short
+    model, so q <= MESTRE_BOUND is refused.
     """
-    if q <= 457:
-        # below Mestre's threshold neither side need have a point whose
-        # order pins the window (e.g. orders 16 vs 32 at q = 23 are
-        # annihilator-equivalent), and char 2, 3 have no short model;
-        # direct enumeration is exact and cheap at this size
-        return _count_points_naive(E, q)
+    if q <= MESTRE_BOUND:
+        raise InternalInvariantError(f"BSGS count at q={q}, at or below Mestre's bound")
     A, B = _short_model(E, q)
     c = 2
     while pow(c, (q - 1) // 2, q) != q - 1:
@@ -333,7 +335,8 @@ def reduction_type(E: EllipticCurve, q: int) -> str:
 def trace_of_frobenius(E: EllipticCurve, q: int) -> int:
     """a_q(E) for any prime q, including bad primes.
 
-    Good primes: #E(F_q) = q + 1 - a_q by point counting.  Multiplicative
+    Good primes: #E(F_q) = q + 1 - a_q, counted directly up to MESTRE_BOUND
+    and by the BSGS group-order search above it.  Multiplicative
     primes give +-1 (split/nonsplit), additive primes give 0.
     """
     if not isprime(q):
@@ -345,7 +348,7 @@ def trace_of_frobenius(E: EllipticCurve, q: int) -> int:
         kind = reduction_type(E, q)
         aq = {"split": 1, "nonsplit": -1, "additive": 0}[kind]
     else:
-        if q < NAIVE_COUNT_LIMIT:
+        if q <= MESTRE_BOUND:
             count = _count_points_naive(E, q)
         else:
             count = _count_points_bsgs(E, q)
@@ -442,8 +445,8 @@ def _minimal_model_from_c4c6(c4: int, c6: int):
 def quadratic_twist(E: EllipticCurve, D: int) -> EllipticCurve:
     """The quadratic twist E^D by a fundamental discriminant prime to N.
 
-    Returns the reduced globally minimal model; the conductor of the twist
-    is N * D^2 under the coprimality assumption.
+    Returns the reduced globally minimal model, labelled "{label}x{D}"; the
+    conductor of the twist is N * D^2 under the coprimality assumption.
     """
     if not is_fundamental_discriminant(D):
         raise InputError(f"D={D} is not a fundamental discriminant")
@@ -453,7 +456,7 @@ def quadratic_twist(E: EllipticCurve, D: int) -> EllipticCurve:
     return EllipticCurve(
         *ai,
         conductor=E.conductor * D * D,
-        label=f"{E.label}-tw{D}" if E.label else f"tw{D}",
+        label=f"{E.label}x{D}",
     )
 
 

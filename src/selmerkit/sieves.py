@@ -1,12 +1,15 @@
 """Kolyvagin-type prime families and the squarefree index sets they span.
 
-Three families feed the divisibility statistics, each pinned by congruences
-on the Frobenius trace a_q and carrying a local ideal I_q = p^{t_q} Z_p:
+Three families feed the divisibility statistics.  Each is a congruence on
+q plus one trace congruence a_q = e * (q + 1) (mod p^k), for a sign e from
+the family's table, and carries a local ideal I_q = p^{t_q} Z_p:
 
-  cyc: q = 1 and a_q = q + 1 (mod p^k);            I_q = (q - 1, a_q - q - 1)
-  ac:  q inert in K, a_q = q + 1 = 0 (mod p^k);    I_q = (q + 1, a_q)
-  adm: q inert in K, q != +-1 (mod p),
-       a_q = eps * (q + 1) (mod p^k), eps = +-1;   I_q = (a_q - eps * (q + 1))
+  cyc: q = 1 (mod p^k), e = 1;                     I_q = (q - 1, a_q - q - 1)
+  ac:  q inert in K, q = -1 (mod p^k), e = 0;      I_q = (q + 1, a_q)
+  adm: q inert in K, q != +-1 (mod p), e = +-1;    I_q = (a_q - e * (q + 1))
+
+v2 is the valuation of the defect a_q - e * (q + 1).  An adm prime admits
+at most one sign, since q != -1 (mod p), and keeps it as epsilon.
 
 For squarefree n built from one family, I_n is the sum of the I_q over
 q | n, so t_n = min over q | n of t_q.  A SquarefreeIndex holds only its
@@ -36,7 +39,11 @@ from .arith import (
 from .curves import EllipticCurve, trace_of_frobenius
 from .errors import AmbiguityError, InputError
 
-FAMILIES = ("cyc", "ac", "adm")
+# the signs e of each family's trace congruence a_q = e * (q + 1) (mod p^k)
+SIGNS = {"cyc": (1,), "ac": (0,), "adm": (1, -1)}
+FAMILIES = tuple(SIGNS)
+# cyc and ac ask p^k | q + shift and read v1 off it; adm asks q != +-1 (mod p)
+V1_SHIFTS = {"cyc": -1, "ac": 1}
 
 DEFAULT_VALUATION_CAP = 12
 
@@ -115,20 +122,6 @@ class SquarefreeIndex:
         return self.factors[0].family if self.factors else None
 
 
-def _require_prime_setup(p: int, k: int, bound: int):
-    if not isprime(p):
-        raise InputError(f"p = {p} is not prime")
-    if k < 1:
-        raise InputError(f"congruence level k must be >= 1, got {k}")
-    if bound < 2:
-        raise InputError(f"sieve bound must be >= 2, got {bound}")
-
-
-def _require_imaginary_field(D_K: int):
-    if D_K >= 0 or not is_fundamental_discriminant(D_K):
-        raise InputError(f"D_K = {D_K} is not an imaginary quadratic discriminant")
-
-
 def sieve(
     family: str,
     E: EllipticCurve,
@@ -145,70 +138,51 @@ def sieve(
     """
     if family not in FAMILIES:
         raise InputError(f"unknown prime family {family!r}")
-    _require_prime_setup(p, k, bound)
-    if family in ("ac", "adm"):
+    if not isprime(p):
+        raise InputError(f"p = {p} is not prime")
+    if k < 1:
+        raise InputError(f"congruence level k must be >= 1, got {k}")
+    if bound < 2:
+        raise InputError(f"sieve bound must be >= 2, got {bound}")
+    if family != "cyc":
         if D_K is None:
             raise InputError(f"the {family} family needs the field discriminant D_K")
-        _require_imaginary_field(D_K)
+        if D_K >= 0 or not is_fundamental_discriminant(D_K):
+            raise InputError(f"D_K = {D_K} is not an imaginary quadratic discriminant")
     if DEFAULT_VALUATION_CAP < k:
         raise InputError("valuation cap below the congruence level loses information")
 
     N = E.conductor
     pk = p ** k
+    adm = family == "adm"
     out: list[KolyvaginPrime] = []
     for q in primerange(2, bound + 1):
         if N % q == 0 or q == p:
             continue
-        if family == "cyc":
-            if (q - 1) % pk:
-                continue
-            aq = trace_of_frobenius(E, q)
-            if (aq - q - 1) % pk:
-                continue
-            out.append(
-                KolyvaginPrime(
-                    q=q,
-                    family="cyc",
-                    v1=padic_valuation(q - 1, p, cap=DEFAULT_VALUATION_CAP),
-                    v2=padic_valuation(aq - q - 1, p, cap=DEFAULT_VALUATION_CAP),
-                )
-            )
-        elif family == "ac":
-            if (q + 1) % pk or kronecker_symbol(D_K, q) != -1:
-                continue
-            aq = trace_of_frobenius(E, q)
-            if aq % pk:
-                continue
-            out.append(
-                KolyvaginPrime(
-                    q=q,
-                    family="ac",
-                    v1=padic_valuation(q + 1, p, cap=DEFAULT_VALUATION_CAP),
-                    v2=padic_valuation(aq, p, cap=DEFAULT_VALUATION_CAP),
-                )
-            )
-        else:
+        if adm:
             if q % p in (1, p - 1):
                 continue
-            if kronecker_symbol(D_K, q) != -1:
-                continue
-            aq = trace_of_frobenius(E, q)
-            signs = [e for e in (1, -1) if (aq - e * (q + 1)) % pk == 0]
-            if not signs:
-                continue
-            if len(signs) == 2:
-                # impossible while q != -1 mod p (would force p | 2(q+1))
-                raise AmbiguityError(f"both signs admissible at q={q}, p={p}, k={k}")
-            eps = signs[0]
-            out.append(
-                KolyvaginPrime(
-                    q=q,
-                    family="adm",
-                    v1=0,
-                    v2=padic_valuation(aq - eps * (q + 1), p, cap=DEFAULT_VALUATION_CAP),
-                    epsilon=eps,
-                )
+        elif (q + V1_SHIFTS[family]) % pk:
+            continue
+        if family != "cyc" and kronecker_symbol(D_K, q) != -1:
+            continue
+        aq = trace_of_frobenius(E, q)
+        signs = [e for e in SIGNS[family] if (aq - e * (q + 1)) % pk == 0]
+        if not signs:
+            continue
+        if len(signs) == 2:
+            # impossible while q != -1 mod p (would force p | 2(q+1))
+            raise AmbiguityError(f"both signs admissible at q={q}, p={p}, k={k}")
+        e = signs[0]
+        out.append(
+            KolyvaginPrime(
+                q=q,
+                family=family,
+                v1=0 if adm else padic_valuation(q + V1_SHIFTS[family], p, cap=DEFAULT_VALUATION_CAP),
+                v2=padic_valuation(aq - e * (q + 1), p, cap=DEFAULT_VALUATION_CAP),
+                epsilon=e if adm else None,
             )
+        )
     return out
 
 

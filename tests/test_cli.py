@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 
 import mpmath
 import pytest
@@ -370,11 +371,14 @@ def test_gz_pair_end_to_end_matches_components():
     assert report["prediction"]["shape_EK"] == {"corank": 1, "exponents": []}
     assert report["prediction"]["profile"]["ord_kappa"] == 0
     assert all(c["ok"] for c in report["prediction"]["identities"])
-    # embedded component reports equal standalone pipeline runs
-    assert report["curve"] == run_pipeline(record, cfg)
+    # embedded component reports equal standalone pipeline runs, which do
+    # not read the field
+    curve_cfg = replace(cfg, D_K=None)
+    assert report["curve"] == run_pipeline(record, curve_cfg)
     twist = quadratic_twist(record.to_curve(), -4)
-    twist_record = CurveRecord(label="17a1x-4", ainvs=twist.ainvs, conductor=twist.conductor)
-    assert report["twist"] == run_pipeline(twist_record, cfg)
+    assert twist.label == "17a1x-4"
+    twist_record = CurveRecord(label=twist.label, ainvs=twist.ainvs, conductor=twist.conductor)
+    assert report["twist"] == run_pipeline(twist_record, curve_cfg)
 
 
 def test_gz_pair_rejects_ramified_p():
@@ -512,6 +516,21 @@ def test_waldspurger_subcommand_and_branch_guard(capsys, tmp_path, monkeypatch):
     code, _, err = run_main(capsys, "gz", *argv)
     assert code == 2 and "waldspurger" in err
     assert sorted(cache.iterdir()) == entries
+
+
+def test_curve_runs_are_not_keyed_by_the_field(capsys, tmp_path):
+    cache = tmp_path / "cache"
+    region = ("--curves", SAMPLE, "--label", "37a1", "--p", "5", "--prime-bound", "150",
+              "--cache-dir", str(cache))
+    code, predicted, _ = run_main(capsys, "predict", *region)
+    assert code == 0
+    for DK in ("-3", "-4"):
+        code, out, _ = run_main(capsys, "gz", *region, "--DK", DK)
+        assert code == 0
+        assert render_report(json.loads(out)["curve"]) == predicted
+    # 37a1 once, and one twist per field
+    labels = sorted(json.loads(entry_body(e))["curve"]["label"] for e in cache.iterdir())
+    assert labels == ["37a1", "37a1x-3", "37a1x-4"]
 
 
 # 37 and 17 split in Q(sqrt(-3)) and Q(i), so those fields select the

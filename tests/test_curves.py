@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from selmerkit.arith import is_fundamental_discriminant, kronecker_symbol, primerange
 from selmerkit.curves import (
+    MESTRE_BOUND,
     EllipticCurve,
     FieldSplit,
     _count_points_bsgs,
@@ -87,10 +88,24 @@ def test_naive_count_matches_bsgs_above_the_crossover():
             assert _count_points_naive(E, q) == _count_points_bsgs(E, q)
 
 
-def test_bsgs_agrees_with_brute_force_at_small_primes():
-    for q in (5, 7, 13, 41, 97):
-        if E37.conductor % q:
-            assert _count_points_bsgs(E37, q) == brute_projective_count(E37.ainvs, q)
+def test_bsgs_refuses_primes_at_or_below_mestres_bound():
+    for q in (2, 3, 23, 97, MESTRE_BOUND):
+        with pytest.raises(InternalInvariantError, match="Mestre"):
+            _count_points_bsgs(E37, q)
+    assert _count_points_bsgs(E37, 461) == brute_projective_count(E37.ainvs, 461)
+
+
+@pytest.mark.parametrize("label", ["11a1", "17a1", "37a1"])
+def test_bsgs_agrees_with_direct_counts_on_the_benchmark_twists(label):
+    # the twists by -3 of conductors 99, 153 and 333: their sign pins count
+    # a_q past Mestre's bound, where trace_of_frobenius hands q to BSGS
+    Et = quadratic_twist(CURVES[label], -3)
+    checked = 0
+    for q in primerange(MESTRE_BOUND + 1, 1500):
+        if Et.conductor % q:
+            assert _count_points_bsgs(Et, q) == _count_points_naive(Et, q)
+            checked += 1
+    assert checked == 151
 
 
 def test_hasse_bound_holds_on_a_sweep():

@@ -37,7 +37,7 @@ GOLDEN = {
     ),
     "gz": (
         ["gz", "--label", "37a1", "--DK", "-3", "--p", "5", *REGION],
-        "f39672cf575ac591bde0965ac8a8ee5bab6b76bae6a22ebd1b549d2c5c473416",
+        "233c983fa47b965c23b0af1581e103938203482463c73c9ed1d47cc3a87dedc9",
     ),
     "sieve-cyc": (  # 3 primes
         ["sieve", "--family", "cyc", "--label", "37a1", "--p", "5",
@@ -56,7 +56,7 @@ GOLDEN = {
     ),
     "waldspurger": (
         ["waldspurger", "--label", "11a1", "--DK", "-3", "--p", "7", *REGION],
-        "1bf4d4c22f7d757946b4206749912ec42ebb908b3a51e3bdf94a7ba0efb1357f",
+        "be9deed041811c634697a647a03c6bae03a19b0dc476ddd20f41fd59dd321f97",
     ),
 }
 

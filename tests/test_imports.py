@@ -1,6 +1,7 @@
 """No module of the package imports a name it never uses, no private
-function or method of the package goes without a caller, and no parameter
-default goes without a call that overrides it."""
+function or method of the package goes without a caller, no module-level
+constant goes unread, and no parameter default goes without a call that
+overrides it."""
 
 import ast
 from pathlib import Path
@@ -75,6 +76,48 @@ def test_the_check_sees_an_uncalled_private_function():
 def test_every_private_function_has_a_caller():
     sources = [path.read_text(encoding="utf-8") for path in MODULES]
     assert uncalled_private_functions(sources) == []
+
+
+def unread_constants(sources: list[str]) -> list[str]:
+    """Names of the module-level UPPER_CASE constants that no source reads,
+    as an expression name or an attribute."""
+    defined, read = set(), set()
+    for source in sources:
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            defined |= {
+                target.id
+                for target in targets
+                if isinstance(target, ast.Name) and target.id.lstrip("_").isupper()
+            }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(defined - read)
+
+
+def test_the_check_sees_an_unread_constant():
+    source = (
+        "LIMIT = 10\n_CACHE: dict = {}\n__all__ = []\nlower = 4\n"
+        "def f():\n    _CACHE[0] = LIMIT\n"
+    )
+    assert unread_constants([source]) == []
+    assert unread_constants([source + "CAP: int = 3\nSPARE = 5\n"]) == ["CAP", "SPARE"]
+    # a read from another module counts
+    assert unread_constants(["SPARE = 5\n", "import m\nm.SPARE\n"]) == []
+
+
+def test_every_module_constant_is_read():
+    sources = [path.read_text(encoding="utf-8") for path in MODULES]
+    assert unread_constants(sources) == []
 
 
 def defaults_without_a_caller(package: list[str], callers: list[str]) -> list[str]:

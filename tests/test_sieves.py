@@ -6,10 +6,13 @@ same way, so a sieve regression cannot hide behind the fast counter.
 """
 
 import io
+import itertools
 import json
+from math import gcd
 
 import pytest
 
+import sieve_oracle
 from selmerkit.errors import InputError
 from selmerkit.sieves import (
     KolyvaginPrime,
@@ -18,6 +21,8 @@ from selmerkit.sieves import (
     dump_primes_jsonl,
     sieve,
 )
+
+from conftest import CURVES
 
 
 def brute_aq(E, q):
@@ -129,6 +134,24 @@ def test_adm_excludes_q_congruent_to_plus_minus_one(curve):
     assert local_kron(-3, 29) == -1
     out = sieve("adm", E, 5, 1, 40, D_K=-3)
     assert 29 not in {f.q for f in out}
+
+
+def test_sieve_matches_the_three_branch_oracle():
+    found = dict.fromkeys(("cyc", "ac", "adm"), 0)
+    for label, E in CURVES.items():
+        runs = [("cyc", None)] + [
+            (family, D_K)
+            for D_K in (-3, -4, -7, -8)
+            if gcd(D_K, E.conductor) == 1
+            for family in ("ac", "adm")
+        ]
+        for (family, D_K), p, k in itertools.product(runs, (5, 7), (1, 2)):
+            got, want = io.StringIO(), io.StringIO()
+            dump_primes_jsonl(sieve(family, E, p, k, 500, D_K=D_K), got)
+            dump_primes_jsonl(sieve_oracle.sieve(family, E, p, k, 500, D_K=D_K), want)
+            assert got.getvalue() == want.getvalue(), (label, family, D_K, p, k)
+            found[family] += got.getvalue().count("\n")
+    assert all(found.values()), found
 
 
 def test_sieve_input_validation(curve):
