@@ -33,22 +33,44 @@ from sys import float_info
 import mpmath as mp
 
 from .curves import EllipticCurve, hecke_an_list
-from .errors import InputError
+from .errors import InputError, InternalInvariantError
 
 
 PERIOD_DPS = 30  # working precision of the AGM, in decimal digits
+
+
+def _root_guard_bits(E: EllipticCurve) -> int:
+    """Extra bits for polyroots on 4x^3 - g2 x - g3, from c4, c6 and Delta.
+
+    The roots lie within R of 0, R <= 2 max(sqrt(|c4|/48), cbrt(|c6|/1728))
+    (Fujiwara), and their squared differences multiply to Delta/16, so the
+    least gap is at least sqrt|Delta| / (16 R^2).  polyroots stops on an
+    absolute step below 10^-PERIOD_DPS; rounding in f(x) / prod (x - e_j)
+    near two close roots is about eps R^3 / (R * gap), so the steps reach
+    that tolerance once eps is below it by R^3 / gap <= 16 R^5 / sqrt|Delta|.
+    The count is that bound in bits plus polyroots' own 10.
+    """
+    radius_bits = 1 + max(-(-E.c4.bit_length() // 2), -(-E.c6.bit_length() // 3))
+    return 10 + max(0, 4 + 5 * radius_bits - (abs(E.discriminant).bit_length() - 1) // 2)
 
 
 def real_periods(E: EllipticCurve) -> tuple[float, float]:
     """(omega_plus, omega_minus): least real period and its imaginary partner.
 
     omega_plus generates the intersection of the period lattice with the
-    real line for either lattice shape.
+    real line for either lattice shape.  Roots that polyroots cannot
+    separate even with the guard bits raise InternalInvariantError (exit 4).
     """
     with mp.workdps(PERIOD_DPS):
         g2 = mp.mpf(E.c4) / 12
         g3 = mp.mpf(E.c6) / 216
-        roots = mp.polyroots([4, 0, -g2, -g3])
+        try:
+            roots = mp.polyroots([4, 0, -g2, -g3], extraprec=_root_guard_bits(E))
+        except mp.mp.NoConvergence as exc:
+            raise InternalInvariantError(
+                f"the roots of 4x^3 - g2 x - g3 did not converge for "
+                f"{E.label or E.ainvs}: {exc}"
+            ) from exc
         if E.discriminant > 0:
             es = sorted((r.real for r in roots), reverse=True)
             e1, e2, e3 = es

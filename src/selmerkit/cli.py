@@ -343,7 +343,10 @@ def _hypothesis_gate(record: CurveRecord, p: int) -> list[str]:
 
 
 def _estimate_evaluations(indices) -> int:
-    # each delta_n sums over a mod n, plus one discrete-log table per prime
+    # the region size: sum n over the indices, plus one discrete-log table
+    # per prime.  An upper bound, not the count of evaluations made, since
+    # kurihara_number reads the symbol only at units with a nonzero log weight
+    # and once per pair {a, n - a}; the report states this figure as is
     evaluations = sum(ix.n for ix in indices)
     tables = sum({f.q for ix in indices for f in ix.factors})
     return evaluations + tables

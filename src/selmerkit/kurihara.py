@@ -8,10 +8,20 @@ lives in Z_p / I_n = Z/p^{t_n} and is well defined up to a unit (the
 primitive-root choices).  Only unit-invariant data (valuations, vanishing)
 is ever reported as a statistic.
 
-The sum is taken over the pairs {a, n - a} with a < n/2, each weighted by
-the sum of both log products.  This rests on [(n - a)/n]+ = [a/n]+, which
-holds for every p: translation by 1 fixes modular symbols, and [-x]+ = [x]+
-because the plus functional is star-invariant (EigenSymbol asserts it).
+The sum visits only the units whose log weight w(a) = prod log_{eta_ell}(a)
+is nonzero mod p^{t_n}, and it computes the weight before the symbol.  w(a)
+depends only on the residues a mod ell, so each factor lists the r with
+log(r) nonzero mod p^{t_n}, paired with the lift r * e_ell of r by the CRT
+idempotent e_ell; the walk over the product of these lists meets every such
+unit once, and every point of it is a unit.  Since log(-1) = (ell - 1)/2,
+w(n - a) = w(a) as soon as p^{t_n} divides every (ell - 1)/2.  For odd p,
+t_n <= v_p(ell - 1) guarantees this, so the first factor lists only
+r <= (ell - 1)/2, one member of each pair {a, n - a}, and the sum doubles.
+At p = 2 it holds only when 2^{t_n + 1} divides every ell - 1; otherwise
+the lists stay whole.  Either way the symbol is read at min(a, n - a), since
+[(n - a)/n]+ = [a/n]+ for every p: translation by 1 fixes modular symbols,
+and [-x]+ = [x]+ because the plus functional is star-invariant
+(EigenSymbol asserts it).
 
 A finite search region can certify "ord <= nu(n)" by exhibiting a nonzero
 delta_n, and can report stratum minima of valuations, but the true
@@ -23,7 +33,7 @@ are flagged so they never certify divisibility beyond t_n.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
+from itertools import product
 
 from .arith import isprime, padic_valuation, smallest_primitive_root
 from .errors import HypothesisError, InputError, InternalInvariantError
@@ -112,12 +122,16 @@ def kurihara_number(
     valuation and saturation are unit-independent.
 
     Every n takes one path, mod p^t with t = t_n, or t the valuation cap at
-    n = 1, where I_1 = (0) and delta_1 lives in Z_p itself.  The symbol is
-    evaluated once per pair {a, n - a}: the star-invariant plus symbol has
-    [(n - a)/n]+ = [a/n]+, so the pair contributes raw(a, n) * (w(a) +
-    w(n - a)) with w the log product.  n is odd (each prime factor is 1 mod
-    p), so no unit a > 0 is its own partner; at n = 1, (Z/1)^* = {0} is, and
-    the sum is its single term raw(0, 1).  The sign and the denominator are
+    n = 1, where I_1 = (0) and delta_1 lives in Z_p itself.  The sum walks
+    the product of the per-factor lists of (log(r) mod p^t, CRT lift of r)
+    with log(r) nonzero, lazily, and skips a term whose weight, the product
+    of the logs, is 0 mod p^t (possible at t >= 2).  When p^t divides
+    (ell - 1)/2 at every factor the first list stops at (ell - 1)/2 and the
+    total doubles; odd p guarantees it (InternalInvariantError otherwise),
+    and at p = 2 the lists stay whole where it fails.  The symbol is read
+    at min(a, n - a).  n is odd (each prime factor is 1 mod p), so no unit
+    a > 0 is its own partner; at n = 1 the product is a single empty term,
+    a = 0, and the sum is raw(0, 1).  The sign and the denominator are
     applied once to the total.
     """
     if index.family not in (None, "cyc"):
@@ -134,12 +148,29 @@ def kurihara_number(
         raise InternalInvariantError(f"cyc index n = {n} is even; a and n - a would collide")
 
     chosen: list[tuple[int, int]] = []
-    tables: list[tuple[int, list[int]]] = []
+    logs: list[tuple[int, list[int]]] = []
     for f in index.factors:
         eta = (etas or {}).get(f.q) or smallest_primitive_root(f.q)
         chosen.append((f.q, eta))
-        tab = discrete_log_table(f.q, eta)
-        tables.append((f.q, [x % modulus for x in tab]))
+        logs.append((f.q, discrete_log_table(f.q, eta)))
+
+    # log_eta(-1) = (ell - 1)/2, so w(n - a) = w(a) once p^t divides it at
+    # every factor; t_n <= v_p(ell - 1) makes that so for odd p
+    fold = bool(logs) and all((ell - 1) // 2 % modulus == 0 for ell, _ in logs)
+    if logs and not fold and p != 2:
+        raise InternalInvariantError(
+            f"p^{t} does not divide (ell - 1)/2 at every factor of n = {n}"
+        )
+    residues = []
+    for i, (ell, tab) in enumerate(logs):
+        cofactor = n // ell
+        idempotent = cofactor * pow(cofactor, -1, ell)
+        top = (ell + 1) // 2 if fold and i == 0 else ell
+        residues.append([
+            (log_r, r * idempotent % n)
+            for r in range(1, top)
+            if (log_r := tab[r] % modulus)
+        ])
 
     if sym.denominator % p == 0:
         raise HypothesisError(
@@ -147,19 +178,18 @@ def kurihara_number(
             "the p-integrality hypothesis on modular symbols fails"
         )
     dinv = pow(sym.denominator, -1, modulus)
-    total = sym.raw_value(0, 1) if n == 1 else 0
-    for a in range(1, (n + 1) // 2):
-        if gcd(a, n) != 1:
-            continue
-        raw = sym.raw_value(a, n)
-        if raw == 0:
-            continue
-        w = w_neg = 1
-        for ell, tab in tables:
-            r = a % ell
-            w = w * tab[r] % modulus
-            w_neg = w_neg * tab[ell - r] % modulus
-        total += raw * (w + w_neg)
+    raw_value = sym.raw_value
+    total = 0
+    for term in product(*residues):
+        w, a = 1, 0
+        for log_r, lift in term:
+            w = w * log_r % modulus
+            a += lift
+        if w:
+            a %= n
+            total += raw_value(min(a, n - a), n) * w
+    if fold:
+        total *= 2
     total = sym.sign * dinv * total % modulus
 
     return KuriharaNumber(

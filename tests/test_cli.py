@@ -338,6 +338,23 @@ def test_missing_curve_file_exits_2(tmp_path, capsys):
     assert "absent.jsonl" in err and "Traceback" not in err
 
 
+def test_curve_with_close_period_roots_exits_4_not_1(tmp_path, capsys):
+    # N = 37, Delta = 37, 3-isogenous to 37b1: its periods once crashed
+    # polyroots with a raw NoConvergence; now the sign pin refuses the model,
+    # which is not X_0(37)-optimal, at numeric/exact ratio 3
+    curves_file = tmp_path / "curves.jsonl"
+    curves_file.write_text(json.dumps(
+        {"ainvs": [0, 1, 1, -1873, -31833], "conductor": 37, "label": "37x3", "root_number": 1}
+    ) + "\n")
+    code, out, err = run_main(
+        capsys, "predict", "--curves", str(curves_file), "--p", "5",
+        "--prime-bound", "200", "--max-nu", "1",
+    )
+    assert code == 4 and out == ""
+    assert "disagrees with direct integration: -2.0 vs -6.0" in err
+    assert "Traceback" not in err
+
+
 def test_cold_multi_curve_batch_matches_single_runs(tmp_path, capsys):
     dps = mpmath.mp.dps
     labels = ["15a1", "19a1", "37b1"]

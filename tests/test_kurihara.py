@@ -9,13 +9,13 @@ curves' ingested ranks through the structure theorem.
 """
 
 import json
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selmerkit.arith import padic_valuation, smallest_primitive_root
+from selmerkit.arith import isprime, padic_valuation, smallest_primitive_root
 from selmerkit.errors import HypothesisError, InputError, InternalInvariantError
 from selmerkit.kurihara import (
     DeltaStats,
@@ -25,6 +25,7 @@ from selmerkit.kurihara import (
     discrete_log_table,
     kurihara_number,
 )
+from selmerkit.modsym import EigenSymbol
 from selmerkit.selmer_predict import ModuleShape, synthetic_delta_stats
 from selmerkit.sieves import DEFAULT_VALUATION_CAP, KolyvaginPrime, SquarefreeIndex, build_indices, sieve
 
@@ -234,10 +235,17 @@ def test_crt_log_product(curve):
         assert direct == via_tables
 
 
-def _reference_delta(sym, ix, p):
-    """delta_n as the plain sum over all of (Z/n)^*, symbols from the path oracle."""
+def _reference_delta(sym, ix, p, etas=None):
+    """delta_n as the plain sum over all of (Z/n)^*, symbols from the path oracle.
+
+    The modulus is p^{t_n}, so the congruence level k reaches it through the
+    factors' exponents; etas overrides the smallest primitive roots.
+    """
     modulus = p ** ix.t_n
-    logs = [(f.q, discrete_log_table(f.q, smallest_primitive_root(f.q))) for f in ix.factors]
+    logs = [
+        (f.q, discrete_log_table(f.q, (etas or {}).get(f.q) or smallest_primitive_root(f.q)))
+        for f in ix.factors
+    ]
     dinv = pow(sym.denominator, -1, modulus)
     total = 0
     for a in range(1, ix.n):
@@ -274,6 +282,106 @@ def test_paired_sum_matches_reference_sum(eigensymbol, curve, label, p, bound):
         expected = _reference_delta(sym, ix, p)
         assert kn.residue == expected, (label, p, ix.n)
         assert kn.valuation == padic_valuation(expected, p, cap=ix.t_n)
+
+
+def _cyc_index(p, k, qs):
+    """A hand-built cyc index with t_n = k: v1 = v_p(q - 1) >= k and v2 = k."""
+    return SquarefreeIndex(
+        tuple(KolyvaginPrime(q=q, family="cyc", v1=padic_valuation(q - 1, p), v2=k) for q in qs)
+    )
+
+
+def _assert_matches_reference(sym, p, k, qs, etas):
+    ix = _cyc_index(p, k, qs)
+    assert ix.t_n == k
+    kn = kurihara_number(sym, ix, p, etas=etas)
+    expected = _reference_delta(sym, ix, p, etas)
+    assert kn.residue == expected, (p, k, qs, etas)
+    assert kn.valuation == padic_valuation(expected, p, cap=k)
+
+
+# (curve, p, k, qs), each with a nonzero delta_n except the first: at p = 2
+# the pairs fold only when 2^{k + 1} divides every q - 1, and a folded sum
+# is even
+HAND_BUILT_INDICES = [
+    ("37b1", 2, 1, (5, 13)),  # q = 1 mod 4: folds
+    ("37b1", 2, 1, (7, 11)),  # q = 3 mod 4: does not fold
+    ("37b1", 2, 1, (3, 13)),  # one unfolding factor is enough
+    ("37b1", 2, 1, (5, 7, 13)),
+    ("37b1", 2, 2, (17, 41)),  # q = 1 mod 8: folds at t = 2
+    ("37b1", 2, 2, (5, 13, 17)),  # q = 5 mod 8: does not fold at t = 2
+    ("49a1", 3, 2, (19, 37)),  # log products 0 mod 9 from two nonzero logs
+    ("11a1", 3, 1, (7, 13, 19)),
+    ("37a1", 5, 1, (11, 31, 41)),
+    ("37a1", 5, 2, (101, 151)),
+    ("37a1", 7, 1, (29, 43)),
+    ("37a1", 7, 2, (197,)),
+]
+
+
+@pytest.mark.parametrize("label, p, k, qs", HAND_BUILT_INDICES)
+def test_fast_sum_matches_reference_sum_on_hand_built_indices(eigensymbol, label, p, k, qs):
+    _assert_matches_reference(eigensymbol(label), p, k, qs, None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fast_sum_matches_reference_sum_on_random_indices(eigensymbol, data):
+    p = data.draw(st.sampled_from([2, 3, 5, 7]), label="p")
+    k = data.draw(st.sampled_from([1, 2]), label="k")
+    labels = [lb for lb in ("37a1", "37b1", "49a1", "11a1") if eigensymbol(lb).denominator % p]
+    label = data.draw(st.sampled_from(labels), label="curve")
+    candidates = [q for q in range(3, 400) if (q - 1) % p ** k == 0 and isprime(q)]
+    qs: list[int] = []
+    for _ in range(data.draw(st.integers(1, 3), label="nu")):
+        room = [q for q in candidates if q not in qs and prod(qs) * q <= 20_000]
+        if not room:
+            break
+        qs.append(data.draw(st.sampled_from(room)))
+    # every primitive root mod q is g^e with e prime to q - 1
+    etas = {}
+    for q in qs:
+        e = data.draw(st.sampled_from([e for e in range(1, q - 1) if gcd(e, q - 1) == 1]))
+        etas[q] = pow(smallest_primitive_root(q), e, q)
+    _assert_matches_reference(eigensymbol(label), p, k, tuple(qs), etas)
+
+
+def test_symbol_is_read_only_where_the_log_weight_is_nonzero(eigensymbol, curve, monkeypatch):
+    # one read per pair {a, n - a}, at a < n/2, and none where w(a) = 0 mod p^t
+    sym = eigensymbol("37a1")
+    indices = build_indices(sieve("cyc", curve("37a1"), 5, 1, 300), max_nu=2, max_n=10 ** 6)
+    pairs = [ix for ix in indices if ix.nu == 2]
+    assert len(pairs) >= 2
+    reads = []
+    evaluate = EigenSymbol.raw_value
+
+    def counted(self, a, b):
+        reads.append((a, b))
+        return evaluate(self, a, b)
+
+    monkeypatch.setattr(EigenSymbol, "raw_value", counted)
+    for ix in pairs:
+        modulus = 5 ** ix.t_n
+        logs = [(f.q, discrete_log_table(f.q, smallest_primitive_root(f.q))) for f in ix.factors]
+        units = [a for a in range(1, (ix.n + 1) // 2) if gcd(a, ix.n) == 1]
+        weighted = [a for a in units if prod(tab[a % q] for q, tab in logs) % modulus]
+        reads.clear()
+        kurihara_number(sym, ix, 5)
+        assert sorted(reads) == [(a, ix.n) for a in weighted]
+        assert len(weighted) < len(units)
+
+
+@pytest.mark.parametrize(
+    "q, v1",
+    [
+        (13, 1),  # 5 does not divide 13 - 1
+        (11, 2),  # 25 does not divide (11 - 1)/2
+    ],
+)
+def test_fold_invariant_is_asserted_at_odd_p(eigensymbol, q, v1):
+    bad = KolyvaginPrime(q=q, family="cyc", v1=v1, v2=v1)
+    with pytest.raises(InternalInvariantError, match=r"\(ell - 1\)/2"):
+        kurihara_number(eigensymbol("37a1"), SquarefreeIndex((bad,)), 5)
 
 
 def test_rejects_wrong_family_and_unit_ideal(eigensymbol):

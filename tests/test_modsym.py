@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from selmerkit import curves, modsym
+from selmerkit import analytic, curves, modsym
 from selmerkit.analytic import cycle_period, numeric_plus, real_periods
 from selmerkit.curves import quadratic_twist, trace_of_frobenius
 from selmerkit.errors import InputError, InternalInvariantError
@@ -36,6 +36,7 @@ from selmerkit.modsym import (
 
 from eigen_oracle import stacked_eigenline
 from lattice_oracle import boundary_rows, cusps_equivalent, generator_ends, lift_to_sl2
+from conftest import CURVES
 from path_oracle import pair_path, path_vector
 
 
@@ -316,6 +317,30 @@ def test_real_periods_against_frozen_values(curve):
     assert abs(om_m37 - 2.45138938198679) < 1e-10
     om_p15, _ = real_periods(curve("15a1"))  # positive discriminant branch
     assert abs(om_p15 - 1.4006030423326021) < 1e-10
+
+
+@pytest.mark.parametrize("label", sorted(CURVES))
+def test_guard_bits_leave_the_sample_periods_unchanged(curve, monkeypatch, label):
+    # polyroots' own 10 extra bits served every sample curve and these
+    # twists; the guard bits must not move a single float there
+    E = curve(label)
+    curves_ = [E] + [quadratic_twist(E, D) for D in (-3, -4, 5) if gcd(D, E.conductor) == 1]
+    now = [real_periods(E) for E in curves_]
+    monkeypatch.setattr(analytic, "_root_guard_bits", lambda E: 10)
+    assert [real_periods(E) for E in curves_] == now
+
+
+def test_close_roots_converge_with_guard_bits(curve, monkeypatch):
+    # Delta = 37: two roots of 4x^3 - g2 x - g3 agree to four digits
+    # (-24.98902 and -24.98875); a 3-isogeny links the curve to 37b1, whose
+    # least real period is three times its own
+    E = curves.EllipticCurve(0, 1, 1, -1873, -31833, conductor=37)
+    om_p, om_m = real_periods(E)
+    om_p37b, om_m37b = real_periods(curve("37b1"))
+    assert abs(om_p37b - 3 * om_p) < 1e-12 and abs(om_m37b - om_m) < 1e-12
+    monkeypatch.setattr(analytic, "_root_guard_bits", lambda E: 10)
+    with pytest.raises(InternalInvariantError, match="did not converge"):
+        real_periods(E)
 
 
 def test_denominator_prime_to_working_primes(eigensymbol):
