@@ -8,7 +8,6 @@ import subprocess
 import sys
 from dataclasses import replace
 
-import mpmath
 import pytest
 
 import selmerkit
@@ -339,9 +338,9 @@ def test_missing_curve_file_exits_2(tmp_path, capsys):
 
 
 def test_curve_with_close_period_roots_exits_4_not_1(tmp_path, capsys):
-    # N = 37, Delta = 37, 3-isogenous to 37b1: its periods once crashed
-    # polyroots with a raw NoConvergence; now the sign pin refuses the model,
-    # which is not X_0(37)-optimal, at numeric/exact ratio 3
+    # N = 37, Delta = 37, 3-isogenous to 37b1: two roots of its cubic agree
+    # to four digits; the sign pin refuses the model, which is not
+    # X_0(37)-optimal, at numeric/exact ratio 3
     curves_file = tmp_path / "curves.jsonl"
     curves_file.write_text(json.dumps(
         {"ainvs": [0, 1, 1, -1873, -31833], "conductor": 37, "label": "37x3", "root_number": 1}
@@ -356,7 +355,6 @@ def test_curve_with_close_period_roots_exits_4_not_1(tmp_path, capsys):
 
 
 def test_cold_multi_curve_batch_matches_single_runs(tmp_path, capsys):
-    dps = mpmath.mp.dps
     labels = ["15a1", "19a1", "37b1"]
     cache = tmp_path / "cache"
     single_argv = ("--p", "7", "--prime-bound", "150", "--cache-dir", str(cache))
@@ -368,7 +366,6 @@ def test_cold_multi_curve_batch_matches_single_runs(tmp_path, capsys):
     assert code == 0 and "Traceback" not in err
     batch = json.loads(out)
     assert [r["curve"]["label"] for r in batch["reports"]] == labels
-    assert mpmath.mp.dps == dps
     for label, report in zip(labels, batch["reports"]):
         alone = run_pipeline(sample_record(label), RunConfig(p=7, prime_bound=150))
         assert render_report(report) == render_report(alone)

@@ -1,9 +1,11 @@
-"""No module of the package imports a name it never uses, no private
+"""No module of the package imports anything but the standard library and
+its own modules, no module imports a name it never uses, no private
 function or method of the package goes without a caller, no module-level
 constant goes unread, and no parameter default goes without a call that
 overrides it."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,6 +46,31 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Top-level names of the absolute imports that are not standard library
+    modules; relative imports (of the package's own modules) are skipped."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return sorted(names - sys.stdlib_module_names)
+
+
+def test_the_check_sees_a_foreign_import():
+    source = (
+        "from __future__ import annotations\nimport os.path\nimport mpmath as mp\n"
+        "from . import curves\nfrom .errors import InputError\nfrom numpy.linalg import det\n"
+    )
+    assert foreign_imports(source) == ["mpmath", "numpy"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_module_imports_only_the_standard_library(path):
+    assert foreign_imports(path.read_text(encoding="utf-8")) == []
 
 
 def uncalled_private_functions(sources: list[str]) -> list[str]:

@@ -17,6 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from selmerkit import analytic, curves, modsym
+from selmerkit.arith import is_fundamental_discriminant
 from selmerkit.analytic import cycle_period, numeric_plus, real_periods
 from selmerkit.curves import quadratic_twist, trace_of_frobenius
 from selmerkit.errors import InputError, InternalInvariantError
@@ -34,6 +35,7 @@ from selmerkit.modsym import (
     psi_index,
 )
 
+import period_oracle
 from eigen_oracle import stacked_eigenline
 from lattice_oracle import boundary_rows, cusps_equivalent, generator_ends, lift_to_sl2
 from conftest import CURVES
@@ -319,15 +321,52 @@ def test_real_periods_against_frozen_values(curve):
     assert abs(om_p15 - 1.4006030423326021) < 1e-10
 
 
-@pytest.mark.parametrize("label", sorted(CURVES))
-def test_guard_bits_leave_the_sample_periods_unchanged(curve, monkeypatch, label):
-    # polyroots' own 10 extra bits served every sample curve and these
-    # twists; the guard bits must not move a single float there
-    E = curve(label)
-    curves_ = [E] + [quadratic_twist(E, D) for D in (-3, -4, 5) if gcd(D, E.conductor) == 1]
-    now = [real_periods(E) for E in curves_]
-    monkeypatch.setattr(analytic, "_root_guard_bits", lambda E: 10)
-    assert [real_periods(E) for E in curves_] == now
+# the data curves: the samples and the two of data/large_conductor.jsonl
+DATA_CURVES = {
+    **CURVES,
+    "389a1": curves.EllipticCurve(0, 1, 1, -2, 0, conductor=389, label="389a1"),
+    "5077a1": curves.EllipticCurve(0, 0, 1, -7, 6, conductor=5077, label="5077a1"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(DATA_CURVES))
+def test_guard_bits_leave_the_sample_periods_unchanged(label):
+    # the bisected periods give the very floats of mpmath's polyroots at 30
+    # digits on each data curve and its twists by fundamental D, |D| <= 40,
+    # D prime to N: 283 curves in all, with the close-root curve below 284
+    E = DATA_CURVES[label]
+    twists = [
+        quadratic_twist(E, D)
+        for D in range(-40, 41)
+        if is_fundamental_discriminant(D) and gcd(D, E.conductor) == 1
+    ]
+    for F in [E, *twists]:
+        assert real_periods(F) == period_oracle.real_periods(F), F.ainvs
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    a1=st.integers(0, 1), a2=st.integers(-1, 1), a3=st.integers(0, 1),
+    a4=st.integers(-3000, 3000), a6=st.integers(-30000, 30000),
+)
+def test_periods_agree_with_mpmath_at_60_digits(a1, a2, a3, a4, a6):
+    try:
+        E = curves.EllipticCurve(a1, a2, a3, a4, a6, conductor=1)
+    except InputError:  # singular
+        assume(False)
+    assert real_periods(E) == period_oracle.real_periods(E, dps=60)
+
+
+@pytest.mark.parametrize("bits", [40, 53, 100])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_near_double_roots_agree_with_mpmath_at_200_digits(bits, sign):
+    # x^3 - 3t^2 x + 2t^3 = (x - t)^2 (x + 2t); moving a6 by one splits the
+    # double root at t by about t^-1/2 (Delta = -/+ 432 (4t^3 +- 1)), so R / gap
+    # is about t^(3/2) and only the guard bits resolve the roots.  At sign 1,
+    # mpmath at 60 digits loses 2a + 3 e1 to cancellation from t = 2^53 on
+    t = 1 << bits
+    E = curves.EllipticCurve(0, 0, 0, -3 * t * t, 2 * t**3 + sign, conductor=1)
+    assert real_periods(E) == period_oracle.real_periods(E, dps=200)
 
 
 def test_close_roots_converge_with_guard_bits(curve, monkeypatch):
@@ -336,10 +375,13 @@ def test_close_roots_converge_with_guard_bits(curve, monkeypatch):
     # least real period is three times its own
     E = curves.EllipticCurve(0, 1, 1, -1873, -31833, conductor=37)
     om_p, om_m = real_periods(E)
+    assert (om_p, om_m) == (0.3628405309680764, 1.7676106702337895)
     om_p37b, om_m37b = real_periods(curve("37b1"))
     assert abs(om_p37b - 3 * om_p) < 1e-12 and abs(om_m37b - om_m) < 1e-12
-    monkeypatch.setattr(analytic, "_root_guard_bits", lambda E: 10)
-    with pytest.raises(InternalInvariantError, match="did not converge"):
+    # bisected only to the integers, the two close roots share a cell: the
+    # missing sign change is refused, and no decimal exception escapes
+    monkeypatch.setattr(analytic, "PERIOD_DIGITS", -1000)
+    with pytest.raises(InternalInvariantError, match=r"bisection: 1 real root\(s\)"):
         real_periods(E)
 
 
