@@ -40,7 +40,6 @@ __all__ = [
     "is_squarefree",
     "is_fundamental_discriminant",
     "smallest_primitive_root",
-    "primitive_roots",
     "sqrt_mod_prime",
 ]
 
@@ -313,20 +312,6 @@ def smallest_primitive_root(ell: int) -> int:
     while not _is_primitive_root(g, ell, qs):
         g += 1
     return g
-
-
-def primitive_roots(ell: int, count: int) -> list[int]:
-    """The `count` smallest primitive roots modulo ell."""
-    qs = list(factorint(ell - 1))
-    out = []
-    g = 2
-    while len(out) < count:
-        if g >= ell:
-            raise ValueError(f"fewer than {count} primitive roots mod {ell}")
-        if _is_primitive_root(g, ell, qs):
-            out.append(g)
-        g += 1
-    return out
 
 
 def sqrt_mod_prime(a: int, q: int) -> int:

@@ -343,13 +343,14 @@ def _hypothesis_gate(record: CurveRecord, p: int) -> list[str]:
 
 
 def _estimate_evaluations(indices) -> int:
-    # the region size: sum n over the indices, plus one discrete-log table
-    # per prime.  An upper bound, not the count of evaluations made, since
-    # kurihara_number reads the symbol only at units with a nonzero log weight
-    # and once per pair {a, n - a}; the report states this figure as is
+    # the region size: sum n over the indices, plus the sum of the distinct
+    # factors ell, the length of one walk of eta mod each.  An upper bound,
+    # not the count of evaluations made, since kurihara_number reads the
+    # symbol only at units with a nonzero log weight and once per pair
+    # {a, n - a}; the report states this figure as is
     evaluations = sum(ix.n for ix in indices)
-    tables = sum({f.q for ix in indices for f in ix.factors})
-    return evaluations + tables
+    walks = sum({f.q for ix in indices for f in ix.factors})
+    return evaluations + walks
 
 
 def _gather(record: CurveRecord, config: RunConfig) -> tuple[dict, DeltaStats]:

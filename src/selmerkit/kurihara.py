@@ -10,18 +10,18 @@ is ever reported as a statistic.
 
 The sum visits only the units whose log weight w(a) = prod log_{eta_ell}(a)
 is nonzero mod p^{t_n}, and it computes the weight before the symbol.  w(a)
-depends only on the residues a mod ell, so each factor lists the r with
-log(r) nonzero mod p^{t_n}, paired with the lift r * e_ell of r by the CRT
-idempotent e_ell; the walk over the product of these lists meets every such
-unit once, and every point of it is a unit.  Since log(-1) = (ell - 1)/2,
-w(n - a) = w(a) as soon as p^{t_n} divides every (ell - 1)/2.  For odd p,
-t_n <= v_p(ell - 1) guarantees this, so the first factor lists only
-r <= (ell - 1)/2, one member of each pair {a, n - a}, and the sum doubles.
-At p = 2 it holds only when 2^{t_n + 1} divides every ell - 1; otherwise
-the lists stay whole.  Either way the symbol is read at min(a, n - a), since
-[(n - a)/n]+ = [a/n]+ for every p: translation by 1 fixes modular symbols,
-and [-x]+ = [x]+ because the plus functional is star-invariant
-(EigenSymbol asserts it).
+depends only on the residues a mod ell, and the log of eta^e is e, so one
+walk of the powers of eta lists each factor's (e mod p^{t_n}, eta^e * e_ell)
+with e nonzero mod p^{t_n}, where e_ell is the CRT idempotent; the walk over
+the product of these lists meets every such unit once, and every point of it
+is a unit.  Since log(-1) = (ell - 1)/2, w(n - a) = w(a) as soon as p^{t_n}
+divides every (ell - 1)/2.  For odd p, t_n <= v_p(ell - 1) guarantees this,
+so the first factor lists only the powers eta^e <= (ell - 1)/2, one member
+of each pair {a, n - a}, and the sum doubles.  At p = 2 it holds only when
+2^{t_n + 1} divides every ell - 1; otherwise the lists stay whole.  Either
+way the symbol is read at min(a, n - a), since [(n - a)/n]+ = [a/n]+ for
+every p: translation by 1 fixes modular symbols, and [-x]+ = [x]+ because
+the plus functional is star-invariant (EigenSymbol asserts it).
 
 A finite search region can certify "ord <= nu(n)" by exhibiting a nonzero
 delta_n, and can report stratum minima of valuations, but the true
@@ -40,32 +40,8 @@ from .errors import HypothesisError, InputError, InternalInvariantError
 from .modsym import EigenSymbol
 from .sieves import DEFAULT_VALUATION_CAP, SquarefreeIndex
 
-DISCRETE_LOG_TABLE_LIMIT = 10 ** 6
-
-
-def discrete_log_table(ell: int, eta: int) -> list[int]:
-    """table[a] = log_eta(a) in [0, ell-1) for 1 <= a < ell; table[0] = -1.
-
-    Built by one walk of the full cycle eta, eta^2, ..., which doubles as
-    the primitivity check: a proper subgroup walk revisits 1 early.
-    """
-    if not isprime(ell):
-        raise InputError(f"ell = {ell} is not prime")
-    if ell >= DISCRETE_LOG_TABLE_LIMIT:
-        raise InputError(f"log table at ell = {ell} exceeds the size limit")
-    eta %= ell
-    if eta == 0:
-        raise InputError("eta must be a unit")
-    table = [-1] * ell
-    x = 1
-    for e in range(ell - 1):
-        if table[x] != -1:
-            raise InputError(f"eta = {eta} is not a primitive root mod {ell}")
-        table[x] = e
-        x = x * eta % ell
-    if x != 1:
-        raise InputError(f"eta = {eta} is not a primitive root mod {ell}")
-    return table
+# a factor ell at or past this is refused: its list holds up to ell - 1 entries
+FACTOR_PRIME_LIMIT = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -122,17 +98,18 @@ def kurihara_number(
     valuation and saturation are unit-independent.
 
     Every n takes one path, mod p^t with t = t_n, or t the valuation cap at
-    n = 1, where I_1 = (0) and delta_1 lives in Z_p itself.  The sum walks
-    the product of the per-factor lists of (log(r) mod p^t, CRT lift of r)
-    with log(r) nonzero, lazily, and skips a term whose weight, the product
-    of the logs, is 0 mod p^t (possible at t >= 2).  When p^t divides
-    (ell - 1)/2 at every factor the first list stops at (ell - 1)/2 and the
-    total doubles; odd p guarantees it (InternalInvariantError otherwise),
-    and at p = 2 the lists stay whole where it fails.  The symbol is read
-    at min(a, n - a).  n is odd (each prime factor is 1 mod p), so no unit
-    a > 0 is its own partner; at n = 1 the product is a single empty term,
-    a = 0, and the sum is raw(0, 1).  The sign and the denominator are
-    applied once to the total.
+    n = 1, where I_1 = (0) and delta_1 lives in Z_p itself.  One walk of
+    x = eta^e, e = 1 .. ell - 2, per factor lists (e mod p^t, x * e_ell mod n)
+    for e nonzero mod p^t, and refuses eta at once if x returns to 1 early;
+    the sum walks the product of these lists lazily and skips a term whose
+    weight, the product of the logs, is 0 mod p^t (possible at t >= 2).
+    When p^t divides (ell - 1)/2 at every factor the first list keeps only
+    x <= (ell - 1)/2 and the total doubles; odd p guarantees it
+    (InternalInvariantError otherwise), and at p = 2 the lists stay whole
+    where it fails.  The symbol is read at min(a, n - a).  n is odd (each
+    prime factor is 1 mod p), so no unit a > 0 is its own partner; at n = 1
+    the product is a single empty term, a = 0, and the sum is raw(0, 1).  The
+    sign and the denominator are applied once to the total.
     """
     if index.family not in (None, "cyc"):
         raise InputError(f"Kurihara numbers need cyc indices, got {index.family}")
@@ -147,30 +124,37 @@ def kurihara_number(
     if n % 2 == 0:
         raise InternalInvariantError(f"cyc index n = {n} is even; a and n - a would collide")
 
-    chosen: list[tuple[int, int]] = []
-    logs: list[tuple[int, list[int]]] = []
-    for f in index.factors:
-        eta = (etas or {}).get(f.q) or smallest_primitive_root(f.q)
-        chosen.append((f.q, eta))
-        logs.append((f.q, discrete_log_table(f.q, eta)))
-
     # log_eta(-1) = (ell - 1)/2, so w(n - a) = w(a) once p^t divides it at
     # every factor; t_n <= v_p(ell - 1) makes that so for odd p
-    fold = bool(logs) and all((ell - 1) // 2 % modulus == 0 for ell, _ in logs)
-    if logs and not fold and p != 2:
+    fold = n > 1 and all((f.q - 1) // 2 % modulus == 0 for f in index.factors)
+    if n > 1 and not fold and p != 2:
         raise InternalInvariantError(
             f"p^{t} does not divide (ell - 1)/2 at every factor of n = {n}"
         )
+    chosen: list[tuple[int, int]] = []
     residues = []
-    for i, (ell, tab) in enumerate(logs):
+    for i, f in enumerate(index.factors):
+        ell = f.q
+        if not isprime(ell):
+            raise InputError(f"ell = {ell} is not prime")
+        if ell >= FACTOR_PRIME_LIMIT:
+            raise InputError(f"ell = {ell} reaches the factor limit {FACTOR_PRIME_LIMIT}")
+        eta = etas[ell] if etas and ell in etas else smallest_primitive_root(ell)
+        if eta % ell == 0:
+            raise InputError(f"eta = {eta} is not a unit mod {ell}")
+        chosen.append((ell, eta))
         cofactor = n // ell
         idempotent = cofactor * pow(cofactor, -1, ell)
-        top = (ell + 1) // 2 if fold and i == 0 else ell
-        residues.append([
-            (log_r, r * idempotent % n)
-            for r in range(1, top)
-            if (log_r := tab[r] % modulus)
-        ])
+        top = (ell - 1) // 2 if fold and i == 0 else ell
+        powers = []
+        x = eta % ell
+        for e in range(1, ell - 1):
+            if x == 1:
+                raise InputError(f"eta = {eta} is not a primitive root mod {ell}")
+            if e % modulus and x <= top:
+                powers.append((e % modulus, x * idempotent % n))
+            x = x * eta % ell
+        residues.append(powers)
 
     if sym.denominator % p == 0:
         raise HypothesisError(

@@ -76,14 +76,6 @@ def sparse_nullspace(rows, ncols):
     queue = [(len(r), i) for i, r in enumerate(active)]
     heapify(queue)
 
-    def _unlink(i, cols):
-        for c in cols:
-            s = col_rows.get(c)
-            if s is not None:
-                s.discard(i)
-                if not s:
-                    del col_rows[c]
-
     while queue:
         # pivot on the sparsest unprocessed row; rows reduced to zero never return
         size, i = heappop(queue)
@@ -114,7 +106,10 @@ def sparse_nullspace(rows, ncols):
                     if w:
                         new[c] = w
             new = strip_content(new)
-            _unlink(j, set(other) - set(new))
+            # a column leaves row j only by cancelling against the pivot row,
+            # which keeps it, so its row set never empties
+            for c in set(other) - set(new):
+                col_rows[c].discard(j)
             for c in set(new) - set(other):
                 col_rows.setdefault(c, set()).add(j)
             active[j] = new

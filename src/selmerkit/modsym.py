@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
+from .analytic import cycle_period
 from .arith import divisors, factorint, kronecker_symbol, primerange, totient
 from .curves import EllipticCurve, trace_of_frobenius
 from .errors import AmbiguityError, InputError, InternalInvariantError
@@ -228,18 +229,18 @@ class ManinSpace:
 
         A functional f goes to (T_q f)_i = sum of mult * f_j over images[i]
         (Merel's matrices of determinant q acting on the symbol (c : d)).
-        Each image pair is looked up in p1_table; pairs that are not points of
-        P^1(Z/N) (entry -1) contribute nothing.
+        Each image pair is looked up in p1_table.  A q dividing N is refused:
+        the same matrices then give neither T_q nor U_q.
         """
         N, tab = self.N, self.p1_table
+        if N % q == 0:
+            raise InputError(f"T_q needs q prime to the level; q = {q} divides N = {N}")
         mats = _merel_matrices(q)
         images = []
         for c, d in self.p1_reps:
             counts: dict[int, int] = {}
             for a, b, cc, dd in mats:
                 j = tab[(c * a + d * cc) % N * N + (c * b + d * dd) % N]
-                if j < 0:
-                    continue
                 counts[j] = counts.get(j, 0) + 1
             images.append(list(counts.items()))
         return images
@@ -322,8 +323,6 @@ def _eigen_cut(V: list[list[int]], images, eigenvalue: int) -> list[list[int]]:
     only to the vectors of V, and the combinations x with sum x_k (A - ev) V_k
     = 0 are the kernel of that n x |V| integer system.
     """
-    if not V:
-        return []
     n = len(V[0])
     rows = [{} for _ in range(n)]
     for k, v in enumerate(V):
@@ -414,8 +413,6 @@ def isolate_eigensymbol(E: EllipticCurve, space: ManinSpace | None = None) -> Ei
     proven error bound.  The pin needs the exact value to exceed twice the
     bound, and the pinned value must then lie within the bound.
     """
-    from .analytic import cycle_period
-
     N = E.conductor
     if space is None:
         space = build_manin_space(N)

@@ -10,9 +10,8 @@ import itertools
 import random
 import time
 from fractions import Fraction
-from math import gcd
 
-from sympy import jacobi_symbol, kronecker_symbol, primerange, primitive_root
+from sympy import jacobi_symbol, kronecker_symbol, primerange
 
 from selmerkit.analytic import numeric_plus
 from selmerkit.bipartite_algebra import (
@@ -43,6 +42,8 @@ from selmerkit.selmer_predict import (
     synthetic_delta_stats,
 )
 from selmerkit.sieves import build_indices, sieve
+
+from log_oracle import three_primitive_roots
 
 RECORDS = {r.label: r for r in ingest("data/sample_curves.jsonl")}
 
@@ -132,16 +133,6 @@ def test_criterion_03_twist_traces_follow_the_character():
     _passline(3, f"5 pairs, {checked} good primes below 1000, {time.monotonic() - t0:.1f}s")
 
 
-def _three_primitive_roots(q):
-    # distinct primitive roots g^e for the first three e coprime to q - 1;
-    # sieved primes satisfy q = 1 mod 5, so phi(q - 1) >= 3 always holds
-    g = primitive_root(q)
-    exps = [e for e in range(1, q - 1) if gcd(e, q - 1) == 1][:3]
-    roots = [pow(g, e, q) for e in exps]
-    assert len(set(roots)) == 3
-    return roots
-
-
 def test_criterion_04_valuations_ignore_primitive_root_choice():
     t0 = time.monotonic()
     total_indices = 0
@@ -159,7 +150,7 @@ def test_criterion_04_valuations_ignore_primitive_root_choice():
         for ix in indices:
             choices = []
             for which in range(3):
-                etas = {f.q: _three_primitive_roots(f.q)[which] for f in ix.factors}
+                etas = {f.q: three_primitive_roots(f.q)[which] for f in ix.factors}
                 choices.append(kurihara_number(sym, ix, 5, etas=etas))
             assert len({kn.valuation for kn in choices}) == 1
             assert len({kn.saturated for kn in choices}) == 1

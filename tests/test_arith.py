@@ -29,7 +29,6 @@ from selmerkit.arith import (
     kronecker_symbol,
     padic_valuation,
     primerange,
-    primitive_roots,
     smallest_primitive_root,
     sqrt_mod_prime,
     totient,
@@ -93,19 +92,6 @@ def test_squarefree():
 def test_smallest_primitive_root_matches_sympy():
     for ell in primerange(3, 200):
         assert smallest_primitive_root(ell) == sympy_primitive_root(ell)
-
-
-def test_primitive_roots_are_primitive():
-    for ell in (11, 13, 23):
-        roots = primitive_roots(ell, 3)
-        assert len(roots) == 3 and len(set(roots)) == 3
-        for g in roots:
-            seen = set()
-            t = 1
-            for _ in range(ell - 1):
-                t = t * g % ell
-                seen.add(t)
-            assert len(seen) == ell - 1
 
 
 @settings(max_examples=120)

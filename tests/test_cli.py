@@ -274,7 +274,7 @@ def test_cache_warm_equals_cold(tmp_path):
     assert entry_body(files[0]) == render_report(cold)
 
 
-def test_unreadable_cache_entry_is_recomputed(tmp_path, capsys):
+def test_unreadable_cache_entry_is_recomputed(tmp_path, capsys, caplog):
     argv = (
         "predict", "--curves", SAMPLE, "--label", "11a1", "--p", "7",
         "--prime-bound", "150", "--cache-dir", str(tmp_path / "cache"),
@@ -294,11 +294,16 @@ def test_unreadable_cache_entry_is_recomputed(tmp_path, capsys):
         "not UTF-8": b"\xff\xfe\x00garbage",
         "not an object": b"[1, 2]\n",
         "checksummed, not a report": hashlib.sha256(b"{}\n").hexdigest().encode() + b"\n{}\n",
+        "checksummed, not JSON": hashlib.sha256(b"not json\n").hexdigest().encode() + b"\nnot json\n",
+        "checksummed, not UTF-8": hashlib.sha256(b"\xff\xfe{}\n").hexdigest().encode() + b"\n\xff\xfe{}\n",
     }
     for what, damaged in damaged_entries.items():
         entry.write_bytes(damaged)
-        code, warm, err = run_main(capsys, *argv)
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="selmerkit.cli"):
+            code, warm, err = run_main(capsys, *argv)
         assert code == 0 and "Traceback" not in err, what
+        assert "fails its checksum or is not a report; recomputing" in caplog.text, what
         assert warm == cold, what
         assert entry.read_bytes() == digest + b"\n" + cold.encode(), what
 
@@ -500,6 +505,105 @@ def test_exit_code_bad_label(capsys):
         capsys, "predict", "--curves", SAMPLE, "--label", "nope", "--p", "7",
     )
     assert code == 2 and "nope" in err
+
+
+def write_curves(path, *records):
+    """A curve file of the given record dicts, one JSON line each."""
+    path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+    return str(path)
+
+
+def edited_record(label, **changes):
+    """The sample record's JSON dict, with the given fields replaced."""
+    return {**sample_record(label).to_json_dict(), **changes}
+
+
+def test_blank_and_whitespace_lines_are_skipped(tmp_path, capsys):
+    lines = [json.dumps(sample_record(label).to_json_dict()) for label in ("11a1", "37a1")]
+    path = tmp_path / "spaced.jsonl"
+    path.write_text("\n" + lines[0] + "\n   \n\t\n" + lines[1] + "\n\n")
+    assert [r.label for r in ingest(str(path))] == ["11a1", "37a1"]
+    region = ("--label", "37a1", "--p", "5", "--prime-bound", "100")
+    code, out, err = run_main(capsys, "sieve", "--curves", str(path), *region)
+    assert code == 0 and err == ""
+    assert out == run_main(capsys, "sieve", "--curves", SAMPLE, *region)[1]
+
+
+def test_gz_without_a_root_number_exits_2_before_any_pipeline(tmp_path, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a pipeline ran before the root number was checked")
+
+    monkeypatch.setattr(cli, "run_pipeline", no_run)
+    record = edited_record("37a1")
+    del record["root_number"]
+    # 37 splits in Q(sqrt(-3)), which selects the Heegner dictionary
+    code, out, err = run_main(
+        capsys, "gz", "--curves", write_curves(tmp_path / "c.jsonl", record),
+        "--label", "37a1", "--p", "5", "--DK", "-3", "--prime-bound", "150",
+    )
+    assert code == 2 and out == ""
+    assert "37a1: the indefinite dictionary needs root_number in the record" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("gz", "--label", "37a1", "--p", "5"), "this subcommand needs --DK"),
+    (("delta", "--label", "11a1", "--label", "37a1", "--p", "7"),
+     "this subcommand works on one curve; got 2, select with --label"),
+    (("predict", "--label", "11a1", "--p", "7", "--max-evaluations", "0"),
+     "max_evaluations must be positive"),
+    (("predict", "--label", "11a1", "--p", "7", "--max-nu", "-1"), "degenerate region bounds"),
+], ids=["gz-without-DK", "delta-two-labels", "max-evaluations-0", "max-nu-negative"])
+def test_bad_option_exits_2_with_its_message(capsys, monkeypatch, argv, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("an eigensymbol was computed for a refused command")
+
+    monkeypatch.setattr(cli, "isolate_eigensymbol", no_work)
+    code, out, err = run_main(capsys, argv[0], "--curves", SAMPLE, *argv[1:])
+    assert code == 2 and out == ""
+    assert f"error: {message}" in err and "Traceback" not in err
+
+
+def test_out_naming_a_directory_exits_2(tmp_path, capsys):
+    code, out, err = run_main(
+        capsys, "sieve", "--curves", SAMPLE, "--label", "11a1", "--p", "7",
+        "--prime-bound", "150", "--out", str(tmp_path),
+    )
+    assert code == 2 and out == ""
+    assert f"error: cannot write {tmp_path}: " in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_condition_cr_asserted_false_is_noted(tmp_path, capsys):
+    flags = {"7": {"condition_cr": False, "manin_ok": True, "surjective": True}}
+    path = write_curves(tmp_path / "c.jsonl", edited_record("11a1", p_flags=flags))
+    code, out, _ = run_main(capsys, "predict", "--curves", path, "--p", "7", "--prime-bound", "150")
+    assert code == 0
+    assert json.loads(out)["hypothesis_notes"] == ["condition_cr asserted false at p = 7"]
+
+
+def test_unknown_p_flags_key_strict_vs_lenient(tmp_path, capsys, caplog):
+    flags = {"7": {"colour": True, "manin_ok": True, "surjective": True}}
+    path = write_curves(tmp_path / "c.jsonl", edited_record("11a1", p_flags=flags))
+    argv = ("predict", "--curves", path, "--p", "7", "--prime-bound", "150")
+    code, out, err = run_main(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "unknown p_flags keys ['colour'] at p = 7" in err
+    with caplog.at_level("WARNING", logger="selmerkit.cli"):
+        code, out, _ = run_main(capsys, *argv, "--lenient")
+    assert code == 0 and json.loads(out)["kind"] == "pipeline"
+    assert "unknown p_flags keys ['colour'] at p = 7" in caplog.text
+
+
+def test_gz_at_a_small_p_carries_the_taint(capsys):
+    code, out, _ = run_main(
+        capsys, "gz", "--curves", SAMPLE, "--label", "37a1", "--DK", "-4", "--p", "3",
+        "--allow-small-p", "--prime-bound", "200",
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["branch"] == "heegner"
+    assert report["taint"] == report["curve"]["taint"]
+    assert "p = 3 violates the standing hypothesis" in report["taint"]
 
 
 def test_waldspurger_subcommand_and_branch_guard(capsys, tmp_path, monkeypatch):

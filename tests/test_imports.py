@@ -1,8 +1,8 @@
 """No module of the package imports anything but the standard library and
-its own modules, no module imports a name it never uses, no private
-function or method of the package goes without a caller, no module-level
-constant goes unread, and no parameter default goes without a call that
-overrides it."""
+its own modules, no module imports a name it never uses or imports inside a
+function (the package's lazy cli names aside), no private function or method
+of the package goes without a caller, no module-level constant goes unread,
+and no parameter default goes without a call that overrides it."""
 
 import ast
 import sys
@@ -71,6 +71,41 @@ def test_the_check_sees_a_foreign_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_module_imports_only_the_standard_library(path):
     assert foreign_imports(path.read_text(encoding="utf-8")) == []
+
+
+def function_level_imports(source: str) -> list[str]:
+    """`function: import` for each import statement inside a function body."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += [
+                f"{node.name}: {ast.unparse(inner)}"
+                for inner in ast.walk(node)
+                if isinstance(inner, (ast.Import, ast.ImportFrom))
+            ]
+    return found
+
+
+def test_the_check_sees_a_function_level_import():
+    source = (
+        "import os\n"
+        "def f():\n    from .analytic import cycle_period\n    return os.sep\n"
+        "class A:\n    def m(self):\n        import json\n"
+    )
+    assert function_level_imports(source) == [
+        "f: from .analytic import cycle_period",
+        "m: import json",
+    ]
+
+
+# the package loads the cli on the first use of a cli name, so that
+# `python -m selmerkit.cli` does not find it already imported
+LAZY_IMPORTS = {"__init__.py": ["__getattr__: from . import cli"]}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_module_imports_at_the_top(path):
+    assert function_level_imports(path.read_text(encoding="utf-8")) == LAZY_IMPORTS.get(path.name, [])
 
 
 def uncalled_private_functions(sources: list[str]) -> list[str]:

@@ -1,4 +1,4 @@
-"""Kurihara numbers: discrete logs, residues, and region statistics.
+"""Kurihara numbers: the discrete-log oracle, residues, and region statistics.
 
 The frozen residues below come from this pipeline and are pinned by
 independent structure: delta_1 must be the p-adic image of the exact
@@ -22,7 +22,6 @@ from selmerkit.kurihara import (
     KuriharaNumber,
     RegionSpec,
     delta_stats,
-    discrete_log_table,
     kurihara_number,
 )
 from selmerkit.modsym import EigenSymbol
@@ -30,6 +29,7 @@ from selmerkit.selmer_predict import ModuleShape, synthetic_delta_stats
 from selmerkit.sieves import DEFAULT_VALUATION_CAP, KolyvaginPrime, SquarefreeIndex, build_indices, sieve
 
 from conftest import CURVES
+from log_oracle import discrete_log_table, three_primitive_roots
 from path_oracle import pair_path
 
 
@@ -37,7 +37,7 @@ def region(p, k=1, prime_bound=500, max_nu=2, max_n=10 ** 6, label=""):
     return RegionSpec(p=p, k=k, prime_bound=prime_bound, max_nu=max_nu, max_n=max_n, label=label)
 
 
-# -- discrete logarithm tables ------------------------------------------------
+# -- the discrete-logarithm oracle --------------------------------------------
 
 
 def test_log_table_tiny():
@@ -61,17 +61,6 @@ def test_log_table_brute_force_spot_check():
         x = x * 2 % 29
         e += 1
     assert t[5] == e
-
-
-def test_log_table_rejects_non_primitive():
-    with pytest.raises(InputError):
-        discrete_log_table(29, 4)  # 4 = 2^2 generates the even-log subgroup
-    with pytest.raises(InputError):
-        discrete_log_table(29, 0)
-    with pytest.raises(InputError):
-        discrete_log_table(30, 7)  # not prime
-    with pytest.raises(InputError):
-        discrete_log_table(7, 2)  # order 3 < 6
 
 
 @settings(max_examples=25, deadline=None)
@@ -185,8 +174,6 @@ def test_frozen_value_at_depth_two_modulus(eigensymbol, curve):
 
 
 def test_unit_independence_of_valuations(eigensymbol, curve):
-    from selmerkit.arith import primitive_roots
-
     sym = eigensymbol("37a1")
     primes = sieve("cyc", curve("37a1"), 5, 1, 700)
     idxs = [ix for ix in build_indices(primes, max_nu=2, max_n=10 ** 5) if ix.n > 1]
@@ -194,7 +181,7 @@ def test_unit_independence_of_valuations(eigensymbol, curve):
     for ix in idxs:
         runs = []
         for which in range(3):
-            etas = {f.q: primitive_roots(f.q, 3)[which] for f in ix.factors}
+            etas = {f.q: three_primitive_roots(f.q)[which] for f in ix.factors}
             runs.append(kurihara_number(sym, ix, 5, etas=etas))
         assert len({kn.valuation for kn in runs}) == 1
         assert len({kn.saturated for kn in runs}) == 1
@@ -382,6 +369,26 @@ def test_fold_invariant_is_asserted_at_odd_p(eigensymbol, q, v1):
     bad = KolyvaginPrime(q=q, family="cyc", v1=v1, v2=v1)
     with pytest.raises(InternalInvariantError, match=r"\(ell - 1\)/2"):
         kurihara_number(eigensymbol("37a1"), SquarefreeIndex((bad,)), 5)
+
+
+@pytest.mark.parametrize(
+    "p, q, eta, message",
+    [
+        # 4 = 2^2 generates the even-log subgroup
+        pytest.param(7, 29, 4, "not a primitive root", id="square"),
+        # order 3 = (7 - 1)/2: a walk of e < (ell - 1)/2 alone would accept it
+        pytest.param(3, 7, 2, "not a primitive root", id="half-order"),
+        pytest.param(7, 29, 0, "not a unit", id="zero"),
+        pytest.param(7, 29, 29, "not a unit", id="ell"),
+        pytest.param(5, 21, None, "not prime", id="composite"),
+        pytest.param(3, 1_000_003, None, "factor limit", id="past-the-limit"),
+    ],
+)
+def test_kurihara_number_refuses_a_bad_factor_or_eta(eigensymbol, p, q, eta, message):
+    ix = SquarefreeIndex((KolyvaginPrime(q=q, family="cyc", v1=1, v2=1),))
+    etas = None if eta is None else {q: eta}
+    with pytest.raises(InputError, match=message):
+        kurihara_number(eigensymbol("37a1"), ix, p, etas=etas)
 
 
 def test_rejects_wrong_family_and_unit_ideal(eigensymbol):

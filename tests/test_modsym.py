@@ -183,6 +183,13 @@ def test_hecke_images_preserve_the_functional_space(N):
             assert _satisfies_manin_relations(sp, _apply(images, f))
 
 
+def test_hecke_images_refuse_a_q_dividing_the_level():
+    # Merel's matrices of determinant q are not T_q (nor U_q) when q | N
+    for N, q in ((11, 11), (26, 2), (26, 13)):
+        with pytest.raises(InputError, match=f"q = {q} divides N = {N}"):
+            ManinSpace(N).hecke_images(q)
+
+
 def test_star_commutes_with_hecke():
     for N in (11, 37):
         sp = build_manin_space(N)
