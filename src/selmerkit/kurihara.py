@@ -18,7 +18,8 @@ is a unit.  Since log(-1) = (ell - 1)/2, w(n - a) = w(a) as soon as p^{t_n}
 divides every (ell - 1)/2.  For odd p, t_n <= v_p(ell - 1) guarantees this,
 so the first factor lists only the powers eta^e <= (ell - 1)/2, one member
 of each pair {a, n - a}, and the sum doubles.  At p = 2 it holds only when
-2^{t_n + 1} divides every ell - 1; otherwise the lists stay whole.  Either
+2^{t_n + 1} divides every ell - 1; otherwise the lists stay whole, and the
+weights of each pair are summed before the symbol is read once.  Either
 way the symbol is read at min(a, n - a), since [(n - a)/n]+ = [a/n]+ for
 every p: translation by 1 fixes modular symbols, and [-x]+ = [x]+ because
 the plus functional is star-invariant (EigenSymbol asserts it).
@@ -106,8 +107,9 @@ def kurihara_number(
     When p^t divides (ell - 1)/2 at every factor the first list keeps only
     x <= (ell - 1)/2 and the total doubles; odd p guarantees it
     (InternalInvariantError otherwise), and at p = 2 the lists stay whole
-    where it fails.  The symbol is read at min(a, n - a).  n is odd (each
-    prime factor is 1 mod p), so no unit a > 0 is its own partner; at n = 1
+    where it fails, and the weights of each pair are summed before its one
+    read.  The symbol is read at min(a, n - a).  n is odd (each prime factor
+    is 1 mod p), so no unit a > 0 is its own partner; at n = 1
     the product is a single empty term, a = 0, and the sum is raw(0, 1).  The
     sign and the denominator are applied once to the total.
     """
@@ -164,16 +166,31 @@ def kurihara_number(
     dinv = pow(sym.denominator, -1, modulus)
     raw_value = sym.raw_value
     total = 0
-    for term in product(*residues):
-        w, a = 1, 0
-        for log_r, lift in term:
-            w = w * log_r % modulus
-            a += lift
-        if w:
-            a %= n
-            total += raw_value(min(a, n - a), n) * w
     if fold:
+        for term in product(*residues):
+            w, a = 1, 0
+            for log_r, lift in term:
+                w = w * log_r % modulus
+                a += lift
+            if w:
+                a %= n
+                total += raw_value(min(a, n - a), n) * w
         total *= 2
+    else:
+        # both members of a pair can carry a nonzero weight: sum the weights
+        # per pair first, so that each symbol value is read once
+        weights: dict[int, int] = {}
+        for term in product(*residues):
+            w, a = 1, 0
+            for log_r, lift in term:
+                w = w * log_r % modulus
+                a += lift
+            if w:
+                a %= n
+                a = min(a, n - a)
+                weights[a] = weights.get(a, 0) + w
+        for a, w in weights.items():
+            total += raw_value(a, n) * w
     total = sym.sign * dinv * total % modulus
 
     return KuriharaNumber(

@@ -5,7 +5,8 @@ Two kernel computations serve the modular symbol machinery:
 * the nullspace of a sparse integer matrix (fraction-free Gauss-Jordan
   elimination with content stripping; each step pivots on the sparsest
   remaining row, at its smallest coefficient), which gives the Manin
-  functionals of each star sign and cuts them down to Hecke eigenspaces,
+  functionals of each star sign and cuts them down to Hecke eigenspaces;
+  its basis is diagonal on the non-pivot columns, which it returns too,
 * the gcd of a linear form over the integer kernel of a small dense matrix,
   by unimodular column reduction with the form carried along as a last row
   (the value group that normalizes the eigensymbol); no kernel basis and no
@@ -44,14 +45,16 @@ def strip_content(row: dict) -> dict:
     return row
 
 
-def sparse_nullspace(rows, ncols):
-    """Nullspace basis of a sparse integer matrix.
+def sparse_nullspace(rows, ncols) -> tuple[list[list[int]], list[int]]:
+    """Nullspace basis of a sparse integer matrix, with its free columns.
 
     `rows` is an iterable of {column: coefficient} dicts.  Zero rows and
     rows equal to an earlier one after content stripping are dropped, so
-    callers may pass repeats.  Returns a list of primitive integer vectors
-    of length `ncols`, one per non-pivot column, each positive on its own
-    column.
+    callers may pass repeats.  Returns (basis, free): `free` lists the
+    non-pivot columns in ascending order, and basis[k] is a primitive
+    integer vector of length `ncols` that is positive on free[k] and zero on
+    every other free column.  So the basis restricted to `free` is diagonal,
+    and a kernel vector is fixed by its values there.
     """
     active: list[dict] = []
     seen = set()
@@ -116,10 +119,8 @@ def sparse_nullspace(rows, ncols):
             if new and j not in pivot_of_row and len(new) != len(other):
                 heappush(queue, (len(new), j))
 
-    basis = []
-    for f in range(ncols):
-        if f in pivot_rows:
-            continue
+    basis, free = [], [f for f in range(ncols) if f not in pivot_rows]
+    for f in free:
         hits = [(pivot_of_row[i], active[i]) for i in col_rows.get(f, ())]
         scale = lcm(*(row[pc] for pc, row in hits))
         v = [0] * ncols
@@ -128,7 +129,7 @@ def sparse_nullspace(rows, ncols):
             v[pc] = -row[f] * scale // row[pc]
         g = gcd_list(v)
         basis.append([x // g for x in v])
-    return basis
+    return basis, free
 
 
 def kernel_image_gcd(rows, f) -> int:

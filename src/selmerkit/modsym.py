@@ -15,15 +15,20 @@ quotients.
 For a rational elliptic curve of conductor N, the plus eigensymbol is the
 one-dimensional common eigenspace of the Hecke operators (eigenvalues from
 point counts) in the sign +1 part.  It is cut out by integer arithmetic
-alone: each T_q - a_q is applied pointwise to the current basis vectors, and
-the combinations it sends to zero form the integer kernel of a sparse system;
-the minus eigensymbol is cut out of the sign -1 part the same way.  The plus
-eigensymbol is normalized to take the value group Z exactly on the integral
-cycles killed by the minus eigensymbol (the cycles fixed by the involution
-can give an index-2 sublattice), so that evaluations are the classical
-ratios [a/b]+ = Re int / (real period).  That value group is read off one
-column reduction of the boundary rows and the minus functional, with the
-plus functional carried along; no basis of the cycles is built.  The
+alone, one T_q - a_q at a time.  The kernel basis of each sign is diagonal on
+its free columns, and the Hecke operators commute with each other and with
+iota, so every space cut so far is T_q-stable and each of its vectors is
+fixed by its values on the generators where the current basis is diagonal.
+So each cut solves a |V| x |V| integer system on those rows alone, reads T_q
+only there, and its kernel basis is again diagonal on some of them.  Each
+final line is then certified: T_q f = a_q f on all generators, for every q
+used.  The minus eigensymbol is cut out of the sign -1 part the same way.
+The plus eigensymbol is normalized to take the value group Z exactly on the
+integral cycles killed by the minus eigensymbol (the cycles fixed by the
+involution can give an index-2 sublattice), so that evaluations are the
+classical ratios [a/b]+ = Re int / (real period).  That value group is read
+off one column reduction of the boundary rows and the minus functional, with
+the plus functional carried along; no basis of the cycles is built.  The
 overall sign is pinned once on a Gamma_0(N) cycle {0, b/d} = {0, gamma 0}
 with gamma = [[a, b], [N, d]]: the first d >= 2 prime to N on which the
 symbol is nonzero.  Its exact value [b/d]+ - [0]+ is compared with the
@@ -129,6 +134,8 @@ class ManinSpace:
     P^1(Z/N).  Class k is the unit orbit of p1_reps[k]: (g, least d) for a
     divisor g < N of N, or (0 : 1).  functionals[s], s = +-1, is a primitive
     integer basis of the functionals with f(iota x) = s f(x); m counts both.
+    free_columns[s] lists the generators on which that basis is diagonal, one
+    per vector, as sparse_nullspace returns them.
     """
 
     def __init__(self, N: int):
@@ -168,10 +175,11 @@ class ManinSpace:
         # functionals[s] is the kernel of the relations and of f_i - s f_iota(i),
         # which at a fixed point of iota is 2 f_i for s = -1 and absent for s = +1
         self.functionals: dict[int, list[list[int]]] = {}
+        self.free_columns: dict[int, list[int]] = {}
         for s in (1, -1):
             star_rows = [{i: 1, j: -s} if i != j else {i: 1 - s}
                          for i, j in enumerate(self.iota) if i <= j]
-            self.functionals[s] = sparse_nullspace(relations + star_rows, n)
+            self.functionals[s], self.free_columns[s] = sparse_nullspace(relations + star_rows, n)
         # iota preserves the relations, so the two signs split the whole kernel
         self.m = len(self.functionals[1]) + len(self.functionals[-1])
 
@@ -224,20 +232,21 @@ class ManinSpace:
 
     # -- operators on functionals -------------------------------------------
 
-    def hecke_images(self, q: int) -> list[list[tuple[int, int]]]:
-        """T_q on generators, q prime to N: images[i] lists (j, multiplicity).
+    def hecke_images(self, q: int, rows=None) -> list[list[tuple[int, int]]]:
+        """T_q on generators, q prime to N: images[r] lists (j, multiplicity)
+        for the r-th generator of `rows` (all n generators by default).
 
-        A functional f goes to (T_q f)_i = sum of mult * f_j over images[i]
-        (Merel's matrices of determinant q acting on the symbol (c : d)).
-        Each image pair is looked up in p1_table.  A q dividing N is refused:
-        the same matrices then give neither T_q nor U_q.
+        A functional f goes to (T_q f)_i = sum of mult * f_j over the image
+        of generator i (Merel's matrices of determinant q acting on the
+        symbol (c : d)).  Each image pair is looked up in p1_table.  A q
+        dividing N is refused: the same matrices then give neither T_q nor U_q.
         """
-        N, tab = self.N, self.p1_table
+        N, tab, reps = self.N, self.p1_table, self.p1_reps
         if N % q == 0:
             raise InputError(f"T_q needs q prime to the level; q = {q} divides N = {N}")
         mats = _merel_matrices(q)
         images = []
-        for c, d in self.p1_reps:
+        for c, d in reps if rows is None else (reps[i] for i in rows):
             counts: dict[int, int] = {}
             for a, b, cc, dd in mats:
                 j = tab[(c * a + d * cc) % N * N + (c * b + d * dd) % N]
@@ -316,30 +325,34 @@ class EigenSymbol:
         return Fraction(self.sign * self.raw_value(a, b), self.denominator)
 
 
-def _eigen_cut(V: list[list[int]], images, eigenvalue: int) -> list[list[int]]:
-    """Primitive integer basis of span(V) intersected with ker(A - eigenvalue).
+def _cut(V, F, images, eigenvalue: int) -> tuple[list[list[int]], list[int]]:
+    """(W, F'): a primitive integer basis W of span(V) cut by A - eigenvalue,
+    and the generators F' on which W is diagonal.
 
-    A acts pointwise, (Af)_i = sum of mult * f_j over images[i]; it is applied
-    only to the vectors of V, and the combinations x with sum x_k (A - ev) V_k
-    = 0 are the kernel of that n x |V| integer system.
+    V must be diagonal on the generators F, one per vector, and span a space
+    that A preserves; A acts pointwise, (Af)_i = sum of mult * f_j over
+    images[i], and only the images of F are read.  A vector of that space
+    vanishes exactly when it vanishes on F, so the combinations x with
+    sum x_k (A - eigenvalue) V_k = 0 are the kernel of the |V| x |V| system
+    on the rows F.  The kernel basis is diagonal on its free positions k, so
+    W is diagonal on F[k] for those k.
     """
-    n = len(V[0])
-    rows = [{} for _ in range(n)]
+    rows = [{} for _ in F]
     for k, v in enumerate(V):
-        for i, img in enumerate(images):
-            w = sum(v[j] * mult for j, mult in img) - eigenvalue * v[i]
+        for r, i in enumerate(F):
+            w = sum(v[j] * mult for j, mult in images[i]) - eigenvalue * v[i]
             if w:
-                rows[i][k] = w
+                rows[r][k] = w
+    kernel, free = sparse_nullspace(rows, len(V))
     cut = []
-    for x in sparse_nullspace(rows, len(V)):
-        w = [0] * n
+    for x in kernel:
+        w = [0] * len(V[0])
         for xk, v in zip(x, V):
             if xk:
-                for i in range(n):
-                    w[i] += xk * v[i]
+                w = [wi + xk * vi for wi, vi in zip(w, v)]
         g = gcd_list(w)
         cut.append([wi // g for wi in w])
-    return cut
+    return cut, [F[k] for k in free]
 
 
 def _isolate_functionals(E: EllipticCurve, space: ManinSpace) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -348,20 +361,38 @@ def _isolate_functionals(E: EllipticCurve, space: ManinSpace) -> tuple[tuple[int
     of each star sign by T_q - a_q for good primes q in order.  Each sign stops
     cutting once its space is at most a line; both stop once q passes the
     Sturm bound.
+
+    Each cut solves only the rows at the generators where the current basis
+    is diagonal (the free columns of the sign's kernel to begin with), and
+    reads T_q only there: the Hecke operators commute with each other and
+    with iota, so every space cut so far is T_q-stable and a vector in it is
+    fixed by those values.  Each line is then certified on all n generators,
+    T_q f = a_q f for every q the loop used.
     """
     N = E.conductor
-    spaces = dict(space.functionals)
+    spaces, frees = dict(space.functionals), dict(space.free_columns)
+    for sign, V in spaces.items():
+        F = frees[sign]
+        if len(F) != len(V) or any(v[i] <= 0 if k == r else v[i]
+                                   for k, v in enumerate(V) for r, i in enumerate(F)):
+            raise InternalInvariantError(
+                f"functional basis of star sign {sign:+d} at N={N} "
+                "is not diagonal on its free columns"
+            )
     sturm = psi_index(N) // 6 + 2
+    used = []
     for q in primerange(2, 6 * sturm):
         if N % q == 0:
             continue
-        if all(len(V) <= 1 for V in spaces.values()):
+        cutting = [sign for sign, V in spaces.items() if len(V) > 1]
+        if not cutting:
             break
         aq = trace_of_frobenius(E, q)
-        images = space.hecke_images(q)
-        for sign, V in spaces.items():
-            if len(V) > 1:
-                spaces[sign] = _eigen_cut(V, images, aq)
+        served = sorted({i for sign in cutting for i in frees[sign]})
+        images = dict(zip(served, space.hecke_images(q, served)))
+        for sign in cutting:
+            spaces[sign], frees[sign] = _cut(spaces[sign], frees[sign], images, aq)
+        used.append((q, aq))
         if q > sturm:
             break
     for sign, V in spaces.items():
@@ -374,7 +405,16 @@ def _isolate_functionals(E: EllipticCurve, space: ManinSpace) -> tuple[tuple[int
                 f"eigenspace of {E.label or E.ainvs} (star sign {sign:+d}) "
                 f"has dimension {len(V)}"
             )
-    return tuple(spaces[1][0]), tuple(spaces[-1][0])
+    lines = spaces[1][0], spaces[-1][0]
+    for q, aq in used:
+        images = space.hecke_images(q)
+        for f in lines:
+            if any(sum(f[j] * mult for j, mult in img) != aq * f[i]
+                   for i, img in enumerate(images)):
+                raise InternalInvariantError(
+                    f"eigensymbol line of {E.label or E.ainvs} fails T_{q} f = {aq} f"
+                )
+    return tuple(lines[0]), tuple(lines[1])
 
 
 # the largest d tried for a cycle {0, b/d} that the symbol does not kill

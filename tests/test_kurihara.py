@@ -335,7 +335,7 @@ def test_fast_sum_matches_reference_sum_on_random_indices(eigensymbol, data):
 
 def test_symbol_is_read_only_where_the_log_weight_is_nonzero(eigensymbol, curve, monkeypatch):
     # one read per pair {a, n - a}, at a < n/2, and none where w(a) = 0 mod p^t
-    sym = eigensymbol("37a1")
+    sym, sym_b = eigensymbol("37a1"), eigensymbol("37b1")
     indices = build_indices(sieve("cyc", curve("37a1"), 5, 1, 300), max_nu=2, max_n=10 ** 6)
     pairs = [ix for ix in indices if ix.nu == 2]
     assert len(pairs) >= 2
@@ -356,6 +356,16 @@ def test_symbol_is_read_only_where_the_log_weight_is_nonzero(eigensymbol, curve,
         kurihara_number(sym, ix, 5)
         assert sorted(reads) == [(a, ix.n) for a in weighted]
         assert len(weighted) < len(units)
+    # at p = 2 an unfolded pair can carry two nonzero weights, and is still read once
+    for qs, distinct in (((5, 13, 17), 168), ((5, 13), 18)):
+        ix = _cyc_index(2, 2, qs)
+        logs = [(q, discrete_log_table(q, smallest_primitive_root(q))) for q in qs]
+        weighted = [a for a in range(1, (ix.n + 1) // 2) if gcd(a, ix.n) == 1
+                    and any(prod(tab[u % q] for q, tab in logs) % 4 for u in (a, ix.n - a))]
+        reads.clear()
+        kurihara_number(sym_b, ix, 2)
+        assert sorted(reads) == [(a, ix.n) for a in weighted]
+        assert len(reads) == distinct
 
 
 @pytest.mark.parametrize(

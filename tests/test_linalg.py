@@ -26,20 +26,21 @@ def _matrix_strategy(max_rows=5, max_cols=6):
 
 
 def test_sparse_nullspace_hand_case():
-    assert sparse_nullspace([{0: 1, 1: 2}, {2: 1}], 3) == [[-2, 1, 0]]
+    assert sparse_nullspace([{0: 1, 1: 2}, {2: 1}], 3) == ([[-2, 1, 0]], [1])
     # 2x = 3y: the rational kernel vector (3/2, 1) comes back as (3, 2)
-    assert sparse_nullspace([{0: 2, 1: -3}], 2) == [[3, 2]]
+    assert sparse_nullspace([{0: 2, 1: -3}], 2) == ([[3, 2]], [1])
 
 
 def test_sparse_nullspace_drops_repeated_and_scaled_rows():
     single = sparse_nullspace([{0: 1, 2: -3}], 3)
-    assert sorted(single) == [[0, 1, 0], [3, 0, 1]]
+    assert sorted(single[0]) == [[0, 1, 0], [3, 0, 1]]
     rows = [{0: 1, 2: -3}, {0: 4, 2: -12}, {0: 1, 2: -3}, {0: -2, 2: 6}, {2: -3, 0: 1}]
     assert sparse_nullspace(rows, 3) == single
 
 
 def test_sparse_nullspace_zero_matrix():
-    basis = sparse_nullspace([{}], 4)
+    basis, free = sparse_nullspace([{}], 4)
+    assert free == [0, 1, 2, 3]
     assert sorted(basis, reverse=True) == [[int(i == j) for i in range(4)] for j in range(4)]
 
 
@@ -48,7 +49,7 @@ def test_sparse_nullspace_zero_matrix():
 def test_sparse_nullspace_matches_rank_nullity(mat):
     rows = [{j: v for j, v in enumerate(row) if v} for row in mat]
     ncols = len(mat[0])
-    basis = sparse_nullspace(rows, ncols)
+    basis, _ = sparse_nullspace(rows, ncols)
     assert len(basis) == ncols - Matrix(mat).rank()
     if basis:
         assert Matrix(basis).rank() == len(basis)
@@ -57,6 +58,25 @@ def test_sparse_nullspace_matches_rank_nullity(mat):
         assert gcd_list(v) == 1
         for row in mat:
             assert sum(c * x for c, x in zip(row, v)) == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(mat=_matrix_strategy())
+def test_sparse_nullspace_is_diagonal_on_exactly_its_free_columns(mat):
+    # what the eigen-cut relies on: a kernel vector is fixed by its values
+    # on the free columns, and there the basis is positive diagonal
+    rows = [{j: v for j, v in enumerate(row) if v} for row in mat]
+    ncols = len(mat[0])
+    basis, free = sparse_nullspace(rows, ncols)
+    assert free == sorted(set(free)) and len(free) == len(basis)
+    for k, v in enumerate(basis):
+        assert [v[c] > 0 if r == k else v[c] == 0 for r, c in enumerate(free)] == [True] * len(free)
+    # the other columns are the pivots: as many as the rank, and independent
+    pivots = [c for c in range(ncols) if c not in free]
+    rank = Matrix(mat).rank()
+    assert len(pivots) == rank
+    if pivots:
+        assert Matrix(mat).extract(list(range(len(mat))), pivots).rank() == rank
 
 
 @settings(max_examples=80, deadline=None)

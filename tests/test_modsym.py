@@ -8,6 +8,7 @@ generator of the intersection of the period lattice with the real line.
 """
 
 import gc
+import hashlib
 import weakref
 from fractions import Fraction
 from math import gcd
@@ -21,6 +22,7 @@ from selmerkit.arith import is_fundamental_discriminant
 from selmerkit.analytic import cycle_period, numeric_plus, real_periods
 from selmerkit.curves import quadratic_twist, trace_of_frobenius
 from selmerkit.errors import InputError, InternalInvariantError
+from selmerkit.linalg import kernel_image_gcd
 from selmerkit.modsym import (
     EigenSymbol,
     ManinSpace,
@@ -275,13 +277,79 @@ def test_eigensymbol_is_a_hecke_eigenvector(eigensymbol):
             assert _apply(sp.hecke_images(q), sym.fvec) == [aq * x for x in sym.fvec], (label, q)
 
 
-@pytest.mark.parametrize("label", SAMPLE_LABELS + ["11a1x-3"])
+# the twists of gz and waldspurger, N = 99, 126, 153, 272 and 333, each with
+# the largest prime the oracle stacks: the least that brings its kernel down
+# to a line, or None for the Sturm bound
+TWIST_ORACLE_BOUNDS = {"11a1x-3": None, "14a1x-3": 17, "17a1x-3": 5, "17a1x-4": 7, "37a1x-3": 5}
+
+# (first 16 hex digits of the sha256 of sign * fvec, comma-joined; denominator),
+# frozen from the full-row eigen-cut that cut every T_q on all n generators
+FROZEN_TWIST_LINES = {
+    "11a1x-3": ("1b4a40f022545a3b", 2),
+    "14a1x-3": ("bbc1fa4dda59354c", 2),
+    "17a1x-3": ("57792ff36a5208a0", 2),
+    "17a1x-4": ("495e4695b6d2c587", 1),
+    "37a1x-3": ("89e58d4d2e0bbc9e", 1),
+}
+
+
+def _twist(curve, label):
+    base, D = label.split("x")
+    return quadratic_twist(curve(base), int(D))
+
+
+@pytest.mark.parametrize("label", SAMPLE_LABELS + list(TWIST_ORACLE_BOUNDS))
 def test_isolated_lines_match_the_stacked_oracle(curve, label):
-    E = quadratic_twist(curve("11a1"), -3) if label == "11a1x-3" else curve(label)
+    E = _twist(curve, label) if label in TWIST_ORACLE_BOUNDS else curve(label)
     sp = build_manin_space(E.conductor)
+    lines = []
     for sign, f in zip((1, -1), _isolate_functionals(E, sp)):
-        (line,) = stacked_eigenline(E, sp, sign)
+        (line,) = stacked_eigenline(E, sp, sign, TWIST_ORACLE_BOUNDS.get(label))
         assert list(f) in (line, [-x for x in line])
+        lines.append(line)
+    if label in TWIST_ORACLE_BOUNDS:
+        sym = isolate_eigensymbol(E, sp)
+        signed = [sym.sign * x for x in sym.fvec]
+        assert signed in (lines[0], [-x for x in lines[0]])
+        assert sym.denominator == kernel_image_gcd(sp.boundary_rows + [lines[1]], lines[0])
+        digest = hashlib.sha256(",".join(map(str, signed)).encode()).hexdigest()[:16]
+        assert (digest, sym.denominator) == FROZEN_TWIST_LINES[label]
+
+
+def test_a_line_that_fails_off_the_free_columns_is_refused(curve, monkeypatch):
+    # T_2 is wrong at one generator that no cut reads, so only the certificate
+    # on all n generators can see it
+    E = _twist(curve, "37a1x-3")
+    sp = build_manin_space(E.conductor)
+    plus, _ = _isolate_functionals(E, sp)
+    served = set(sp.free_columns[1]) | set(sp.free_columns[-1])
+    g = next(i for i in range(sp.n) if i not in served and plus[i])
+    images = ManinSpace.hecke_images
+    asked = []
+
+    def bent(self, q, rows=None):
+        out = images(self, q, rows)
+        asked.append(rows)
+        for r, i in enumerate(range(self.n) if rows is None else rows):
+            if i == g:
+                out[r] = out[r] + [(g, 1)]
+        return out
+
+    monkeypatch.setattr(ManinSpace, "hecke_images", bent)
+    with pytest.raises(InternalInvariantError, match="fails T_2"):
+        _isolate_functionals(E, sp)
+    cut_rows = [rows for rows in asked if rows is not None]
+    assert cut_rows and all(len(rows) <= len(served) and g not in rows for rows in cut_rows)
+    assert None in asked
+
+
+def test_a_basis_not_diagonal_on_its_free_columns_is_refused(curve, monkeypatch):
+    E = _twist(curve, "37a1x-3")
+    sp = build_manin_space(E.conductor)
+    v0, v1, *rest = sp.functionals[1]
+    monkeypatch.setitem(sp.functionals, 1, [[a + b for a, b in zip(v0, v1)], v1, *rest])
+    with pytest.raises(InternalInvariantError, match="not diagonal on its free columns"):
+        _isolate_functionals(E, sp)
 
 
 # values computed twice: exact relation pipeline and numeric integration
