@@ -18,9 +18,11 @@ is a unit.  Since log(-1) = (ell - 1)/2, w(n - a) = w(a) as soon as p^{t_n}
 divides every (ell - 1)/2.  For odd p, t_n <= v_p(ell - 1) guarantees this,
 so the first factor lists only the powers eta^e <= (ell - 1)/2, one member
 of each pair {a, n - a}, and the sum doubles.  At p = 2 it holds only when
-2^{t_n + 1} divides every ell - 1; otherwise the lists stay whole, and the
-weights of each pair are summed before the symbol is read once.  Either
-way the symbol is read at min(a, n - a), since [(n - a)/n]+ = [a/n]+ for
+2^{t_n + 1} divides every ell - 1.  Otherwise the first list still keeps one
+member of each pair, and every entry carries the logs of both x and
+ell - x = x * eta^((ell - 1)/2), so each term gives w(a) + w(n - a) and the
+symbol is read once per pair whose summed weight is nonzero.  Either way
+the symbol is read at min(a, n - a), since [(n - a)/n]+ = [a/n]+ for
 every p: translation by 1 fixes modular symbols, and [-x]+ = [x]+ because
 the plus functional is star-invariant (EigenSymbol asserts it).
 
@@ -104,14 +106,15 @@ def kurihara_number(
     for e nonzero mod p^t, and refuses eta at once if x returns to 1 early;
     the sum walks the product of these lists lazily and skips a term whose
     weight, the product of the logs, is 0 mod p^t (possible at t >= 2).
-    When p^t divides (ell - 1)/2 at every factor the first list keeps only
-    x <= (ell - 1)/2 and the total doubles; odd p guarantees it
-    (InternalInvariantError otherwise), and at p = 2 the lists stay whole
-    where it fails, and the weights of each pair are summed before its one
-    read.  The symbol is read at min(a, n - a).  n is odd (each prime factor
-    is 1 mod p), so no unit a > 0 is its own partner; at n = 1
-    the product is a single empty term, a = 0, and the sum is raw(0, 1).  The
-    sign and the denominator are applied once to the total.
+    The first list keeps only x <= (ell - 1)/2.  When p^t divides
+    (ell - 1)/2 at every factor the total doubles; odd p guarantees it
+    (InternalInvariantError otherwise).  At p = 2, where it fails, each entry
+    also carries the log of ell - x, listed at x = 1 too, and each term adds
+    the summed weight of its pair {a, n - a}.  The symbol is read at
+    min(a, n - a).  n is odd (each prime factor is 1 mod p), so no unit
+    a > 0 is its own partner; at n = 1 the product is a single empty term,
+    a = 0, and the sum is raw(0, 1).  The sign and the denominator are
+    applied once to the total.
     """
     if index.family not in (None, "cyc"):
         raise InputError(f"Kurihara numbers need cyc indices, got {index.family}")
@@ -127,9 +130,11 @@ def kurihara_number(
         raise InternalInvariantError(f"cyc index n = {n} is even; a and n - a would collide")
 
     # log_eta(-1) = (ell - 1)/2, so w(n - a) = w(a) once p^t divides it at
-    # every factor; t_n <= v_p(ell - 1) makes that so for odd p
+    # every factor; t_n <= v_p(ell - 1) makes that so for odd p.  Where it
+    # fails (p = 2 only), the two weights of each pair are carried together
     fold = n > 1 and all((f.q - 1) // 2 % modulus == 0 for f in index.factors)
-    if n > 1 and not fold and p != 2:
+    paired = n > 1 and not fold
+    if paired and p != 2:
         raise InternalInvariantError(
             f"p^{t} does not divide (ell - 1)/2 at every factor of n = {n}"
         )
@@ -147,14 +152,20 @@ def kurihara_number(
         chosen.append((ell, eta))
         cofactor = n // ell
         idempotent = cofactor * pow(cofactor, -1, ell)
-        top = (ell - 1) // 2 if fold and i == 0 else ell
-        powers = []
+        half = (ell - 1) // 2
+        top = half if i == 0 else ell
+        # paired, x and ell - x = eta^(e + half) share an entry, x = 1 included
+        powers = [(0, half % modulus, idempotent)] if paired and half % modulus else []
         x = eta % ell
         for e in range(1, ell - 1):
             if x == 1:
                 raise InputError(f"eta = {eta} is not a primitive root mod {ell}")
-            if e % modulus and x <= top:
-                powers.append((e % modulus, x * idempotent % n))
+            if x <= top:
+                if not paired:
+                    if e % modulus:
+                        powers.append((e % modulus, x * idempotent % n))
+                elif e % modulus or (e + half) % modulus:
+                    powers.append((e % modulus, (e + half) % modulus, x * idempotent % n))
             x = x * eta % ell
         residues.append(powers)
 
@@ -166,7 +177,7 @@ def kurihara_number(
     dinv = pow(sym.denominator, -1, modulus)
     raw_value = sym.raw_value
     total = 0
-    if fold:
+    if not paired:
         for term in product(*residues):
             w, a = 1, 0
             for log_r, lift in term:
@@ -175,22 +186,21 @@ def kurihara_number(
             if w:
                 a %= n
                 total += raw_value(min(a, n - a), n) * w
-        total *= 2
+        if fold:
+            total *= 2
     else:
-        # both members of a pair can carry a nonzero weight: sum the weights
-        # per pair first, so that each symbol value is read once
-        weights: dict[int, int] = {}
+        # each term is a pair {a, n - a}; its two weights are summed before
+        # the one read
         for term in product(*residues):
-            w, a = 1, 0
-            for log_r, lift in term:
+            w, w_neg, a = 1, 1, 0
+            for log_r, log_neg, lift in term:
                 w = w * log_r % modulus
+                w_neg = w_neg * log_neg % modulus
                 a += lift
+            w = (w + w_neg) % modulus
             if w:
                 a %= n
-                a = min(a, n - a)
-                weights[a] = weights.get(a, 0) + w
-        for a, w in weights.items():
-            total += raw_value(a, n) * w
+                total += raw_value(min(a, n - a), n) * w
     total = sym.sign * dinv * total % modulus
 
     return KuriharaNumber(

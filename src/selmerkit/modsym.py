@@ -19,11 +19,11 @@ alone, one T_q - a_q at a time.  The kernel basis of each sign is diagonal on
 its free columns, and the Hecke operators commute with each other and with
 iota, so every space cut so far is T_q-stable and each of its vectors is
 fixed by its values on the generators where the current basis is diagonal.
-So each cut solves a |V| x |V| integer system on those rows alone, reads T_q
-only there, and its kernel basis is again diagonal on some of them.  Each
-final line is then certified: T_q f = a_q f on all generators, for every q
-used.  The minus eigensymbol is cut out of the sign -1 part the same way.
-The plus eigensymbol is normalized to take the value group Z exactly on the
+So each cut solves a |V| x |V| integer system on those rows alone, and its
+kernel basis is again diagonal on some of them.  Each final line is then
+certified with the same images of T_q: T_q f = a_q f on all generators, for
+every q used.  The minus eigensymbol is cut out of the sign -1 part the same
+way.  The plus eigensymbol is normalized to take the value group Z exactly on the
 integral cycles killed by the minus eigensymbol (the cycles fixed by the
 involution can give an index-2 sublattice), so that evaluations are the
 classical ratios [a/b]+ = Re int / (real period).  That value group is read
@@ -232,21 +232,20 @@ class ManinSpace:
 
     # -- operators on functionals -------------------------------------------
 
-    def hecke_images(self, q: int, rows=None) -> list[list[tuple[int, int]]]:
-        """T_q on generators, q prime to N: images[r] lists (j, multiplicity)
-        for the r-th generator of `rows` (all n generators by default).
+    def hecke_images(self, q: int) -> list[list[tuple[int, int]]]:
+        """T_q on generators, q prime to N: images[i] lists (j, multiplicity).
 
-        A functional f goes to (T_q f)_i = sum of mult * f_j over the image
-        of generator i (Merel's matrices of determinant q acting on the
-        symbol (c : d)).  Each image pair is looked up in p1_table.  A q
-        dividing N is refused: the same matrices then give neither T_q nor U_q.
+        A functional f goes to (T_q f)_i = sum of mult * f_j over images[i]
+        (Merel's matrices of determinant q acting on the symbol (c : d)).
+        Each image pair is looked up in p1_table.  A q dividing N is refused:
+        the same matrices then give neither T_q nor U_q.
         """
-        N, tab, reps = self.N, self.p1_table, self.p1_reps
+        N, tab = self.N, self.p1_table
         if N % q == 0:
             raise InputError(f"T_q needs q prime to the level; q = {q} divides N = {N}")
         mats = _merel_matrices(q)
         images = []
-        for c, d in reps if rows is None else (reps[i] for i in rows):
+        for c, d in self.p1_reps:
             counts: dict[int, int] = {}
             for a, b, cc, dd in mats:
                 j = tab[(c * a + d * cc) % N * N + (c * b + d * dd) % N]
@@ -363,11 +362,11 @@ def _isolate_functionals(E: EllipticCurve, space: ManinSpace) -> tuple[tuple[int
     Sturm bound.
 
     Each cut solves only the rows at the generators where the current basis
-    is diagonal (the free columns of the sign's kernel to begin with), and
-    reads T_q only there: the Hecke operators commute with each other and
-    with iota, so every space cut so far is T_q-stable and a vector in it is
-    fixed by those values.  Each line is then certified on all n generators,
-    T_q f = a_q f for every q the loop used.
+    is diagonal (the free columns of the sign's kernel to begin with): the
+    Hecke operators commute with each other and with iota, so every space cut
+    so far is T_q-stable and a vector in it is fixed by those values.  The
+    images of each T_q are kept, and each line is then certified on all n
+    generators, T_q f = a_q f for every q the loop used.
     """
     N = E.conductor
     spaces, frees = dict(space.functionals), dict(space.free_columns)
@@ -388,11 +387,10 @@ def _isolate_functionals(E: EllipticCurve, space: ManinSpace) -> tuple[tuple[int
         if not cutting:
             break
         aq = trace_of_frobenius(E, q)
-        served = sorted({i for sign in cutting for i in frees[sign]})
-        images = dict(zip(served, space.hecke_images(q, served)))
+        images = space.hecke_images(q)
         for sign in cutting:
             spaces[sign], frees[sign] = _cut(spaces[sign], frees[sign], images, aq)
-        used.append((q, aq))
+        used.append((q, aq, images))
         if q > sturm:
             break
     for sign, V in spaces.items():
@@ -406,8 +404,7 @@ def _isolate_functionals(E: EllipticCurve, space: ManinSpace) -> tuple[tuple[int
                 f"has dimension {len(V)}"
             )
     lines = spaces[1][0], spaces[-1][0]
-    for q, aq in used:
-        images = space.hecke_images(q)
+    for q, aq, images in used:
         for f in lines:
             if any(sum(f[j] * mult for j, mult in img) != aq * f[i]
                    for i, img in enumerate(images)):

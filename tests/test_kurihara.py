@@ -356,16 +356,19 @@ def test_symbol_is_read_only_where_the_log_weight_is_nonzero(eigensymbol, curve,
         kurihara_number(sym, ix, 5)
         assert sorted(reads) == [(a, ix.n) for a in weighted]
         assert len(weighted) < len(units)
-    # at p = 2 an unfolded pair can carry two nonzero weights, and is still read once
-    for qs, distinct in (((5, 13, 17), 168), ((5, 13), 18)):
+    # at p = 2 an unfolded pair can carry two nonzero weights: it is read once,
+    # and not at all where the two sum to 0 mod p^t
+    for qs, distinct, summed in (((5, 13, 17), 168, 144), ((5, 13), 18, 18)):
         ix = _cyc_index(2, 2, qs)
         logs = [(q, discrete_log_table(q, smallest_primitive_root(q))) for q in qs]
-        weighted = [a for a in range(1, (ix.n + 1) // 2) if gcd(a, ix.n) == 1
-                    and any(prod(tab[u % q] for q, tab in logs) % 4 for u in (a, ix.n - a))]
+        units = [a for a in range(1, (ix.n + 1) // 2) if gcd(a, ix.n) == 1]
+        w = {u: prod(tab[u % q] for q, tab in logs) for a in units for u in (a, ix.n - a)}
+        assert sum(1 for a in units if w[a] % 4 or w[ix.n - a] % 4) == distinct
+        weighted = [a for a in units if (w[a] + w[ix.n - a]) % 4]
         reads.clear()
         kurihara_number(sym_b, ix, 2)
         assert sorted(reads) == [(a, ix.n) for a in weighted]
-        assert len(reads) == distinct
+        assert len(reads) == summed
 
 
 @pytest.mark.parametrize(
