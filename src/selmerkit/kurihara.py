@@ -104,17 +104,18 @@ def kurihara_number(
     n = 1, where I_1 = (0) and delta_1 lives in Z_p itself.  One walk of
     x = eta^e, e = 1 .. ell - 2, per factor lists (e mod p^t, x * e_ell mod n)
     for e nonzero mod p^t, and refuses eta at once if x returns to 1 early;
-    the sum walks the product of these lists lazily and skips a term whose
+    the sum walks the product of these lists lazily, one EigenSymbol.raw_sum
+    batch per term of all lists but the last, and skips a term whose
     weight, the product of the logs, is 0 mod p^t (possible at t >= 2).
     The first list keeps only x <= (ell - 1)/2.  When p^t divides
     (ell - 1)/2 at every factor the total doubles; odd p guarantees it
     (InternalInvariantError otherwise).  At p = 2, where it fails, each entry
     also carries the log of ell - x, listed at x = 1 too, and each term adds
-    the summed weight of its pair {a, n - a}.  The symbol is read at
+    the summed weight of its pair {a, n - a}.  raw_sum reads the symbol at
     min(a, n - a).  n is odd (each prime factor is 1 mod p), so no unit
-    a > 0 is its own partner; at n = 1 the product is a single empty term,
-    a = 0, and the sum is raw(0, 1).  The sign and the denominator are
-    applied once to the total.
+    a > 0 is its own partner; at n = 1 the product is a single term, a = 0
+    with weight 1, and the sum is raw(0, 1).  The sign and the denominator
+    are applied once to the total.
     """
     if index.family not in (None, "cyc"):
         raise InputError(f"Kurihara numbers need cyc indices, got {index.family}")
@@ -175,32 +176,31 @@ def kurihara_number(
             "the p-integrality hypothesis on modular symbols fails"
         )
     dinv = pow(sym.denominator, -1, modulus)
-    raw_value = sym.raw_value
+    raw_sum = sym.raw_sum
+    *head, last = residues or [[(1, 0)]]  # n = 1: the one term a = 0, w = 1
     total = 0
     if not paired:
-        for term in product(*residues):
+        for term in product(*head):
             w, a = 1, 0
             for log_r, lift in term:
                 w = w * log_r % modulus
                 a += lift
             if w:
-                a %= n
-                total += raw_value(min(a, n - a), n) * w
+                total += raw_sum(n, ((a + lift, w * log_r % modulus) for log_r, lift in last))
         if fold:
             total *= 2
     else:
         # each term is a pair {a, n - a}; its two weights are summed before
         # the one read
-        for term in product(*residues):
+        for term in product(*head):
             w, w_neg, a = 1, 1, 0
             for log_r, log_neg, lift in term:
                 w = w * log_r % modulus
                 w_neg = w_neg * log_neg % modulus
                 a += lift
-            w = (w + w_neg) % modulus
-            if w:
-                a %= n
-                total += raw_value(min(a, n - a), n) * w
+            if w or w_neg:
+                total += raw_sum(n, ((a + lift, (w * log_r + w_neg * log_neg) % modulus)
+                                     for log_r, log_neg, lift in last))
     total = sym.sign * dinv * total % modulus
 
     return KuriharaNumber(

@@ -2,9 +2,13 @@
 
 The space of modular symbols is presented by generators indexed by P^1(Z/N)
 subject to the two-term and three-term Manin relations.  ManinSpace owns
-P^1(Z/N): one flat N^2 table, filled once from unit orbits, gives the class of
-each pair (c, d) to the relations, the Hecke images and the eigensymbol; the
-cusps that end each generator's path are read off (c : d) in closed form.  We
+P^1(Z/N): one flat N^2 table gives the class of each pair (c, d) to the
+relations, the Hecke images and the eigensymbol; the cusps that end each
+generator's path are read off (c : d) in closed form.  That table and the
+eigensymbol's table of values are typed buffers, each entry as wide as the
+range of its data needs (two bytes and one byte at every level used here),
+filled one row at a time: a row c is the row gcd(c, N) read at a unit
+multiple of d.  We
 work throughout on the dual side: a "functional" is an integer vector
 orthogonal to every relation, so the functional space has dimension 2g + c - 1.
 The star involution iota preserves the relations, so that space splits into
@@ -42,6 +46,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from struct import calcsize, pack
 
 from .analytic import cycle_period
 from .arith import divisors, factorint, kronecker_symbol, primerange, totient
@@ -127,11 +132,76 @@ def _merel_matrices(q: int) -> list[tuple[int, int, int, int]]:
     return mats
 
 
+def _typecode(lo: int, hi: int) -> str:
+    """The narrowest signed struct code, b, h, i or q, that holds lo .. hi."""
+    for code in "bhiq":
+        top = 1 << 8 * calcsize(code) - 1
+        if -top <= lo and hi < top:
+            return code
+    raise InternalInvariantError(f"table entries {lo} .. {hi} do not fit in 64 bits")
+
+
+def _typed_table(N: int, code: str, rows) -> memoryview:
+    """The N rows of N integers that rows yields, as one flat read-only table
+    of struct code `code`; each row is packed as it comes, so at most one row
+    is held as Python ints."""
+    fmt = f"{N}{code}"
+    width = calcsize(fmt)
+    buf = bytearray(N * width)
+    for c, row in enumerate(rows):
+        buf[c * width:(c + 1) * width] = pack(fmt, *row)
+    return memoryview(buf).toreadonly().cast(code)
+
+
+def _p1_fill(N: int) -> tuple[memoryview, list[tuple[int, int]]]:
+    """(p1_table, p1_reps) of P^1(Z/N), filled row by row.
+
+    A unit u maps (c : d) to (u c : u d), so g = gcd(c, N) is constant on a
+    class, and the classes met in row c = g are the orbits of d under the
+    units u = 1 mod N/g.  Each divisor row g < N is scanned once, d
+    ascending, and (0 : 1) comes last, so the classes are numbered by g and
+    then by their least d.  Every row c is u g for a unit u, and
+    (c : d) = u (g : u^-1 d), so row c is row g read at u^-1 d; row 0 is the
+    class of (0 : 1) at the units d.
+    """
+    units = [u for u in range(N) if gcd(u, N) == 1]
+    reps: list[tuple[int, int]] = []
+    rows: dict[int, list[int]] = {}
+    for g in divisors(N)[:-1]:
+        stabilizer = [u for u in units if u % (N // g) == 1]
+        row = [-1] * N
+        for d in range(N):
+            if row[d] < 0 and gcd(d, g) == 1:
+                k = len(reps)
+                reps.append((g, d))
+                for u in stabilizer:
+                    row[u * d % N] = k
+        rows[g] = row
+    rows[N] = [len(reps) if gcd(d, N) == 1 else -1 for d in range(N)]
+    reps.append((0, 1 % N))
+    if len(reps) != psi_index(N):
+        raise InternalInvariantError(
+            f"P^1(Z/{N}) has {len(reps)} classes, expected {psi_index(N)}"
+        )
+
+    def row_at(c: int) -> list[int]:
+        g = gcd(c, N)
+        u = c // g
+        while gcd(u, N) != 1:  # lift c/g, a unit mod N/g, to a unit mod N
+            u += N // g
+        v, base = pow(u, -1, N), rows[g]
+        return [base[v * d % N] for d in range(N)]
+
+    return _typed_table(N, _typecode(-1, len(reps) - 1), map(row_at, range(N))), reps
+
+
 class ManinSpace:
     """Relation data, functionals and operators at a fixed level N.
 
     p1_table[c * N + d] is the class of (c : d), 0 <= c, d < N, or -1 off
-    P^1(Z/N).  Class k is the unit orbit of p1_reps[k]: (g, least d) for a
+    P^1(Z/N), in a flat read-only typed buffer of the narrowest width that
+    holds -1 .. psi(N) - 1 (two bytes up to psi(N) = 32768), filled by rows
+    (_p1_fill).  Class k is the unit orbit of p1_reps[k]: (g, least d) for a
     divisor g < N of N, or (0 : 1).  functionals[s], s = +-1, is a primitive
     integer basis of the functionals with f(iota x) = s f(x); m counts both.
     free_columns[s] lists the generators on which that basis is diagonal, one
@@ -142,23 +212,8 @@ class ManinSpace:
         if N < 1:
             raise InputError(f"level must be positive, got N={N}")
         self.N = N
-        units = [u for u in range(N) if gcd(u, N) == 1]
-        table = [-1] * (N * N)
-        reps: list[tuple[int, int]] = []
-        starts = [(g, d) for g in divisors(N) if g < N for d in range(N)]
-        for c, d in starts + [(0, 1 % N)]:
-            if table[c * N + d] >= 0 or gcd(gcd(c, d), N) != 1:
-                continue
-            k = len(reps)  # one int object shared by every slot of the orbit
-            reps.append((c, d))
-            for u in units:
-                table[u * c % N * N + u * d % N] = k
-        if len(reps) != psi_index(N):
-            raise InternalInvariantError(
-                f"P^1(Z/{N}) has {len(reps)} classes, expected {psi_index(N)}"
-            )
+        self.p1_table, reps = _p1_fill(N)
         self.p1_reps = reps
-        self.p1_table = table
         self.n = n = len(reps)
         idx = self.index
         # index permutations of the generating actions
@@ -269,15 +324,16 @@ class EigenSymbol:
 
     eval_plus(a, b) returns [a/b]+ as an exact rational; raw_value gives the
     integer pairing against the primitive integer functional, with
-    [a/b]+ = sign * raw / denominator.
+    [a/b]+ = sign * raw / denominator, and raw_sum a weighted sum of such
+    pairings over one denominator.
 
     Construction reads the space's P^1(Z/N) index table (Cremona, "Algorithms
-    for Modular Elliptic Curves") through fvec: a flat list of length N^2
-    whose entry (c mod N) * N + (d mod N) is fvec at the class of (c : d), and
-    0 at pairs that are not points of P^1(Z/N).  It holds one 8-byte slot per
-    entry, about 8 N^2 bytes (1.2 MB at N = 389), on top of the space's index
-    table of the same size.  The functional must be star-invariant,
-    f(iota x) = f(x); anything else is refused.
+    for Modular Elliptic Curves") through fvec, one row at a time, into a flat
+    read-only typed table of length N^2 whose entry (c mod N) * N + (d mod N)
+    is fvec at the class of (c : d), and 0 at pairs that are not points of
+    P^1(Z/N).  Each entry is as wide as the range of fvec needs: one byte at
+    every sample curve, so N^2 bytes (151 kB at N = 389).  The functional must
+    be star-invariant, f(iota x) = f(x); anything else is refused.
     """
 
     curve: EllipticCurve
@@ -285,7 +341,7 @@ class EigenSymbol:
     fvec: tuple[int, ...]
     denominator: int
     sign: int
-    _table: list[int] = field(init=False, repr=False, compare=False)
+    _table: memoryview = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         space, f = self.space, self.fvec
@@ -294,31 +350,49 @@ class EigenSymbol:
                 "eigensymbol functional is not invariant under the star involution"
             )
         values = list(f) + [0]  # index -1, a non-point, reads 0
-        self._table = [values[k] for k in space.p1_table]
+        N, p1 = space.N, space.p1_table
+        self._table = _typed_table(N, _typecode(min(values), max(values)),
+                                   (map(values.__getitem__, p1[c * N:(c + 1) * N]) for c in range(N)))
 
     def raw_value(self, a: int, b: int) -> int:
-        """<fvec, {oo -> a/b}>, one table lookup per continued-fraction step.
-
-        Consecutive convergents p_{k-1}/q_{k-1}, p_k/q_k of a/b give the Manin
-        generator ((-1)^{k-1} q_k : q_{k-1}); the sign is dropped because
-        (-c : d) is the star image of (c : d).  The convergent denominators
-        depend only on the partial quotients, which a common factor of a and
-        b does not change, so they are tracked mod N without reducing a/b.
-        """
+        """<fvec, {oo -> a/b}>: raw_sum of the one term (a, 1) over |b|."""
         if b == 0:
             return 0
-        if b < 0:
-            a, b = -a, -b
+        return self.raw_sum(abs(b), ((a, 1),))
+
+    def raw_sum(self, n: int, terms) -> int:
+        """Sum of w * <fvec, {oo -> a/n}> over the pairs (a, w) of terms, n > 0.
+
+        Each a is first folded to min(a mod n, n - a mod n): translation by 1
+        fixes the symbol, and so does x -> -x, since fvec is star-invariant.
+        Terms with w = 0 are skipped.  Consecutive convergents
+        p_{k-1}/q_{k-1}, p_k/q_k of a/n give the Manin generator
+        ((-1)^{k-1} q_k : q_{k-1}); the sign is dropped because (-c : d) is
+        the star image of (c : d).  The convergent denominators depend only on
+        the partial quotients, which a common factor of a and n does not
+        change, so they are tracked mod N without reducing a/n.  The first
+        step of every a/n gives (1 : 0), so that entry is read once for the
+        whole sum, times the total weight; each later step is one lookup.
+        """
         N = self.space.N
         tab = self._table
-        q_prev, q_cur = 1, 0
-        total = 0
-        while b:
-            k = a // b
-            a, b = b, a - k * b
-            q_prev, q_cur = q_cur, (k * q_cur + q_prev) % N
-            total += tab[q_cur * N + q_prev]
-        return total
+        total = weight = 0
+        for a, w in terms:
+            if not w:
+                continue
+            b = a % n
+            if b + b > n:
+                b = n - b
+            a, q_prev, q_cur = n, 0, 1  # the state after the first step
+            raw = 0
+            while b:
+                k = a // b
+                a, b = b, a - k * b
+                q_prev, q_cur = q_cur, (k * q_cur + q_prev) % N
+                raw += tab[q_cur * N + q_prev]
+            total += w * raw
+            weight += w
+        return total + weight * tab[1 % N * N]
 
     def eval_plus(self, a: int, b: int) -> Fraction:
         return Fraction(self.sign * self.raw_value(a, b), self.denominator)

@@ -9,6 +9,7 @@ generator of the intersection of the period lattice with the real line.
 
 import gc
 import hashlib
+import tracemalloc
 import weakref
 from fractions import Fraction
 from math import gcd
@@ -29,6 +30,8 @@ from selmerkit.modsym import (
     _isolate_functionals,
     _merel_matrices,
     _nonzero_cycle,
+    _p1_fill,
+    _typecode,
     build_manin_space,
     cusp_key,
     cusp_number,
@@ -41,6 +44,7 @@ import period_oracle
 from eigen_oracle import stacked_eigenline
 from lattice_oracle import boundary_rows, cusps_equivalent, generator_ends, lift_to_sl2
 from conftest import CURVES
+from p1_oracle import unit_orbit_fill
 from path_oracle import pair_path, path_vector
 
 
@@ -107,6 +111,52 @@ def test_p1_table_partitions_the_points_into_unit_orbits(N):
         c, d = sp.p1_reps[k]
         assert pairs == {(u * c % N, u * d % N) for u in units}
         assert len(pairs) == len(units)
+
+
+def test_row_fill_matches_the_unit_orbit_fill_up_to_200():
+    for N in range(1, 201):
+        table, reps = _p1_fill(N)
+        assert (table.tolist(), reps) == unit_orbit_fill(N), N
+
+
+@pytest.mark.parametrize("N", [240, 333, 360, 720, 1000])
+def test_row_fill_matches_the_unit_orbit_fill(N):
+    table, reps = _p1_fill(N)
+    assert (table.tolist(), reps) == unit_orbit_fill(N)
+
+
+@pytest.mark.parametrize(
+    "lo, hi, code",
+    [(0, 127, "b"), (-128, 0, "b"), (0, 128, "h"), (-129, 0, "h"), (-32768, 32767, "h"),
+     (-32769, 0, "i"), (0, 32768, "i"), (0, 2 ** 31, "q"), (-2 ** 63, 2 ** 63 - 1, "q")],
+)
+def test_typecode_is_the_narrowest_signed_width(lo, hi, code):
+    assert _typecode(lo, hi) == code
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 2 ** 63), (-2 ** 63 - 1, 0)])
+def test_typecode_refuses_past_64_bits(lo, hi):
+    with pytest.raises(InternalInvariantError, match="64 bits"):
+        _typecode(lo, hi)
+
+
+def test_manin_space_stays_within_its_memory_budget():
+    # the N^2 class table is 2 bytes a slot; as a list it was 8, and the peak
+    # was 19.0 MiB
+    tracemalloc.start()
+    try:
+        ManinSpace(1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 14 * 2 ** 20
+
+
+def test_tables_are_typed_at_the_twisted_level_333(curve):
+    sym = isolate_eigensymbol(quadratic_twist(curve("37a1"), -3))
+    assert sym.space.N == 333
+    assert sym.space.p1_table.itemsize == 2
+    assert sym._table.itemsize == 1
 
 
 def test_functional_dimensions():
@@ -241,6 +291,34 @@ SAMPLE_LABELS = ["11a1", "14a1", "15a1", "17a1", "19a1", "26a1", "26b1", "27a1",
 def test_table_raw_value_matches_path_oracle(eigensymbol, label, a, b):
     sym = eigensymbol(label)
     assert sym.raw_value(a, b) == pair_path(sym.space, sym.fvec, a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(label=st.sampled_from(SAMPLE_LABELS), n=st.integers(1, 10 ** 5), data=st.data())
+def test_raw_sum_matches_the_path_oracle(eigensymbol, label, n, data):
+    # a past n/2, a = 0, a outside 0 .. n - 1 and zero weights all occur
+    sym = eigensymbol(label)
+    a = st.integers(n // 2, n - 1) | st.just(0) | st.integers(-3 * n, 3 * n)
+    w = st.just(0) | st.integers(-10 ** 6, 10 ** 6)
+    terms = data.draw(st.lists(st.tuples(a, w), max_size=8))
+    expected = sum(w * pair_path(sym.space, sym.fvec, a, n) for a, w in terms)
+    assert sym.raw_sum(n, (term for term in terms)) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    label=st.sampled_from(SAMPLE_LABELS),
+    a=st.integers(-10 ** 6, 10 ** 6),
+    b=st.integers(-10 ** 6, 10 ** 6),
+)
+def test_two_byte_symbol_table_matches_path_oracle(eigensymbol, label, a, b):
+    # no sample curve has a functional entry past 127, so scale one
+    sym = eigensymbol(label)
+    wide = EigenSymbol(curve=sym.curve, space=sym.space, fvec=tuple(200 * x for x in sym.fvec),
+                       denominator=sym.denominator, sign=sym.sign)
+    assert sym._table.itemsize == 1
+    assert wide._table.itemsize == 2
+    assert wide.raw_value(a, b) == pair_path(sym.space, wide.fvec, a, b)
 
 
 def test_table_covers_exactly_the_points_of_p1(eigensymbol, curve):
