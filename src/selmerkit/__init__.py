@@ -41,7 +41,7 @@ from .gross_points import (
     relation_report,
 )
 from .kurihara import DeltaStats, KuriharaNumber, RegionSpec, delta_stats, kurihara_number
-from .modsym import EigenSymbol, isolate_eigensymbol
+from .modsym import EigenSymbol, isolate_eigensymbol, twist_eigensymbol
 from .selmer_predict import (
     ModuleShape,
     combine_over_K,
@@ -117,4 +117,5 @@ __all__ = [
     "split_conductor",
     "synthetic_delta_stats",
     "trace_of_frobenius",
+    "twist_eigensymbol",
 ]

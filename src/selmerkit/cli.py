@@ -37,6 +37,7 @@ import logging
 import os
 import sys
 import tempfile
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from functools import cache, partial
 from pathlib import Path
@@ -54,7 +55,7 @@ from .gross_points import (
     relation_report,
 )
 from .kurihara import DeltaStats, RegionSpec, delta_stats, kurihara_number
-from .modsym import isolate_eigensymbol
+from .modsym import EigenSymbol, isolate_eigensymbol, twist_eigensymbol
 from .selmer_predict import (
     ModuleShape,
     predict_heegner_profile,
@@ -353,11 +354,15 @@ def _estimate_evaluations(indices) -> int:
     return evaluations + walks
 
 
-def _gather(record: CurveRecord, config: RunConfig) -> tuple[dict, DeltaStats]:
+def _gather(record: CurveRecord, config: RunConfig,
+            eigensymbol: Callable[[EllipticCurve], EigenSymbol] | None = None) -> tuple[dict, DeltaStats]:
     """One curve's run over the region: its report fields, and its stats.
 
     The delta, stats and pipeline reports all take their entries from the
-    one fields dict; the stats come back as well for the prediction.
+    one fields dict; the stats come back as well for the prediction.  The
+    curve's eigensymbol is built once the region is within budget: by
+    eigensymbol(curve) when given (the twist of a pair, read off its base
+    curve), else by the Hecke cut of isolate_eigensymbol.
     """
     E = record.to_curve()
     notes = _hypothesis_gate(record, config.p)
@@ -371,7 +376,7 @@ def _gather(record: CurveRecord, config: RunConfig) -> tuple[dict, DeltaStats]:
             f"budget {config.max_evaluations}; shrink the region or raise "
             "--max-evaluations"
         )
-    sym = isolate_eigensymbol(E)
+    sym = isolate_eigensymbol(E) if eigensymbol is None else eigensymbol(E)
     collection = [kurihara_number(sym, ix, config.p) for ix in indices]
     stats = delta_stats(collection, region)
     fields = {
@@ -389,13 +394,17 @@ def _gather(record: CurveRecord, config: RunConfig) -> tuple[dict, DeltaStats]:
     return fields, stats
 
 
-def run_pipeline(record: CurveRecord, config: RunConfig) -> dict:
+def run_pipeline(record: CurveRecord, config: RunConfig,
+                 eigensymbol: Callable[[EllipticCurve], EigenSymbol] | None = None) -> dict:
     """curves -> modsym -> sieves -> kurihara -> prediction, as one report.
 
     The report is a plain JSON-compatible dict; rendering it with
     render_report is byte-identical across runs of the same (record, config,
-    code) triple, which is also the cache key.  This is the one cached
-    computation.  An entry is the hex sha256 of the rest of the file on its
+    code) triple, which is also the cache key.  eigensymbol builds the
+    curve's symbol on a miss (see _gather).  It is not part of the key: the
+    twisted path of gz_pair gives the same sign * fvec and denominator as
+    the cut, so both paths give the same report and share one entry.  This
+    is the one cached computation.  An entry is the hex sha256 of the rest of the file on its
     first line, then exactly render_report(report).  An entry that cannot be
     read, whose digest does not match its stored bytes, that does not
     decode, or that is not a pipeline report is logged as a miss, recomputed
@@ -433,7 +442,7 @@ def run_pipeline(record: CurveRecord, config: RunConfig) -> dict:
                     return cached
                 logger.warning("cache entry %s fails its checksum or is not a report; recomputing", path)
 
-    fields, stats = _gather(record, config)
+    fields, stats = _gather(record, config, eigensymbol)
     prediction = predict_selmer_Q(stats)
     report = _report("pipeline", **fields, prediction=prediction.to_json_dict())
     if config.tainted:
@@ -477,6 +486,9 @@ def gz_pair(record_E: CurveRecord, D_K: int, config: RunConfig,
     cache entries with predict and with every other field.
     The branch depends only on the field, so a missing root number or a
     branch other than want_branch is refused before either pipeline runs.
+    E's eigensymbol is the Hecke cut at level N; the twist's is read off E's
+    symbols (modsym.twist_eigensymbol), with no relation kernel or Hecke cut
+    at level N D^2.
     """
     D = -abs(int(D_K))
     if not is_fundamental_discriminant(D):
@@ -506,7 +518,7 @@ def gz_pair(record_E: CurveRecord, D_K: int, config: RunConfig,
         )
     curve_config = replace(config, D_K=None)
     report_E = run_pipeline(record_E, curve_config)
-    report_T = run_pipeline(twist_record, curve_config)
+    report_T = run_pipeline(twist_record, curve_config, partial(twist_eigensymbol, E, D))
     stats_E = DeltaStats.from_json_dict(report_E["stats"])
     stats_T = DeltaStats.from_json_dict(report_T["stats"])
     if branch == "heegner":

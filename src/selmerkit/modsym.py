@@ -14,7 +14,7 @@ orthogonal to every relation, so the functional space has dimension 2g + c - 1.
 The star involution iota preserves the relations, so that space splits into
 its sign +1 and sign -1 parts; each is one sparse kernel, of the relations
 together with the star rows f_i - s f_iota(i), as in Cremona's plus and minus
-quotients.
+quotients.  A space solves these kernels only when they are first read.
 
 For a rational elliptic curve of conductor N, the plus eigensymbol is the
 one-dimensional common eigenspace of the Hecke operators (eigenvalues from
@@ -38,6 +38,15 @@ with gamma = [[a, b], [N, d]]: the first d >= 2 prime to N on which the
 symbol is nonzero.  Its exact value [b/d]+ - [0]+ is compared with the
 cycle period of the analytic module, whose two ends sit at height 1/N and
 whose error is bounded.
+
+The twist E^D of a pair is not cut at its level M = N D^2.  By the twisting
+formula f_chi = tau(chi)^-1 sum_{u mod |D|} chi(u) f(z + u/|D|), its plus
+and minus lines are chi-twisted sums of E's own minus and plus lines (plus
+and minus for D > 0), each path read by a signed continued-fraction walk at
+level N.  The level-M space then serves only its P^1 table and boundary
+rows; each line is certified on all generators (the Manin relations, its
+star sign, and T_q f = a_q f for two primes q) and then normalized and
+pinned as above, so the symbol is the one the cut would give.
 """
 
 from __future__ import annotations
@@ -45,11 +54,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from struct import calcsize, pack
 
 from .analytic import cycle_period
-from .arith import divisors, factorint, kronecker_symbol, primerange, totient
+from .arith import divisors, factorint, isprime, kronecker_symbol, primerange, totient
 from .curves import EllipticCurve, trace_of_frobenius
 from .errors import AmbiguityError, InputError, InternalInvariantError
 from .linalg import gcd_list, kernel_image_gcd, sparse_nullspace
@@ -202,10 +212,14 @@ class ManinSpace:
     P^1(Z/N), in a flat read-only typed buffer of the narrowest width that
     holds -1 .. psi(N) - 1 (two bytes up to psi(N) = 32768), filled by rows
     (_p1_fill).  Class k is the unit orbit of p1_reps[k]: (g, least d) for a
-    divisor g < N of N, or (0 : 1).  functionals[s], s = +-1, is a primitive
-    integer basis of the functionals with f(iota x) = s f(x); m counts both.
-    free_columns[s] lists the generators on which that basis is diagonal, one
-    per vector, as sparse_nullspace returns them.
+    divisor g < N of N, or (0 : 1).  The constructor builds only P^1(Z/N),
+    the generating actions sigma, tau and iota, and the boundary rows.
+    functionals[s], s = +-1, is a primitive integer basis of the functionals
+    with f(iota x) = s f(x); m counts both.  free_columns[s] lists the
+    generators on which that basis is diagonal, one per vector, as
+    sparse_nullspace returns them.  These relation kernels are solved on first
+    use, so a space read only for its table and boundary (the level of a
+    twist, twist_eigensymbol) never solves them.
     """
 
     def __init__(self, N: int):
@@ -214,13 +228,21 @@ class ManinSpace:
         self.N = N
         self.p1_table, reps = _p1_fill(N)
         self.p1_reps = reps
-        self.n = n = len(reps)
+        self.n = len(reps)
         idx = self.index
         # index permutations of the generating actions
         self.sigma = [idx(d, -c) for (c, d) in reps]
         self.tau = [idx(d, -c - d) for (c, d) in reps]
         self.iota = [idx(-c, d) for (c, d) in reps]
+        self.genus = genus_x0(N)
+        self.ncusps = cusp_number(N)
+        self._build_boundary()
 
+    @cached_property
+    def _kernels(self) -> tuple[dict[int, list[list[int]]], dict[int, list[int]]]:
+        """(functionals, free_columns), solved on first use, with the
+        dimension of the whole kernel checked against 2g + c - 1."""
+        n = self.n
         # one two-term and one three-term relation per generator; sparse_nullspace
         # drops the repeats that come from the sigma and tau orbits
         relations = []
@@ -229,24 +251,32 @@ class ManinSpace:
             relations.append(Counter((i, self.tau[i], self.tau[self.tau[i]])))
         # functionals[s] is the kernel of the relations and of f_i - s f_iota(i),
         # which at a fixed point of iota is 2 f_i for s = -1 and absent for s = +1
-        self.functionals: dict[int, list[list[int]]] = {}
-        self.free_columns: dict[int, list[int]] = {}
+        functionals: dict[int, list[list[int]]] = {}
+        free_columns: dict[int, list[int]] = {}
         for s in (1, -1):
             star_rows = [{i: 1, j: -s} if i != j else {i: 1 - s}
                          for i, j in enumerate(self.iota) if i <= j]
-            self.functionals[s], self.free_columns[s] = sparse_nullspace(relations + star_rows, n)
+            functionals[s], free_columns[s] = sparse_nullspace(relations + star_rows, n)
         # iota preserves the relations, so the two signs split the whole kernel
-        self.m = len(self.functionals[1]) + len(self.functionals[-1])
-
-        self.genus = genus_x0(N)
-        self.ncusps = cusp_number(N)
+        m = len(functionals[1]) + len(functionals[-1])
         expected = 2 * self.genus + self.ncusps - 1
-        if self.m != expected:
+        if m != expected:
             raise InternalInvariantError(
-                f"functional space at N={N} has dimension {self.m}, expected {expected}"
+                f"functional space at N={self.N} has dimension {m}, expected {expected}"
             )
+        return functionals, free_columns
 
-        self._build_boundary()
+    @property
+    def functionals(self) -> dict[int, list[list[int]]]:
+        return self._kernels[0]
+
+    @property
+    def free_columns(self) -> dict[int, list[int]]:
+        return self._kernels[1]
+
+    @property
+    def m(self) -> int:
+        return len(self.functionals[1]) + len(self.functionals[-1])
 
     def index(self, c: int, d: int) -> int:
         """The class of (c : d) in P^1(Z/N)."""
@@ -478,6 +508,13 @@ def _isolate_functionals(E: EllipticCurve, space: ManinSpace) -> tuple[tuple[int
                 f"has dimension {len(V)}"
             )
     lines = spaces[1][0], spaces[-1][0]
+    _certify_hecke(E, lines, used)
+    return tuple(lines[0]), tuple(lines[1])
+
+
+def _certify_hecke(E: EllipticCurve, lines, used) -> None:
+    """T_q f = a_q f on all generators, for each f of lines and each
+    (q, a_q, images of T_q) of used; InternalInvariantError otherwise."""
     for q, aq, images in used:
         for f in lines:
             if any(sum(f[j] * mult for j, mult in img) != aq * f[i]
@@ -485,7 +522,100 @@ def _isolate_functionals(E: EllipticCurve, space: ManinSpace) -> tuple[tuple[int
                 raise InternalInvariantError(
                     f"eigensymbol line of {E.label or E.ainvs} fails T_{q} f = {aq} f"
                 )
-    return tuple(lines[0]), tuple(lines[1])
+
+
+# ---------------------------------------------------------------------------
+# the twist's eigensymbol from the base curve's symbols
+
+
+def _path_values(space: ManinSpace, plus, minus, p: int, q: int) -> tuple[int, int]:
+    """(<plus, {oo -> p/q}>, <minus, {oo -> p/q}>) at the level of space, for
+    q >= 0; a path from oo to oo (q = 0) is worth (0, 0).
+
+    Consecutive convergents p_{k-1}/q_{k-1}, p_k/q_k of p/q give the Manin
+    generator ((-1)^{k-1} q_k : q_{k-1}).  The functionals need not be
+    star-invariant, so the sign is kept.  The convergent denominators are
+    tracked mod N without reducing p/q, and translation by 1 is in
+    Gamma_0(N), so only p mod q is walked.
+    """
+    if q == 0:
+        return 0, 0
+    N, tab = space.N, space.p1_table
+    j = tab[1 % N * N]  # the first step, {oo -> floor(p/q)}, is (1 : 0)
+    x, y = plus[j], minus[j]
+    a, b = q, p % q
+    q_prev, q_cur, s = 0, 1, 1
+    while b:
+        k = a // b
+        a, b = b, a - k * b
+        q_prev, q_cur = q_cur, (k * q_cur + q_prev) % N
+        j = tab[s * q_cur % N * N + q_prev]
+        x += plus[j]
+        y += minus[j]
+        s = -s
+    return x, y
+
+
+def _twisted_functionals(E: EllipticCurve, D: int, space: ManinSpace) -> tuple[list[int], list[int]]:
+    """The plus and minus functionals of E twisted by chi = (D / .) on the
+    generators of space, at level N D^2, before their primitive parts.
+
+    By f_chi = tau(chi)^-1 sum_{u mod |D|} chi(u) f(z + u/|D|) (Shimura;
+    Mazur-Tate-Teitelbaum), the twist's symbol on a path {r -> s} is a
+    multiple of sum_u chi(u) (Phi_E(oo -> s + u/|D|) - Phi_E(oo -> r + u/|D|)),
+    with Phi_E read off E's own functionals at level N.  Generator (c : d) is
+    the path {b/d -> a/c} of [[a, b], [c, d]] with a = d^-1 mod c and
+    b = (ad - 1)/c, or of the identity at (0 : 1); the reps have
+    gcd(c, d) = 1.  tau(chi) is real for D > 0 and imaginary for D < 0, so an
+    odd chi takes the twist's plus part from E's minus and its minus part
+    from E's plus.
+    """
+    base = build_manin_space(E.conductor)
+    plus, minus = _isolate_functionals(E, base)
+    m = abs(D)
+    chars = [(u, kronecker_symbol(D, u)) for u in range(m) if gcd(u, m) == 1]
+    twisted_plus, twisted_minus = [], []
+    for c, d in space.p1_reps:
+        if c == 0:
+            a, b = 1, 0
+        else:
+            a = pow(d, -1, c)
+            b = (a * d - 1) // c
+        x = y = 0
+        for u, chi in chars:
+            x_to, y_to = _path_values(base, plus, minus, a * m + u * c, c * m)
+            x_from, y_from = _path_values(base, plus, minus, b * m + u * d, d * m)
+            x += chi * (x_to - x_from)
+            y += chi * (y_to - y_from)
+        twisted_plus.append(x)
+        twisted_minus.append(y)
+    if D < 0:
+        return twisted_minus, twisted_plus
+    return twisted_plus, twisted_minus
+
+
+def _certify_twisted(T: EllipticCurve, space: ManinSpace, lines) -> None:
+    """The twisted lines on all generators of space: the two- and three-term
+    Manin relations, f(iota x) = +-f(x) for the plus and the minus line, and
+    T_q f = a_q(T) f for the first two primes q prime to the level, with a_q
+    counted on T itself.  InternalInvariantError on any failure."""
+    sigma, tau, iota = space.sigma, space.tau, space.iota
+    for sign, f in zip((1, -1), lines):
+        if any(f[i] + f[sigma[i]] or f[i] + f[tau[i]] + f[tau[tau[i]]]
+               for i in range(space.n)):
+            raise InternalInvariantError(
+                f"twisted line of {T.label or T.ainvs} (star sign {sign:+d}) fails the Manin relations"
+            )
+        if any(f[iota[i]] != sign * f[i] for i in range(space.n)):
+            raise InternalInvariantError(
+                f"twisted line of {T.label or T.ainvs} is not of star sign {sign:+d}"
+            )
+    used, q = [], 1
+    while len(used) < 2:
+        q += 1
+        if isprime(q) and space.N % q:
+            used.append((q, trace_of_frobenius(T, q), space.hecke_images(q)))
+    _certify_hecke(T, lines, used)
 
 
 # the largest d tried for a cycle {0, b/d} that the symbol does not kill
@@ -511,10 +641,52 @@ def _nonzero_cycle(sym: EigenSymbol) -> tuple[int, int, int]:
 
 
 def isolate_eigensymbol(E: EllipticCurve, space: ManinSpace | None = None) -> EigenSymbol:
-    """The normalized plus eigensymbol of E, sign pinned numerically.
+    """The normalized plus eigensymbol of E, cut out of the functionals at
+    level N by the Hecke operators (_isolate_functionals), sign pinned
+    numerically (_normalized).  This is the one path for a curve taken on its
+    own; twist_eigensymbol serves the twist of a known curve.
+    """
+    N = E.conductor
+    if space is None:
+        space = build_manin_space(N)
+    if space.N != N:
+        raise InputError("space level does not match the curve conductor")
+    if space.genus == 0:
+        raise InputError(f"no cusp forms at level {N}")
+    return _normalized(E, space, *_isolate_functionals(E, space))
+
+
+def twist_eigensymbol(E: EllipticCurve, D: int, twist: EllipticCurve) -> EigenSymbol:
+    """The normalized plus eigensymbol of twist = E^D, read off E's symbols.
+
+    E's plus and minus functionals are cut at level N; the twist's lines at
+    level M = N D^2 are their chi_D-twisted sums (_twisted_functionals), so
+    the level-M space is built only for its P^1 table, its generating
+    actions and its boundary rows, and no relation kernel or Hecke cut is
+    solved there.  Each primitive line is certified on all generators
+    (_certify_twisted) and then normalized and pinned exactly as
+    isolate_eigensymbol does, so sign * fvec and the denominator are the
+    cut's.
+    """
+    M = E.conductor * D * D
+    if twist.conductor != M:
+        raise InputError(f"twist conductor {twist.conductor} is not N D^2 = {M}")
+    space = build_manin_space(M)
+    lines = []
+    for f in _twisted_functionals(E, D, space):
+        g = gcd_list(f)
+        if g == 0:
+            raise InternalInvariantError(f"twisted functional of {twist.label or twist.ainvs} vanishes")
+        lines.append([x // g for x in f])
+    _certify_twisted(twist, space, lines)
+    return _normalized(twist, space, *lines)
+
+
+def _normalized(E: EllipticCurve, space: ManinSpace, f_int, f_minus) -> EigenSymbol:
+    """The eigensymbol of E on the plus line f_int, normalized and pinned.
 
     Normalization: the value group of the symbol on integral cycles killed by
-    the minus eigensymbol is exactly Z.  Those cycles integrate onto the full
+    the minus line f_minus is exactly Z.  Those cycles integrate onto the full
     real sublattice of the period lattice (the star-fixed cycles alone can
     land in an index-2 sublattice), so evaluations agree with
     Re(period integral) / omega_plus on the nose.
@@ -524,16 +696,6 @@ def isolate_eigensymbol(E: EllipticCurve, space: ManinSpace | None = None) -> Ei
     proven error bound.  The pin needs the exact value to exceed twice the
     bound, and the pinned value must then lie within the bound.
     """
-    N = E.conductor
-    if space is None:
-        space = build_manin_space(N)
-    if space.N != N:
-        raise InputError("space level does not match the curve conductor")
-    if space.genus == 0:
-        raise InputError(f"no cusp forms at level {N}")
-
-    f_int, f_minus = _isolate_functionals(E, space)
-
     # integral cycles: killed by the boundary map, and killed by f_minus
     denominator = kernel_image_gcd(space.boundary_rows + [list(f_minus)], f_int)
     if denominator == 0:

@@ -12,7 +12,7 @@ import pytest
 
 import selmerkit
 
-from selmerkit import cli
+from selmerkit import cli, modsym
 from selmerkit.cli import (
     CurveRecord,
     RunConfig,
@@ -400,6 +400,76 @@ def test_gz_pair_end_to_end_matches_components():
     assert report["twist"] == run_pipeline(twist_record, curve_cfg)
 
 
+def test_gz_pair_reads_the_twist_off_the_curve_and_cuts_only_the_curve(monkeypatch):
+    # the twist's symbol comes from twist_eigensymbol, and no relation kernel
+    # is solved at the twist's level 333: every solve is at most 38 wide,
+    # the generator count at N = 37
+    solve, twisted = modsym.sparse_nullspace, cli.twist_eigensymbol
+    widths, twists, cuts = [], [], []
+
+    def counted(rows, ncols):
+        widths.append(ncols)
+        return solve(rows, ncols)
+
+    def recorded(E, D, twist):
+        twists.append((E.label, D, twist.label))
+        return twisted(E, D, twist)
+
+    def cut(E):
+        cuts.append(E.label)
+        return modsym.isolate_eigensymbol(E)
+
+    monkeypatch.setattr(modsym, "sparse_nullspace", counted)
+    monkeypatch.setattr(cli, "twist_eigensymbol", recorded)
+    monkeypatch.setattr(cli, "isolate_eigensymbol", cut)
+    report = gz_pair(sample_record("37a1"), -3, RunConfig(p=5, prime_bound=150, D_K=-3))
+    assert report["twist"]["curve"]["conductor"] == 333
+    assert twists == [("37a1", -3, "37a1x-3")] and cuts == ["37a1"]
+    assert widths and max(widths) == 38
+
+
+def test_waldspurger_refusal_at_the_twisted_level_240_exits_4(capsys):
+    # 15a1 x -4: the exact pin value is half the cycle period (ROADMAP item 2)
+    code, out, err = run_main(
+        capsys, "waldspurger", "--curves", SAMPLE, "--label", "15a1", "--DK", "-4",
+        "--p", "7", "--prime-bound", "300", "--max-nu", "1",
+    )
+    assert code == 4 and out == ""
+    assert "disagrees with direct integration: -1.5 vs -2.99999" in err
+    assert "Traceback" not in err
+
+
+def test_waldspurger_certifies_ord_lambda_two_for_389a1(capsys):
+    # rank 2 over Q(sqrt(-3)): the twist lives at N = 3501
+    code, out, _ = run_main(
+        capsys, "waldspurger", "--curves", LARGE, "--label", "389a1", "--DK", "-3",
+        "--p", "5", "--prime-bound", "300", "--max-nu", "2",
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["twist"]["curve"]["conductor"] == 3501
+    prediction = report["prediction"]
+    assert prediction["ord_lambda"] == 2
+    assert prediction["shape_K"] == {"corank": 2, "exponents": []}
+    assert all(c["ok"] for c in prediction["identities"])
+
+
+def test_gz_certifies_both_shapes_for_389a1_over_Q_i(capsys):
+    # the twist lives at N = 6224
+    code, out, _ = run_main(
+        capsys, "gz", "--curves", LARGE, "--label", "389a1", "--DK", "-4",
+        "--p", "5", "--prime-bound", "300", "--max-nu", "2",
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["twist"]["curve"]["conductor"] == 6224
+    prediction = report["prediction"]
+    assert prediction["shape_E"] == {"corank": 2, "exponents": []}
+    assert prediction["shape_EK"] == {"corank": 1, "exponents": []}
+    assert prediction["profile"]["ord_kappa"] == 1
+    assert all(c["ok"] for c in prediction["identities"])
+
+
 def test_gz_pair_rejects_ramified_p():
     with pytest.raises(HypothesisError, match="ramifies"):
         gz_pair(sample_record("11a1"), -7, RunConfig(p=7, prime_bound=100))
@@ -627,6 +697,7 @@ def test_waldspurger_subcommand_and_branch_guard(capsys, tmp_path, monkeypatch):
         raise AssertionError("a warm pair must not isolate an eigensymbol")
 
     monkeypatch.setattr(cli, "isolate_eigensymbol", no_symbols)
+    monkeypatch.setattr(cli, "twist_eigensymbol", no_symbols)
     code, warm, _ = run_main(capsys, "waldspurger", *argv)
     assert code == 0 and warm == out
     # the same field is definite, so the indefinite subcommand refuses,

@@ -19,7 +19,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from selmerkit import analytic, curves, modsym
-from selmerkit.arith import is_fundamental_discriminant
+from selmerkit.arith import is_fundamental_discriminant, kronecker_symbol
 from selmerkit.analytic import cycle_period, numeric_plus, real_periods
 from selmerkit.curves import quadratic_twist, trace_of_frobenius
 from selmerkit.errors import InputError, InternalInvariantError
@@ -31,6 +31,8 @@ from selmerkit.modsym import (
     _merel_matrices,
     _nonzero_cycle,
     _p1_fill,
+    _path_values,
+    _twisted_functionals,
     _typecode,
     build_manin_space,
     cusp_key,
@@ -38,6 +40,7 @@ from selmerkit.modsym import (
     genus_x0,
     isolate_eigensymbol,
     psi_index,
+    twist_eigensymbol,
 )
 
 import period_oracle
@@ -700,3 +703,184 @@ def test_sign_pin_counts_points_only_up_to_a_small_multiple_of_N(curve, monkeypa
     isolate_eigensymbol(E)
     counted = [q for ainvs, q in curves._AQ_CACHE if ainvs == E.ainvs]
     assert counted and max(counted) <= 5 * E.conductor
+
+
+# ---------------------------------------------------------------------------
+# the twist's eigensymbol read off the base curve's symbols, with the
+# level-M cut as the oracle
+
+
+def _imaginary_twists():
+    """Every E^D of the sample curves with D < 0 fundamental, (D, N) = 1
+    and N D^2 <= 1000, labelled as quadratic_twist labels them."""
+    out = []
+    for label, E in CURVES.items():
+        D = -3
+        while E.conductor * D * D <= 1000:
+            if is_fundamental_discriminant(D) and gcd(D, E.conductor) == 1:
+                out.append(f"{label}x{D}")
+            D -= 1
+    return out
+
+
+IMAGINARY_TWISTS = _imaginary_twists()
+# the cut's sign pin refuses these (ROADMAP item 2)
+REFUSED_TWISTS = {"15a1x-4", "15a1x-7", "15a1x-8"}
+
+
+def test_the_differential_covers_every_imaginary_twist_up_to_1000():
+    assert len(IMAGINARY_TWISTS) == 23
+    assert REFUSED_TWISTS <= set(IMAGINARY_TWISTS)
+    assert {"11a1x-8", "15a1x-8", "19a1x-7", "49a1x-4"} <= set(IMAGINARY_TWISTS)
+
+
+def _signed_line(sym):
+    return [sym.sign * x for x in sym.fvec], sym.denominator
+
+
+@pytest.mark.parametrize("label", IMAGINARY_TWISTS)
+def test_twisted_symbol_is_the_cut_symbol(curve, label):
+    base, D = label.split("x")
+    E, D = curve(base), int(D)
+    T = quadratic_twist(E, D)
+    try:
+        expected = _signed_line(isolate_eigensymbol(T))
+    except InternalInvariantError as exc:
+        assert label in REFUSED_TWISTS
+        with pytest.raises(InternalInvariantError) as refused:
+            twist_eigensymbol(E, D, T)
+        assert str(refused.value) == str(exc)
+        assert "disagrees with direct integration" in str(exc)
+        return
+    assert label not in REFUSED_TWISTS
+    sym = twist_eigensymbol(E, D, T)
+    assert sym.curve is T and sym.space.N == T.conductor
+    assert _signed_line(sym) == expected
+
+
+def _twisted_oracle(E, D, space):
+    """The twisted functionals by the path oracle: each generator lifted by
+    search (lattice_oracle.generator_ends), each path walked through
+    ManinSpace.index with its signs kept."""
+    base = build_manin_space(E.conductor)
+    plus, minus = _isolate_functionals(E, base)
+    m = abs(D)
+    out = []
+    for f in (plus, minus):
+        line = []
+        for (b, d), (a, c) in generator_ends(space):
+            line.append(sum(kronecker_symbol(D, u) * (pair_path(base, f, a * m + u * c, c * m)
+                                                      - pair_path(base, f, b * m + u * d, d * m))
+                            for u in range(m)))
+        out.append(line)
+    return (out[1], out[0]) if D < 0 else (out[0], out[1])
+
+
+@pytest.mark.parametrize("label", ["11a1x-3", "37a1x-4", "11a1x5"])
+def test_twisted_functionals_match_the_path_oracle(curve, label):
+    base, D = label.split("x")
+    E, D = curve(base), int(D)
+    space = build_manin_space(E.conductor * D * D)
+    assert _twisted_functionals(E, D, space) == _twisted_oracle(E, D, space)
+
+
+@settings(max_examples=200, deadline=None)
+@given(label=st.sampled_from(["11a1", "37a1", "49a1"]), a=st.integers(-10 ** 5, 10 ** 5),
+       b=st.integers(0, 10 ** 5))
+def test_signed_walk_matches_the_path_oracle(curve, label, a, b):
+    # the minus line is star-odd, so a walk that dropped the sign would fail
+    E = curve(label)
+    sp = build_manin_space(E.conductor)
+    plus, minus = _isolate_functionals(E, sp)
+    assert _path_values(sp, plus, minus, a, b) == (pair_path(sp, plus, a, b), pair_path(sp, minus, a, b))
+
+
+def test_twist_of_the_wrong_conductor_is_refused(curve):
+    with pytest.raises(InputError, match="is not N D\\^2"):
+        twist_eigensymbol(curve("11a1"), -3, quadratic_twist(curve("11a1"), -4))
+
+
+def _bend(monkeypatch, mutate):
+    """Route twist_eigensymbol through mutate(E, space, plus, minus)."""
+    twisted = modsym._twisted_functionals
+
+    def bent(E, D, space):
+        return mutate(E, space, *twisted(E, D, space))
+
+    monkeypatch.setattr(modsym, "_twisted_functionals", bent)
+
+
+def _perturbed(E, space, plus, minus):
+    plus = list(plus)
+    plus[next(i for i, x in enumerate(plus) if x)] += 1
+    return plus, minus
+
+
+def _base_line(E, space, plus, minus):
+    """E's own plus line read on the generators of the twist's level: a
+    modular symbol of Gamma_0(M), star-even, of the wrong Hecke eigenvalues."""
+    base = build_manin_space(E.conductor)
+    f, _ = _isolate_functionals(E, base)
+    line = [pair_path(base, f, a, c) - pair_path(base, f, b, d) for (b, d), (a, c) in generator_ends(space)]
+    return line, minus
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_perturbed, "star sign \\+1\\) fails the Manin relations"),
+    (lambda E, space, plus, minus: (minus, minus), "is not of star sign \\+1"),
+    (lambda E, space, plus, minus: (plus, plus), "is not of star sign -1"),
+    (lambda E, space, plus, minus: (minus, plus), "is not of star sign \\+1"),
+    (_base_line, "fails T_2 f = 2 f"),
+], ids=["one-entry", "star-odd-plus", "star-even-minus", "signs-unswapped", "base-curve-line"])
+def test_each_twisted_certificate_check_catches_its_mutation(curve, monkeypatch, mutate, message):
+    # 37a1 x -3 at M = 333: a_2(E) = -2 and chi(2) = -1, so a_2 of the twist is 2.
+    # Each mutation passes every check before the one that names it, so
+    # dropping that check lets the mutation through to a different message
+    E = curve("37a1")
+    T = quadratic_twist(E, -3)
+    assert trace_of_frobenius(E, 2) == -2 and trace_of_frobenius(T, 2) == 2
+    _bend(monkeypatch, mutate)
+    with pytest.raises(InternalInvariantError, match=message):
+        twist_eigensymbol(E, -3, T)
+
+
+def test_a_vanishing_twisted_functional_is_refused(curve, monkeypatch):
+    _bend(monkeypatch, lambda E, space, plus, minus: (plus, [0] * len(minus)))
+    E = curve("11a1")
+    with pytest.raises(InternalInvariantError, match="twisted functional of 11a1x-3 vanishes"):
+        twist_eigensymbol(E, -3, quadratic_twist(E, -3))
+
+
+def test_twisted_path_solves_no_kernel_at_the_twisted_level(curve, monkeypatch):
+    solve = modsym.sparse_nullspace
+    widths = []
+
+    def counted(rows, ncols):
+        widths.append(ncols)
+        return solve(rows, ncols)
+
+    monkeypatch.setattr(modsym, "sparse_nullspace", counted)
+    E = curve("37a1")
+    sym = twist_eigensymbol(E, -3, quadratic_twist(E, -3))
+    # the two star kernels at N = 37 and the |V| x |V| cuts there, nothing
+    # on the 456 generators at M = 333
+    assert sym.space.n == psi_index(333) == 456
+    assert widths and max(widths) == psi_index(37)
+    assert "_kernels" not in vars(sym.space)
+    # read on demand, the kernels are the cut's
+    assert sym.space.m == 2 * sym.space.genus + sym.space.ncusps - 1
+    assert max(widths) == 456
+
+
+@pytest.mark.parametrize("case", ["37a1x-3", "11a1x-4"])
+def test_twisted_sign_pin_counts_points_only_up_to_a_small_multiple_of_M(curve, monkeypatch, case):
+    # the twin of the cut's test: the level-N cut counts a_q(E) up to its
+    # Sturm bound, the certificate two a_q(T), and the pin about 4M terms
+    base, D = case.split("x")
+    E, D = curve(base), int(D)
+    T = quadratic_twist(E, D)
+    monkeypatch.setattr(curves, "_AQ_CACHE", {})
+    twist_eigensymbol(E, D, T)
+    counted = [q for ainvs, q in curves._AQ_CACHE if ainvs == T.ainvs]
+    assert counted and max(counted) <= 5 * T.conductor
+    assert max(q for ainvs, q in curves._AQ_CACHE if ainvs == E.ainvs) <= 5 * E.conductor
