@@ -355,14 +355,14 @@ def _estimate_evaluations(indices) -> int:
 
 
 def _gather(record: CurveRecord, config: RunConfig,
-            eigensymbol: Callable[[EllipticCurve], EigenSymbol] | None = None) -> tuple[dict, DeltaStats]:
+            eigensymbol: Callable[[EllipticCurve], EigenSymbol] = isolate_eigensymbol) -> tuple[dict, DeltaStats]:
     """One curve's run over the region: its report fields, and its stats.
 
     The delta, stats and pipeline reports all take their entries from the
     one fields dict; the stats come back as well for the prediction.  The
-    curve's eigensymbol is built once the region is within budget: by
-    eigensymbol(curve) when given (the twist of a pair, read off its base
-    curve), else by the Hecke cut of isolate_eigensymbol.
+    curve's eigensymbol is built by eigensymbol(curve) once the region is
+    within budget: the Hecke cut of isolate_eigensymbol unless a pair reads
+    the twist off its base curve.
     """
     E = record.to_curve()
     notes = _hypothesis_gate(record, config.p)
@@ -376,7 +376,7 @@ def _gather(record: CurveRecord, config: RunConfig,
             f"budget {config.max_evaluations}; shrink the region or raise "
             "--max-evaluations"
         )
-    sym = isolate_eigensymbol(E) if eigensymbol is None else eigensymbol(E)
+    sym = eigensymbol(E)
     collection = [kurihara_number(sym, ix, config.p) for ix in indices]
     stats = delta_stats(collection, region)
     fields = {
@@ -395,7 +395,7 @@ def _gather(record: CurveRecord, config: RunConfig,
 
 
 def run_pipeline(record: CurveRecord, config: RunConfig,
-                 eigensymbol: Callable[[EllipticCurve], EigenSymbol] | None = None) -> dict:
+                 eigensymbol: Callable[[EllipticCurve], EigenSymbol] = isolate_eigensymbol) -> dict:
     """curves -> modsym -> sieves -> kurihara -> prediction, as one report.
 
     The report is a plain JSON-compatible dict; rendering it with
@@ -407,8 +407,9 @@ def run_pipeline(record: CurveRecord, config: RunConfig,
     is the one cached computation.  An entry is the hex sha256 of the rest of the file on its
     first line, then exactly render_report(report).  An entry that cannot be
     read, whose digest does not match its stored bytes, that does not
-    decode, or that is not a pipeline report is logged as a miss, recomputed
-    and rewritten atomically.  An entry that cannot be written is refused as
+    decode, that is not a pipeline report, or whose curve, config and
+    code_version are not the key's own is logged as a miss, recomputed and
+    rewritten atomically.  An entry that cannot be written is refused as
     input (exit 2), and the error names it.
     """
     path = None
@@ -423,7 +424,8 @@ def run_pipeline(record: CurveRecord, config: RunConfig,
             "config": config.to_json_dict(),
             "code": code_version(),
         }
-        key = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:24]
+        key_text = json.dumps(payload, sort_keys=True)
+        key = hashlib.sha256(key_text.encode()).hexdigest()[:24]
         path = directory / f"{key}.json"
         if path.exists():
             try:
@@ -439,8 +441,13 @@ def run_pipeline(record: CurveRecord, config: RunConfig,
                     except ValueError:  # JSONDecodeError or UnicodeDecodeError
                         pass
                 if isinstance(cached, dict) and cached.get("kind") == "pipeline":
-                    return cached
-                logger.warning("cache entry %s fails its checksum or is not a report; recomputing", path)
+                    held = {"record": cached.get("curve"), "config": cached.get("config"),
+                            "code": cached.get("code_version")}
+                    if json.dumps(held, sort_keys=True) == key_text:
+                        return cached
+                    logger.warning("cache entry %s holds the report of another run; recomputing", path)
+                else:
+                    logger.warning("cache entry %s fails its checksum or is not a report; recomputing", path)
 
     fields, stats = _gather(record, config, eigensymbol)
     prediction = predict_selmer_Q(stats)
@@ -486,9 +493,9 @@ def gz_pair(record_E: CurveRecord, D_K: int, config: RunConfig,
     cache entries with predict and with every other field.
     The branch depends only on the field, so a missing root number or a
     branch other than want_branch is refused before either pipeline runs.
-    E's eigensymbol is the Hecke cut at level N; the twist's is read off E's
-    symbols (modsym.twist_eigensymbol), with no relation kernel or Hecke cut
-    at level N D^2.
+    E's eigensymbol is the Hecke cut at level N, made at most once for both
+    runs; the twist's is read off it (modsym.twist_eigensymbol), with no
+    relation kernel or Hecke cut at level N D^2.
     """
     D = -abs(int(D_K))
     if not is_fundamental_discriminant(D):
@@ -517,8 +524,10 @@ def gz_pair(record_E: CurveRecord, D_K: int, config: RunConfig,
             f"{branch} dictionary for this field; use the {other} subcommand"
         )
     curve_config = replace(config, D_K=None)
-    report_E = run_pipeline(record_E, curve_config)
-    report_T = run_pipeline(twist_record, curve_config, partial(twist_eigensymbol, E, D))
+    # a run served from the cache builds no symbol, so E's is cut on first use
+    symbol_E = cache(isolate_eigensymbol)
+    report_E = run_pipeline(record_E, curve_config, symbol_E)
+    report_T = run_pipeline(twist_record, curve_config, lambda T: twist_eigensymbol(symbol_E(E), D, T))
     stats_E = DeltaStats.from_json_dict(report_E["stats"])
     stats_T = DeltaStats.from_json_dict(report_T["stats"])
     if branch == "heegner":

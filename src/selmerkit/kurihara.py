@@ -8,23 +8,22 @@ lives in Z_p / I_n = Z/p^{t_n} and is well defined up to a unit (the
 primitive-root choices).  Only unit-invariant data (valuations, vanishing)
 is ever reported as a statistic.
 
-The sum visits only the units whose log weight w(a) = prod log_{eta_ell}(a)
-is nonzero mod p^{t_n}, and it computes the weight before the symbol.  w(a)
-depends only on the residues a mod ell, and the log of eta^e is e, so one
-walk of the powers of eta lists each factor's (e mod p^{t_n}, eta^e * e_ell)
-with e nonzero mod p^{t_n}, where e_ell is the CRT idempotent; the walk over
-the product of these lists meets every such unit once, and every point of it
-is a unit.  Since log(-1) = (ell - 1)/2, w(n - a) = w(a) as soon as p^{t_n}
-divides every (ell - 1)/2.  For odd p, t_n <= v_p(ell - 1) guarantees this,
-so the first factor lists only the powers eta^e <= (ell - 1)/2, one member
-of each pair {a, n - a}, and the sum doubles.  At p = 2 it holds only when
-2^{t_n + 1} divides every ell - 1.  Otherwise the first list still keeps one
-member of each pair, and every entry carries the logs of both x and
-ell - x = x * eta^((ell - 1)/2), so each term gives w(a) + w(n - a) and the
-symbol is read once per pair whose summed weight is nonzero.  Either way
-the symbol is read at min(a, n - a), since [(n - a)/n]+ = [a/n]+ for
-every p: translation by 1 fixes modular symbols, and [-x]+ = [x]+ because
-the plus functional is star-invariant (EigenSymbol asserts it).
+The symbol is read once per pair {a, n - a}, at min(a, n - a), since
+[(n - a)/n]+ = [a/n]+: translation by 1 fixes modular symbols, and
+[-x]+ = [x]+ because the plus functional is star-invariant (EigenSymbol
+asserts it).  So the sum weighs each pair by w(a) + w(n - a), where
+w(a) = prod log_{eta_ell}(a), and reads the symbol only where that is
+nonzero mod p^{t_n}.  w depends only on the residues a mod ell, and the log
+of eta^e is e, so one walk of the powers of eta lists each factor's
+(e mod p^{t_n}, eta^e * e_ell), e_ell the CRT idempotent; the walk over the
+product of these lists meets units only, and the first factor lists one
+member x <= (ell - 1)/2 of each pair.  Since log(-x) = log x + c_ell with
+c_ell = (ell - 1)/2 mod p^{t_n}, a term of every list but the last carries
+w = prod log and w' = prod (log + c), and each entry of the last list then
+weighs (w + w') log + w' c_last.  An entry is listed when log or log + c is
+nonzero mod p^{t_n}, and x = 1, of log 0, when c_ell is.  At odd p every
+c_ell is 0, because p^{t_n} divides ell - 1, and the weight is 2 w(a); at
+p = 2, c_ell is 0 only where 2^{t_n + 1} divides ell - 1.
 
 A finite search region can certify "ord <= nu(n)" by exhibiting a nonzero
 delta_n, and can report stratum minima of valuations, but the true
@@ -101,21 +100,17 @@ def kurihara_number(
     valuation and saturation are unit-independent.
 
     Every n takes one path, mod p^t with t = t_n, or t the valuation cap at
-    n = 1, where I_1 = (0) and delta_1 lives in Z_p itself.  One walk of
-    x = eta^e, e = 1 .. ell - 2, per factor lists (e mod p^t, x * e_ell mod n)
-    for e nonzero mod p^t, and refuses eta at once if x returns to 1 early;
-    the sum walks the product of these lists lazily, one EigenSymbol.raw_sum
-    batch per term of all lists but the last, and skips a term whose
-    weight, the product of the logs, is 0 mod p^t (possible at t >= 2).
-    The first list keeps only x <= (ell - 1)/2.  When p^t divides
-    (ell - 1)/2 at every factor the total doubles; odd p guarantees it
-    (InternalInvariantError otherwise).  At p = 2, where it fails, each entry
-    also carries the log of ell - x, listed at x = 1 too, and each term adds
-    the summed weight of its pair {a, n - a}.  raw_sum reads the symbol at
-    min(a, n - a).  n is odd (each prime factor is 1 mod p), so no unit
-    a > 0 is its own partner; at n = 1 the product is a single term, a = 0
-    with weight 1, and the sum is raw(0, 1).  The sign and the denominator
-    are applied once to the total.
+    n = 1, where I_1 = (0), delta_1 lives in Z_p itself and the sum is the
+    one term raw(0, 1).  One walk of x = eta^e, e = 1 .. ell - 2, per factor
+    lists (e mod p^t, x * e_ell mod n) and refuses eta if x returns to 1
+    early; e is log_eta(x) mod p^t only because p^t divides ell - 1
+    (InternalInvariantError otherwise).  The first list keeps x <= (ell - 1)/2
+    and n is odd, so the product of the lists meets each pair {a, n - a}
+    once; each term carries the pair's weight in the closed form of the
+    module docstring.  One EigenSymbol.raw_sum batch per term of all lists
+    but the last reads the symbol at min(a, n - a), and a term whose weights
+    all vanish mod p^t is skipped.  The sign and the denominator are applied
+    once to the total.
     """
     if index.family not in (None, "cyc"):
         raise InputError(f"Kurihara numbers need cyc indices, got {index.family}")
@@ -130,23 +125,19 @@ def kurihara_number(
     if n % 2 == 0:
         raise InternalInvariantError(f"cyc index n = {n} is even; a and n - a would collide")
 
-    # log_eta(-1) = (ell - 1)/2, so w(n - a) = w(a) once p^t divides it at
-    # every factor; t_n <= v_p(ell - 1) makes that so for odd p.  Where it
-    # fails (p = 2 only), the two weights of each pair are carried together
-    fold = n > 1 and all((f.q - 1) // 2 % modulus == 0 for f in index.factors)
-    paired = n > 1 and not fold
-    if paired and p != 2:
-        raise InternalInvariantError(
-            f"p^{t} does not divide (ell - 1)/2 at every factor of n = {n}"
-        )
     chosen: list[tuple[int, int]] = []
     residues = []
+    shifts = []  # c = log_eta(-1) = (ell - 1)/2 mod p^t, per factor
     for i, f in enumerate(index.factors):
         ell = f.q
         if not isprime(ell):
             raise InputError(f"ell = {ell} is not prime")
         if ell >= FACTOR_PRIME_LIMIT:
             raise InputError(f"ell = {ell} reaches the factor limit {FACTOR_PRIME_LIMIT}")
+        if (ell - 1) % modulus:
+            raise InternalInvariantError(
+                f"p^t = {modulus} does not divide ell - 1 = {ell - 1}, so log_eta mod p^t is undefined"
+            )
         eta = etas[ell] if etas and ell in etas else smallest_primitive_root(ell)
         if eta % ell == 0:
             raise InputError(f"eta = {eta} is not a unit mod {ell}")
@@ -154,21 +145,18 @@ def kurihara_number(
         cofactor = n // ell
         idempotent = cofactor * pow(cofactor, -1, ell)
         half = (ell - 1) // 2
+        c = half % modulus
         top = half if i == 0 else ell
-        # paired, x and ell - x = eta^(e + half) share an entry, x = 1 included
-        powers = [(0, half % modulus, idempotent)] if paired and half % modulus else []
+        powers = [(0, idempotent)] if c else []  # x = 1: log 0, but log(-x) = c
         x = eta % ell
         for e in range(1, ell - 1):
             if x == 1:
                 raise InputError(f"eta = {eta} is not a primitive root mod {ell}")
-            if x <= top:
-                if not paired:
-                    if e % modulus:
-                        powers.append((e % modulus, x * idempotent % n))
-                elif e % modulus or (e + half) % modulus:
-                    powers.append((e % modulus, (e + half) % modulus, x * idempotent % n))
+            if x <= top and (e % modulus or (e + c) % modulus):
+                powers.append((e % modulus, x * idempotent % n))
             x = x * eta % ell
         residues.append(powers)
+        shifts.append(c)
 
     if sym.denominator % p == 0:
         raise HypothesisError(
@@ -177,30 +165,21 @@ def kurihara_number(
         )
     dinv = pow(sym.denominator, -1, modulus)
     raw_sum = sym.raw_sum
-    *head, last = residues or [[(1, 0)]]  # n = 1: the one term a = 0, w = 1
-    total = 0
-    if not paired:
-        for term in product(*head):
-            w, a = 1, 0
-            for log_r, lift in term:
-                w = w * log_r % modulus
-                a += lift
-            if w:
-                total += raw_sum(n, ((a + lift, w * log_r % modulus) for log_r, lift in last))
-        if fold:
-            total *= 2
+    if n == 1:
+        total = raw_sum(1, ((0, 1),))  # the one term a = 0, weight 1
     else:
-        # each term is a pair {a, n - a}; its two weights are summed before
-        # the one read
+        total = 0
+        *head, last = residues
         for term in product(*head):
+            # w(a) and w(-a) over the head; zip stops before the last shift
             w, w_neg, a = 1, 1, 0
-            for log_r, log_neg, lift in term:
+            for (log_r, lift), c in zip(term, shifts):
                 w = w * log_r % modulus
-                w_neg = w_neg * log_neg % modulus
+                w_neg = w_neg * (log_r + c) % modulus
                 a += lift
-            if w or w_neg:
-                total += raw_sum(n, ((a + lift, (w * log_r + w_neg * log_neg) % modulus)
-                                     for log_r, log_neg, lift in last))
+            scale, offset = (w + w_neg) % modulus, w_neg * shifts[-1] % modulus
+            if scale or offset:
+                total += raw_sum(n, ((a + lift, (scale * log_r + offset) % modulus) for log_r, lift in last))
     total = sym.sign * dinv * total % modulus
 
     return KuriharaNumber(

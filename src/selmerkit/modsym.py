@@ -41,12 +41,13 @@ whose error is bounded.
 
 The twist E^D of a pair is not cut at its level M = N D^2.  By the twisting
 formula f_chi = tau(chi)^-1 sum_{u mod |D|} chi(u) f(z + u/|D|), its plus
-and minus lines are chi-twisted sums of E's own minus and plus lines (plus
-and minus for D > 0), each path read by a signed continued-fraction walk at
-level N.  The level-M space then serves only its P^1 table and boundary
-rows; each line is certified on all generators (the Manin relations, its
-star sign, and T_q f = a_q f for two primes q) and then normalized and
-pinned as above, so the symbol is the one the cut would give.
+and minus lines are chi-twisted sums of the minus and plus lines that E's
+eigensymbol keeps (plus and minus for D > 0), each path read by a signed
+continued-fraction walk at level N.  The level-M space then serves only its
+P^1 table and boundary rows; each line is certified on all generators (the
+Manin relations, its star sign, and T_q f = a_q f for two primes q) and
+then normalized and pinned as above, so the symbol is the one the cut would
+give.
 """
 
 from __future__ import annotations
@@ -363,12 +364,15 @@ class EigenSymbol:
     is fvec at the class of (c : d), and 0 at pairs that are not points of
     P^1(Z/N).  Each entry is as wide as the range of fvec needs: one byte at
     every sample curve, so N^2 bytes (151 kB at N = 389).  The functional must
-    be star-invariant, f(iota x) = f(x); anything else is refused.
+    be star-invariant, f(iota x) = f(x); anything else is refused.  minus is
+    the primitive minus line of the same eigensystem: the normalization
+    reads it, and twist_eigensymbol reads a twist's lines off fvec and minus.
     """
 
     curve: EllipticCurve
     space: ManinSpace
     fvec: tuple[int, ...]
+    minus: tuple[int, ...]
     denominator: int
     sign: int
     _table: memoryview = field(init=False, repr=False, compare=False)
@@ -556,22 +560,22 @@ def _path_values(space: ManinSpace, plus, minus, p: int, q: int) -> tuple[int, i
     return x, y
 
 
-def _twisted_functionals(E: EllipticCurve, D: int, space: ManinSpace) -> tuple[list[int], list[int]]:
-    """The plus and minus functionals of E twisted by chi = (D / .) on the
-    generators of space, at level N D^2, before their primitive parts.
+def _twisted_functionals(sym: EigenSymbol, D: int, space: ManinSpace) -> tuple[list[int], list[int]]:
+    """The plus and minus functionals of sym's curve E twisted by
+    chi = (D / .) on the generators of space, at level N D^2, before their
+    primitive parts.
 
     By f_chi = tau(chi)^-1 sum_{u mod |D|} chi(u) f(z + u/|D|) (Shimura;
     Mazur-Tate-Teitelbaum), the twist's symbol on a path {r -> s} is a
     multiple of sum_u chi(u) (Phi_E(oo -> s + u/|D|) - Phi_E(oo -> r + u/|D|)),
-    with Phi_E read off E's own functionals at level N.  Generator (c : d) is
-    the path {b/d -> a/c} of [[a, b], [c, d]] with a = d^-1 mod c and
-    b = (ad - 1)/c, or of the identity at (0 : 1); the reps have
+    with Phi_E read off sym's plus and minus lines at level N.  Generator
+    (c : d) is the path {b/d -> a/c} of [[a, b], [c, d]] with a = d^-1 mod c
+    and b = (ad - 1)/c, or of the identity at (0 : 1); the reps have
     gcd(c, d) = 1.  tau(chi) is real for D > 0 and imaginary for D < 0, so an
     odd chi takes the twist's plus part from E's minus and its minus part
     from E's plus.
     """
-    base = build_manin_space(E.conductor)
-    plus, minus = _isolate_functionals(E, base)
+    base, plus, minus = sym.space, sym.fvec, sym.minus
     m = abs(D)
     chars = [(u, kronecker_symbol(D, u)) for u in range(m) if gcd(u, m) == 1]
     twisted_plus, twisted_minus = [], []
@@ -610,12 +614,13 @@ def _certify_twisted(T: EllipticCurve, space: ManinSpace, lines) -> None:
             raise InternalInvariantError(
                 f"twisted line of {T.label or T.ainvs} is not of star sign {sign:+d}"
             )
-    used, q = [], 1
-    while len(used) < 2:
+    # one T_q's images at a time: at level M they are the step's largest object
+    checked, q = 0, 1
+    while checked < 2:
         q += 1
         if isprime(q) and space.N % q:
-            used.append((q, trace_of_frobenius(T, q), space.hecke_images(q)))
-    _certify_hecke(T, lines, used)
+            _certify_hecke(T, lines, [(q, trace_of_frobenius(T, q), space.hecke_images(q))])
+            checked += 1
 
 
 # the largest d tried for a cycle {0, b/d} that the symbol does not kill
@@ -644,7 +649,7 @@ def isolate_eigensymbol(E: EllipticCurve, space: ManinSpace | None = None) -> Ei
     """The normalized plus eigensymbol of E, cut out of the functionals at
     level N by the Hecke operators (_isolate_functionals), sign pinned
     numerically (_normalized).  This is the one path for a curve taken on its
-    own; twist_eigensymbol serves the twist of a known curve.
+    own; twist_eigensymbol reads the curve's twists off the symbol it gives.
     """
     N = E.conductor
     if space is None:
@@ -656,24 +661,25 @@ def isolate_eigensymbol(E: EllipticCurve, space: ManinSpace | None = None) -> Ei
     return _normalized(E, space, *_isolate_functionals(E, space))
 
 
-def twist_eigensymbol(E: EllipticCurve, D: int, twist: EllipticCurve) -> EigenSymbol:
-    """The normalized plus eigensymbol of twist = E^D, read off E's symbols.
+def twist_eigensymbol(sym: EigenSymbol, D: int, twist: EllipticCurve) -> EigenSymbol:
+    """The normalized plus eigensymbol of twist = E^D, read off sym, the
+    eigensymbol of E.
 
-    E's plus and minus functionals are cut at level N; the twist's lines at
-    level M = N D^2 are their chi_D-twisted sums (_twisted_functionals), so
-    the level-M space is built only for its P^1 table, its generating
-    actions and its boundary rows, and no relation kernel or Hecke cut is
-    solved there.  Each primitive line is certified on all generators
-    (_certify_twisted) and then normalized and pinned exactly as
+    The twist's lines at level M = N D^2 are the chi_D-twisted sums of sym's
+    plus and minus lines (_twisted_functionals), so nothing is cut again at
+    level N, the level-M space is built only for its P^1 table, its
+    generating actions and its boundary rows, and no relation kernel or
+    Hecke cut is solved there.  Each primitive line is certified on all
+    generators (_certify_twisted) and then normalized and pinned exactly as
     isolate_eigensymbol does, so sign * fvec and the denominator are the
     cut's.
     """
-    M = E.conductor * D * D
+    M = sym.space.N * D * D
     if twist.conductor != M:
         raise InputError(f"twist conductor {twist.conductor} is not N D^2 = {M}")
     space = build_manin_space(M)
     lines = []
-    for f in _twisted_functionals(E, D, space):
+    for f in _twisted_functionals(sym, D, space):
         g = gcd_list(f)
         if g == 0:
             raise InternalInvariantError(f"twisted functional of {twist.label or twist.ainvs} vanishes")
@@ -701,7 +707,8 @@ def _normalized(E: EllipticCurve, space: ManinSpace, f_int, f_minus) -> EigenSym
     if denominator == 0:
         raise InternalInvariantError("eigensymbol vanishes on all real cycles")
 
-    sym = EigenSymbol(curve=E, space=space, fvec=tuple(f_int), denominator=denominator, sign=1)
+    sym = EigenSymbol(curve=E, space=space, fvec=tuple(f_int), minus=tuple(f_minus),
+                      denominator=denominator, sign=1)
 
     a, b, d = _nonzero_cycle(sym)
     exact = float(sym.eval_plus(b, d) - sym.eval_plus(0, 1))

@@ -308,6 +308,42 @@ def test_unreadable_cache_entry_is_recomputed(tmp_path, capsys, caplog):
         assert entry.read_bytes() == digest + b"\n" + cold.encode(), what
 
 
+def test_an_entry_under_another_key_is_recomputed(tmp_path, capsys, caplog):
+    # a well-formed report is served only under the key of its own curve,
+    # config and code version
+    cache = tmp_path / "cache"
+
+    def predict(label, bound):
+        code, out, _ = run_main(capsys, "predict", "--curves", SAMPLE, "--label", label, "--p", "7",
+                                "--prime-bound", bound, "--cache-dir", str(cache))
+        assert code == 0
+        return out
+
+    predict("11a1", "100")
+    (other_curve,) = cache.glob("*.json")
+    predict("37a1", "150")
+    (other_config,) = set(cache.glob("*.json")) - {other_curve}
+    cold = predict("37a1", "100")
+    (entry,) = set(cache.glob("*.json")) - {other_curve, other_config}
+    own = entry.read_bytes()
+    stale = json.loads(entry_body(entry))
+    stale["code_version"] = "0" * 12
+    stale_body = render_report(stale).encode()
+    forged_entries = {
+        "another curve": other_curve.read_bytes(),
+        "another config": other_config.read_bytes(),
+        "another code version": hashlib.sha256(stale_body).hexdigest().encode() + b"\n" + stale_body,
+    }
+    for what, forged in forged_entries.items():
+        entry.write_bytes(forged)
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="selmerkit.cli"):
+            warm = predict("37a1", "100")
+        assert "holds the report of another run; recomputing" in caplog.text, what
+        assert warm == cold, what
+        assert entry.read_bytes() == own, what
+
+
 @pytest.mark.parametrize("command, label, p, field", [
     ("predict", "11a1", "7", ()),
     ("gz", "37a1", "5", ("--DK", "-3")),
@@ -411,9 +447,9 @@ def test_gz_pair_reads_the_twist_off_the_curve_and_cuts_only_the_curve(monkeypat
         widths.append(ncols)
         return solve(rows, ncols)
 
-    def recorded(E, D, twist):
-        twists.append((E.label, D, twist.label))
-        return twisted(E, D, twist)
+    def recorded(sym, D, twist):
+        twists.append((sym.curve.label, D, twist.label))
+        return twisted(sym, D, twist)
 
     def cut(E):
         cuts.append(E.label)
@@ -426,6 +462,26 @@ def test_gz_pair_reads_the_twist_off_the_curve_and_cuts_only_the_curve(monkeypat
     assert report["twist"]["curve"]["conductor"] == 333
     assert twists == [("37a1", -3, "37a1x-3")] and cuts == ["37a1"]
     assert widths and max(widths) == 38
+
+
+def test_a_pair_cuts_the_curve_at_most_once(monkeypatch, tmp_path):
+    # E's symbol serves its own run and the twist's; with E's run served
+    # from the cache, it is cut for the twist alone
+    isolate, cuts = modsym._isolate_functionals, []
+
+    def counted(E, space):
+        cuts.append((E.label, space.N))
+        return isolate(E, space)
+
+    monkeypatch.setattr(modsym, "_isolate_functionals", counted)
+    record, cfg = sample_record("37a1"), RunConfig(p=5, prime_bound=150, D_K=-3)
+    cold = gz_pair(record, -3, cfg)
+    assert cuts == [("37a1", 37)]
+    cached = replace(cfg, cache_dir=str(tmp_path))
+    run_pipeline(record, replace(cached, D_K=None))
+    cuts.clear()
+    assert render_report(gz_pair(record, -3, cached)) == render_report(cold)
+    assert cuts == [("37a1", 37)]
 
 
 def test_waldspurger_refusal_at_the_twisted_level_240_exits_4(capsys):
@@ -627,7 +683,7 @@ def test_bad_option_exits_2_with_its_message(capsys, monkeypatch, argv, message)
     def no_work(*args, **kwargs):
         raise AssertionError("an eigensymbol was computed for a refused command")
 
-    monkeypatch.setattr(cli, "isolate_eigensymbol", no_work)
+    monkeypatch.setattr(modsym, "build_manin_space", no_work)
     code, out, err = run_main(capsys, argv[0], "--curves", SAMPLE, *argv[1:])
     assert code == 2 and out == ""
     assert f"error: {message}" in err and "Traceback" not in err
@@ -828,7 +884,7 @@ def test_out_into_missing_directory_exits_2(tmp_path, capsys, monkeypatch, comma
     def no_work(*args, **kwargs):
         raise AssertionError("the eigensymbol was computed before --out was checked")
 
-    monkeypatch.setattr(cli, "isolate_eigensymbol", no_work)
+    monkeypatch.setattr(modsym, "build_manin_space", no_work)
     target = tmp_path / "absent" / "report.json"
     field = ["--DK", "-3"] if command == "waldspurger" else []
     code, out, err = run_main(

@@ -287,16 +287,16 @@ def _assert_matches_reference(sym, p, k, qs, etas):
     assert kn.valuation == padic_valuation(expected, p, cap=k)
 
 
-# (curve, p, k, qs), each with a nonzero delta_n except the first: at p = 2
-# the pairs fold only when 2^{k + 1} divides every q - 1, and a folded sum
-# is even
+# (curve, p, k, qs), each with a nonzero delta_n except the first: at p = 2,
+# c_q = (q - 1)/2 mod 2^k is 0 only when 2^{k + 1} divides q - 1, and where
+# every c_q is 0 each pair weighs 2 w(a), so the sum is even
 HAND_BUILT_INDICES = [
-    ("37b1", 2, 1, (5, 13)),  # q = 1 mod 4: folds
-    ("37b1", 2, 1, (7, 11)),  # q = 3 mod 4: does not fold
-    ("37b1", 2, 1, (3, 13)),  # one unfolding factor is enough
+    ("37b1", 2, 1, (5, 13)),  # q = 1 mod 4: every c_q is 0
+    ("37b1", 2, 1, (7, 11)),  # q = 3 mod 4: every c_q is 1
+    ("37b1", 2, 1, (3, 13)),  # c_3 = 1 and c_13 = 0: one nonzero c_q is enough
     ("37b1", 2, 1, (5, 7, 13)),
-    ("37b1", 2, 2, (17, 41)),  # q = 1 mod 8: folds at t = 2
-    ("37b1", 2, 2, (5, 13, 17)),  # q = 5 mod 8: does not fold at t = 2
+    ("37b1", 2, 2, (17, 41)),  # q = 1 mod 8: every c_q is 0 at t = 2
+    ("37b1", 2, 2, (5, 13, 17)),  # q = 5 mod 8: c_5 = c_13 = 2 at t = 2
     ("49a1", 3, 2, (19, 37)),  # log products 0 mod 9 from two nonzero logs
     ("11a1", 3, 1, (7, 13, 19)),
     ("37a1", 5, 1, (11, 31, 41)),
@@ -375,16 +375,19 @@ def test_symbol_is_read_only_where_the_log_weight_is_nonzero(eigensymbol, curve,
 
 
 @pytest.mark.parametrize(
-    "q, v1",
+    "p, q, t",
     [
-        (13, 1),  # 5 does not divide 13 - 1
-        (11, 2),  # 25 does not divide (11 - 1)/2
+        (5, 13, 1),  # 5 does not divide 13 - 1
+        (5, 11, 2),  # 25 does not divide 11 - 1
+        (2, 7, 2),  # 4 does not divide 7 - 1
+        (2, 3, 2),  # 4 does not divide 3 - 1
     ],
 )
-def test_fold_invariant_is_asserted_at_odd_p(eigensymbol, q, v1):
-    bad = KolyvaginPrime(q=q, family="cyc", v1=v1, v2=v1)
-    with pytest.raises(InternalInvariantError, match=r"\(ell - 1\)/2"):
-        kurihara_number(eigensymbol("37a1"), SquarefreeIndex((bad,)), 5)
+def test_log_precondition_is_asserted_at_every_p(eigensymbol, p, q, t):
+    # e is log_eta(eta^e) mod p^t only when p^t divides q - 1, at every p
+    bad = KolyvaginPrime(q=q, family="cyc", v1=t, v2=t)
+    with pytest.raises(InternalInvariantError, match=rf"p\^t = {p ** t} does not divide ell - 1 = {q - 1}"):
+        kurihara_number(eigensymbol("37a1"), SquarefreeIndex((bad,)), p)
 
 
 @pytest.mark.parametrize(

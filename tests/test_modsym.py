@@ -318,7 +318,7 @@ def test_two_byte_symbol_table_matches_path_oracle(eigensymbol, label, a, b):
     # no sample curve has a functional entry past 127, so scale one
     sym = eigensymbol(label)
     wide = EigenSymbol(curve=sym.curve, space=sym.space, fvec=tuple(200 * x for x in sym.fvec),
-                       denominator=sym.denominator, sign=sym.sign)
+                       minus=sym.minus, denominator=sym.denominator, sign=sym.sign)
     assert sym._table.itemsize == 1
     assert wide._table.itemsize == 2
     assert wide.raw_value(a, b) == pair_path(sym.space, wide.fvec, a, b)
@@ -344,7 +344,7 @@ def test_star_variant_functional_is_refused(eigensymbol):
     bent = list(sym.fvec)
     bent[i] += 1
     with pytest.raises(InternalInvariantError, match="star"):
-        EigenSymbol(curve=sym.curve, space=sp, fvec=tuple(bent), denominator=1, sign=1)
+        EigenSymbol(curve=sym.curve, space=sp, fvec=tuple(bent), minus=sym.minus, denominator=1, sign=1)
 
 
 def test_eigensymbol_is_a_hecke_eigenvector(eigensymbol):
@@ -739,7 +739,7 @@ def _signed_line(sym):
 
 
 @pytest.mark.parametrize("label", IMAGINARY_TWISTS)
-def test_twisted_symbol_is_the_cut_symbol(curve, label):
+def test_twisted_symbol_is_the_cut_symbol(curve, eigensymbol, label):
     base, D = label.split("x")
     E, D = curve(base), int(D)
     T = quadratic_twist(E, D)
@@ -748,12 +748,12 @@ def test_twisted_symbol_is_the_cut_symbol(curve, label):
     except InternalInvariantError as exc:
         assert label in REFUSED_TWISTS
         with pytest.raises(InternalInvariantError) as refused:
-            twist_eigensymbol(E, D, T)
+            twist_eigensymbol(eigensymbol(base), D, T)
         assert str(refused.value) == str(exc)
         assert "disagrees with direct integration" in str(exc)
         return
     assert label not in REFUSED_TWISTS
-    sym = twist_eigensymbol(E, D, T)
+    sym = twist_eigensymbol(eigensymbol(base), D, T)
     assert sym.curve is T and sym.space.N == T.conductor
     assert _signed_line(sym) == expected
 
@@ -777,11 +777,11 @@ def _twisted_oracle(E, D, space):
 
 
 @pytest.mark.parametrize("label", ["11a1x-3", "37a1x-4", "11a1x5"])
-def test_twisted_functionals_match_the_path_oracle(curve, label):
+def test_twisted_functionals_match_the_path_oracle(curve, eigensymbol, label):
     base, D = label.split("x")
     E, D = curve(base), int(D)
     space = build_manin_space(E.conductor * D * D)
-    assert _twisted_functionals(E, D, space) == _twisted_oracle(E, D, space)
+    assert _twisted_functionals(eigensymbol(base), D, space) == _twisted_oracle(E, D, space)
 
 
 @settings(max_examples=200, deadline=None)
@@ -795,17 +795,17 @@ def test_signed_walk_matches_the_path_oracle(curve, label, a, b):
     assert _path_values(sp, plus, minus, a, b) == (pair_path(sp, plus, a, b), pair_path(sp, minus, a, b))
 
 
-def test_twist_of_the_wrong_conductor_is_refused(curve):
+def test_twist_of_the_wrong_conductor_is_refused(curve, eigensymbol):
     with pytest.raises(InputError, match="is not N D\\^2"):
-        twist_eigensymbol(curve("11a1"), -3, quadratic_twist(curve("11a1"), -4))
+        twist_eigensymbol(eigensymbol("11a1"), -3, quadratic_twist(curve("11a1"), -4))
 
 
 def _bend(monkeypatch, mutate):
     """Route twist_eigensymbol through mutate(E, space, plus, minus)."""
     twisted = modsym._twisted_functionals
 
-    def bent(E, D, space):
-        return mutate(E, space, *twisted(E, D, space))
+    def bent(sym, D, space):
+        return mutate(sym.curve, space, *twisted(sym, D, space))
 
     monkeypatch.setattr(modsym, "_twisted_functionals", bent)
 
@@ -832,7 +832,7 @@ def _base_line(E, space, plus, minus):
     (lambda E, space, plus, minus: (minus, plus), "is not of star sign \\+1"),
     (_base_line, "fails T_2 f = 2 f"),
 ], ids=["one-entry", "star-odd-plus", "star-even-minus", "signs-unswapped", "base-curve-line"])
-def test_each_twisted_certificate_check_catches_its_mutation(curve, monkeypatch, mutate, message):
+def test_each_twisted_certificate_check_catches_its_mutation(curve, eigensymbol, monkeypatch, mutate, message):
     # 37a1 x -3 at M = 333: a_2(E) = -2 and chi(2) = -1, so a_2 of the twist is 2.
     # Each mutation passes every check before the one that names it, so
     # dropping that check lets the mutation through to a different message
@@ -841,17 +841,18 @@ def test_each_twisted_certificate_check_catches_its_mutation(curve, monkeypatch,
     assert trace_of_frobenius(E, 2) == -2 and trace_of_frobenius(T, 2) == 2
     _bend(monkeypatch, mutate)
     with pytest.raises(InternalInvariantError, match=message):
-        twist_eigensymbol(E, -3, T)
+        twist_eigensymbol(eigensymbol("37a1"), -3, T)
 
 
-def test_a_vanishing_twisted_functional_is_refused(curve, monkeypatch):
+def test_a_vanishing_twisted_functional_is_refused(curve, eigensymbol, monkeypatch):
     _bend(monkeypatch, lambda E, space, plus, minus: (plus, [0] * len(minus)))
     E = curve("11a1")
     with pytest.raises(InternalInvariantError, match="twisted functional of 11a1x-3 vanishes"):
-        twist_eigensymbol(E, -3, quadratic_twist(E, -3))
+        twist_eigensymbol(eigensymbol("11a1"), -3, quadratic_twist(E, -3))
 
 
-def test_twisted_path_solves_no_kernel_at_the_twisted_level(curve, monkeypatch):
+def test_twisted_path_solves_no_kernel_at_the_twisted_level(curve, eigensymbol, monkeypatch):
+    base = eigensymbol("37a1")
     solve = modsym.sparse_nullspace
     widths = []
 
@@ -861,11 +862,11 @@ def test_twisted_path_solves_no_kernel_at_the_twisted_level(curve, monkeypatch):
 
     monkeypatch.setattr(modsym, "sparse_nullspace", counted)
     E = curve("37a1")
-    sym = twist_eigensymbol(E, -3, quadratic_twist(E, -3))
-    # the two star kernels at N = 37 and the |V| x |V| cuts there, nothing
-    # on the 456 generators at M = 333
+    sym = twist_eigensymbol(base, -3, quadratic_twist(E, -3))
+    # E's lines come with its symbol, so nothing is solved at N = 37 either,
+    # and nothing on the 456 generators at M = 333
     assert sym.space.n == psi_index(333) == 456
-    assert widths and max(widths) == psi_index(37)
+    assert widths == []
     assert "_kernels" not in vars(sym.space)
     # read on demand, the kernels are the cut's
     assert sym.space.m == 2 * sym.space.genus + sym.space.ncusps - 1
@@ -880,7 +881,7 @@ def test_twisted_sign_pin_counts_points_only_up_to_a_small_multiple_of_M(curve, 
     E, D = curve(base), int(D)
     T = quadratic_twist(E, D)
     monkeypatch.setattr(curves, "_AQ_CACHE", {})
-    twist_eigensymbol(E, D, T)
+    twist_eigensymbol(isolate_eigensymbol(E), D, T)
     counted = [q for ainvs, q in curves._AQ_CACHE if ainvs == T.ainvs]
     assert counted and max(counted) <= 5 * T.conductor
     assert max(q for ainvs, q in curves._AQ_CACHE if ainvs == E.ainvs) <= 5 * E.conductor
