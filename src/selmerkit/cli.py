@@ -24,7 +24,8 @@ groups are declared once each: curve selection (--curves, --label,
 cache) and --out.  sieve --family, oracle-check --tol, bipartite-sim and
 gross-points add groups of their own.  gz and waldspurger share one handler
 and differ only in the dictionary branch they want; delta and stats share
-another and differ only in the entry they report.
+another and differ only in the entry they report.  The parser is built on the
+first main call and reused for the life of the process, like code_version().
 """
 
 from __future__ import annotations
@@ -559,9 +560,14 @@ def gz_pair(record_E: CurveRecord, D_K: int, config: RunConfig,
 
 
 def _check_out(args) -> None:
-    """Refuse an --out whose parent is not an existing directory, before any work."""
-    if args.out and not Path(args.out).parent.is_dir():
-        raise InputError(f"cannot write {args.out}: {Path(args.out).parent} is not a directory")
+    """Refuse an --out that is a directory or whose parent is not one, before any work."""
+    if not args.out:
+        return
+    out = Path(args.out)
+    if out.is_dir():
+        raise InputError(f"cannot write {args.out}: it is a directory")
+    if not out.parent.is_dir():
+        raise InputError(f"cannot write {args.out}: {out.parent} is not a directory")
 
 
 def _emit(args, text: str) -> None:
@@ -759,12 +765,18 @@ def cmd_oracle_check(args) -> None:
 # parser
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     """The subcommand table over shared option groups.
 
     Each group is an add_help=False parser that declares its options once.
     A subcommand inherits the groups its table row names, in that order, so
     its --help lists them in that order too.
+
+    Built on the first call and reused for the life of the process, like
+    code_version(): parse_args fills a fresh namespace each time and leaves
+    the parser as it was, and the handlers it binds read this module's
+    globals when they run.
     """
 
     def group() -> argparse.ArgumentParser:

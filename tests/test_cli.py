@@ -896,6 +896,24 @@ def test_out_into_missing_directory_exits_2(tmp_path, capsys, monkeypatch, comma
     assert not target.exists()
 
 
+@pytest.mark.parametrize("command", ["predict", "stats", "sieve", "waldspurger"])
+def test_out_that_is_a_directory_exits_2(tmp_path, capsys, monkeypatch, command):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the eigensymbol was computed before --out was checked")
+
+    monkeypatch.setattr(modsym, "build_manin_space", no_work)
+    target = tmp_path / "reports"
+    target.mkdir()
+    field = ["--DK", "-3"] if command == "waldspurger" else []
+    code, out, err = run_main(
+        capsys, command, "--curves", SAMPLE, "--label", "11a1", "--p", "7",
+        "--prime-bound", "150", *field, "--out", str(target),
+    )
+    assert code == 2 and out == ""
+    assert "is a directory" in err and "Traceback" not in err
+    assert target.is_dir() and not any(target.iterdir())
+
+
 @pytest.mark.parametrize("command", ["sieve", "delta", "stats"])
 def test_cache_dir_is_offered_only_where_reports_are_cached(tmp_path, capsys, command):
     cache = tmp_path / "cache"
@@ -976,6 +994,69 @@ def test_parsed_namespace_is_pinned(command):
     parsed = vars(cli.build_parser().parse_args([command, *argv]))
     assert callable(parsed.pop("func"))
     assert parsed == {"command": command, **expected}
+
+
+def test_the_shared_parser_leaks_no_state_between_parses():
+    parser = cli.build_parser()
+
+    def parse(command, *argv):
+        parsed = vars(parser.parse_args([command, *argv]))
+        assert callable(parsed.pop("func"))
+        return parsed
+
+    # every pinned command twice, interleaved, through the one parser
+    for _ in range(2):
+        for command in sorted(PARSED):
+            argv, expected = PARSED[command]
+            assert parse(command, *argv) == {"command": command, **expected}
+
+    # --label appends to a fresh list each parse
+    first = parse("delta", *PARSED["delta"][0])
+    second = parse("delta", *PARSED["delta"][0])
+    assert first["label"] == second["label"] == ["11a1", "14a1"]
+    assert first["label"] is not second["label"]
+    assert parse("predict", *PIPELINE)["label"] is None
+
+    # a dest another group set on an earlier parse falls back to its default
+    parse("gross-points", *PARSED["gross-points"][0])
+    assert parse("predict", *PIPELINE) == {"command": "predict", **PIPELINE_DEFAULTS}
+    parse("gz", *PARSED["gz"][0], "--cache-dir", "cache")
+    assert parse("predict", *PIPELINE) == {"command": "predict", **PIPELINE_DEFAULTS}
+
+    # --p and --DK are declared by several groups and convert to int in each
+    walk = parse("bipartite-sim", *PARSED["bipartite-sim"][0])
+    points = parse("gross-points", *PARSED["gross-points"][0])
+    run = parse("sieve", *PARSED["sieve"][0])
+    assert [type(value) for value in (walk["p"], points["DK"], run["p"], run["DK"])] == [int] * 4
+
+
+BUILD_COUNT_CHILD = r"""
+from selmerkit import cli
+
+print(cli.build_parser.cache_info().misses)
+"""
+
+
+def test_main_builds_the_parser_once_per_process(tmp_path, capsys):
+    src = os.path.dirname(os.path.dirname(selmerkit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run(
+        [sys.executable, "-c", BUILD_COUNT_CHILD], capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    assert int(child.stdout) == 0  # importing the module builds no parser
+
+    cli.build_parser.cache_clear()
+    argv = ["gross-points", "--DK", "7", "--q", "5", "--case", "p_inert"]
+    for name in ("a.json", "b.json"):
+        assert cli.main([*argv, "--out", str(tmp_path / name)]) == 0
+    assert cli.build_parser.cache_info().misses == 1
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["predict", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: selmerkit predict ")
+    assert cli.build_parser.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("command", sorted(PARSED))
