@@ -20,6 +20,7 @@ from .errors import InputError, InternalInvariantError
 
 
 PERIOD_DIGITS = 40  # decimal precision of the square roots, the AGM and pi
+TOLERANCE_FLOOR = 1e-14  # the least tol that modular_symbol_series accepts
 
 
 def _agm(a: Decimal, b: Decimal) -> tuple[Decimal, Decimal]:
@@ -99,12 +100,12 @@ def modular_symbol_series(E: EllipticCurve, a: int, b: int, tol: float = 1e-8) -
     of about L^2 * h * b^2 / (4*pi^2).  That balance is a heuristic, not a
     proof; at b = 1 the series costs about 7N terms.
 
-    tol must lie strictly between 0 and 1: log(1/tol) needs tol > 0, past
-    tol = e^3 the damping factor exceeds 1 and the terms grow, and a
-    tolerance of 1 or more asks for no correct digit at all.
+    tol must lie in [TOLERANCE_FLOOR, 1): the float sum's own rounding errs
+    by a few 1e-15 relative, past tol = e^3 the damping factor exceeds 1 and
+    the terms grow, and a tolerance of 1 or more asks for no correct digit.
     """
-    if not 0 < tol < 1:
-        raise InputError(f"tolerance must lie strictly between 0 and 1, got {tol}")
+    if not TOLERANCE_FLOOR <= tol < 1:
+        raise InputError(f"tolerance must lie in [{TOLERANCE_FLOOR}, 1), got {tol}")
     if b == 0:
         return 0j
     if b < 0:

@@ -6,7 +6,7 @@ known rank, hypothesis flags, Tamagawa numbers) live on `cli.CurveRecord`.
 The conductor is trusted input, never recomputed, but its prime support is
 validated against the discriminant, and
 `EllipticCurve.check_conductor_exponents` matches its exponent 1 primes with
-the multiplicative ones.
+the multiplicative ones and refuses a bad prime that it leaves out.
 
 Traces of Frobenius are computed from first principles: direct point counts
 (character sums over the completed square) up to Mestre's bound q = 457, a
@@ -65,12 +65,13 @@ class EllipticCurve:
                 )
 
     def check_conductor_exponents(self) -> None:
-        """Refuse a conductor whose exponent 1 primes are not the multiplicative ones.
+        """Refuse a conductor whose exponent 1 primes are not the multiplicative
+        ones, or that leaves out a bad prime (one dividing the discriminant).
 
         On a minimal model q divides N exactly once iff the reduction at q is
         multiplicative, iff q does not divide c4.  The constructor checks the
         prime support only; `cli.CurveRecord.to_curve` calls this, so that an
-        ingested record with a wrong exponent is refused as input before any
+        ingested record with a wrong conductor is refused as input before any
         computation instead of surfacing later as an internal inconsistency.
         """
         for q, e in factorint(self.conductor).items():
@@ -79,6 +80,12 @@ class EllipticCurve:
                     f"conductor exponent {e} at q={q} disagrees with the reduction "
                     f"type of {self.label or self.ainvs}; is the model minimal?"
                 )
+        rest = abs(self.discriminant)  # divided by N's primes, with no factoring
+        while gcd(rest, self.conductor) > 1:
+            rest //= gcd(rest, self.conductor)
+        if rest != 1:
+            raise InputError(f"the discriminant of {self.label or self.ainvs} has a prime "
+                             f"outside the conductor {self.conductor}; is the conductor right?")
 
     @property
     def ainvs(self) -> tuple[int, int, int, int, int]:

@@ -270,15 +270,12 @@ def _theta_image(q: int, data: QuadraticData, precision: int) -> int:
     """Root of x^2 - trd*x + nrd in Z/q^precision on the canonical branch.
 
     Exists exactly when q splits in K, i.e. -D_K is a unit square mod q;
-    the root is assembled from the canonical square root of -D_K by the
-    same two-case formula that defines theta.
+    the root is (trd - sqrt(-D_K))/2 with the canonical square root of -D_K,
+    which is theta's defining formula for odd and for even D_K alike.
     """
     root = padic_sqrt(-data.D_K, q, precision)
     mod = q**precision
-    if data.D_K % 2:
-        image = (data.D_K - root) * pow(2, -1, mod) % mod
-    else:
-        image = (data.D_K - 2 * root) * pow(4, -1, mod) % mod
+    image = (data.theta_trace - root) * pow(2, -1, mod) % mod
     if (image * image - data.theta_trace * image + data.theta_norm) % mod:
         raise InternalInvariantError("theta image fails the minimal polynomial")
     return image

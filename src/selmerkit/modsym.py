@@ -24,10 +24,11 @@ its free columns, and the Hecke operators commute with each other and with
 iota, so every space cut so far is T_q-stable and each of its vectors is
 fixed by its values on the generators where the current basis is diagonal.
 So each cut solves a |V| x |V| integer system on those rows alone, and its
-kernel basis is again diagonal on some of them.  Each final line is then
-certified with the same images of T_q: T_q f = a_q f on all generators, for
-every q used.  The minus eigensymbol is cut out of the sign -1 part the same
-way.  The plus eigensymbol is normalized to take the value group Z exactly on the
+kernel basis is again diagonal on some of them.  The minus eigensymbol is cut
+out of the sign -1 part the same way.  Every line, cut or twisted, then passes
+one certificate on all generators: the Manin relations, its star sign, and
+T_q f = a_q f (for the cut, with the images of every q it cut by).  The plus
+eigensymbol is normalized to take the value group Z exactly on the
 integral cycles killed by the minus eigensymbol (the cycles fixed by the
 involution can give an index-2 sublattice), so that evaluations are the
 classical ratios [a/b]+ = Re int / (real period).  That value group is read
@@ -44,10 +45,9 @@ formula f_chi = tau(chi)^-1 sum_{u mod |D|} chi(u) f(z + u/|D|), its plus
 and minus lines are chi-twisted sums of the minus and plus lines that E's
 eigensymbol keeps (plus and minus for D > 0), each path read by a signed
 continued-fraction walk at level N.  The level-M space then serves only its
-P^1 table and boundary rows; each line is certified on all generators (the
-Manin relations, its star sign, and T_q f = a_q f for two primes q) and
-then normalized and pinned as above, so the symbol is the one the cut would
-give.
+P^1 table and boundary rows; each line passes the same certificate, with two
+primes q, and is normalized and pinned as above, so the symbol is the one the
+cut would give.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import count, islice
 from math import gcd
 from struct import calcsize, pack
 
@@ -141,6 +142,15 @@ def _merel_matrices(q: int) -> list[tuple[int, int, int, int]]:
                             mats.append((a, b, c, d))
                     c += 1
     return mats
+
+
+def _lift(c: int, d: int) -> tuple[int, int]:
+    """(a, b) with [[a, b], [c, d]] in SL2(Z), for coprime c >= 0 and d:
+    a = d^-1 mod c and b = (ad - 1)/c, or the identity at (0 : 1)."""
+    if c == 0:
+        return 1, 0
+    a = pow(d, -1, c)
+    return a, (a * d - 1) // c
 
 
 def _typecode(lo: int, hi: int) -> str:
@@ -293,18 +303,17 @@ class ManinSpace:
         """boundary_rows[k][i]: +1 or -1 where generator i ends or starts at
         cusp class k, classes numbered in order of first appearance.
 
-        Generator (c : d) is the path {b/d -> a/c} of any [[a, b], [c, d]] in
-        SL2(Z); cusp_key needs only a = d^-1 mod gcd(c, N) and
-        b = -c^-1 mod gcd(d, N) of it, so no lift is built.  A key count equal
-        to the number of cusp classes shows that the key also separates
-        classes at this level.
+        Generator (c : d) is the path {b/d -> a/c} of its lift
+        [[a, b], [c, d]] in SL2(Z) (_lift).  A key count equal to the number of
+        cusp classes shows that the key also separates classes at this level.
         """
         N = self.N
         classes: dict[tuple[int, int], int] = {}
         ends = []
         for c, d in self.p1_reps:
-            k_from = classes.setdefault(cusp_key(N, -pow(c, -1, gcd(d, N)), d), len(classes))
-            k_to = classes.setdefault(cusp_key(N, pow(d, -1, gcd(c, N)), c), len(classes))
+            a, b = _lift(c, d)
+            k_from = classes.setdefault(cusp_key(N, b, d), len(classes))
+            k_to = classes.setdefault(cusp_key(N, a, c), len(classes))
             ends.append((k_from, k_to))
         if len(classes) != self.ncusps:
             raise InternalInvariantError(
@@ -326,18 +335,21 @@ class ManinSpace:
         Each image pair is looked up in p1_table.  A q dividing N is refused:
         the same matrices then give neither T_q nor U_q.
         """
-        N, tab = self.N, self.p1_table
+        N = self.N
         if N % q == 0:
             raise InputError(f"T_q needs q prime to the level; q = {q} divides N = {N}")
+        return list(self._hecke_rows(q))
+
+    def _hecke_rows(self, q: int):
+        """images[0], images[1], ... of hecke_images(q), one row at a time."""
+        N, tab = self.N, self.p1_table
         mats = _merel_matrices(q)
-        images = []
         for c, d in self.p1_reps:
             counts: dict[int, int] = {}
             for a, b, cc, dd in mats:
                 j = tab[(c * a + d * cc) % N * N + (c * b + d * dd) % N]
                 counts[j] = counts.get(j, 0) + 1
-            images.append(list(counts.items()))
-        return images
+            yield list(counts.items())
 
 
 def build_manin_space(N: int) -> ManinSpace:
@@ -462,19 +474,18 @@ def _cut(V, F, images, eigenvalue: int) -> tuple[list[list[int]], list[int]]:
     return cut, [F[k] for k in free]
 
 
-def _isolate_functionals(E: EllipticCurve, space: ManinSpace) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Primitive integer functionals spanning the (T_q, iota = +1) and
-    (T_q, iota = -1) eigenspaces of E, found by cutting the space's functionals
-    of each star sign by T_q - a_q for good primes q in order.  Each sign stops
-    cutting once its space is at most a line; both stop once q passes the
-    Sturm bound.
+def _isolate_functionals(E: EllipticCurve, space: ManinSpace) -> tuple[tuple[list[int], list[int]], list]:
+    """((plus, minus), used): primitive integer functionals spanning the
+    (T_q, iota = +1) and (T_q, iota = -1) eigenspaces of E, found by cutting
+    the space's functionals of each star sign by T_q - a_q for good primes q
+    in order, and the (q, a_q, images of T_q) it cut by, for _certify.  Each
+    sign stops cutting once its space is at most a line; both stop once q
+    passes the Sturm bound.
 
     Each cut solves only the rows at the generators where the current basis
     is diagonal (the free columns of the sign's kernel to begin with): the
     Hecke operators commute with each other and with iota, so every space cut
-    so far is T_q-stable and a vector in it is fixed by those values.  The
-    images of each T_q are kept, and each line is then certified on all n
-    generators, T_q f = a_q f for every q the loop used.
+    so far is T_q-stable and a vector in it is fixed by those values.
     """
     N = E.conductor
     spaces, frees = dict(space.functionals), dict(space.free_columns)
@@ -511,21 +522,30 @@ def _isolate_functionals(E: EllipticCurve, space: ManinSpace) -> tuple[tuple[int
                 f"eigenspace of {E.label or E.ainvs} (star sign {sign:+d}) "
                 f"has dimension {len(V)}"
             )
-    lines = spaces[1][0], spaces[-1][0]
-    _certify_hecke(E, lines, used)
-    return tuple(lines[0]), tuple(lines[1])
+    return (spaces[1][0], spaces[-1][0]), used
 
 
-def _certify_hecke(E: EllipticCurve, lines, used) -> None:
-    """T_q f = a_q f on all generators, for each f of lines and each
-    (q, a_q, images of T_q) of used; InternalInvariantError otherwise."""
-    for q, aq, images in used:
-        for f in lines:
-            if any(sum(f[j] * mult for j, mult in img) != aq * f[i]
-                   for i, img in enumerate(images)):
-                raise InternalInvariantError(
-                    f"eigensymbol line of {E.label or E.ainvs} fails T_{q} f = {aq} f"
-                )
+def _certify(E: EllipticCurve, space: ManinSpace, lines, hecke):
+    """lines = (plus, minus) of E, once each satisfies on all generators of
+    space the two- and three-term Manin relations, f(iota x) = +-f(x), and
+    T_q f = a_q f for every (q, a_q, images of T_q) that hecke yields, the
+    images read once, row by row; InternalInvariantError otherwise.  The one
+    certificate of an eigenline."""
+    sigma, tau, iota = space.sigma, space.tau, space.iota
+    name = E.label or E.ainvs
+    for sign, f in zip((1, -1), lines):
+        if any(f[i] + f[sigma[i]] or f[i] + f[tau[i]] + f[tau[tau[i]]]
+               for i in range(space.n)):
+            raise InternalInvariantError(
+                f"eigensymbol line of {name} (star sign {sign:+d}) fails the Manin relations"
+            )
+        if any(f[iota[i]] != sign * f[i] for i in range(space.n)):
+            raise InternalInvariantError(f"eigensymbol line of {name} is not of star sign {sign:+d}")
+    for q, aq, images in hecke:
+        for i, img in enumerate(images):
+            if any(sum(f[j] * mult for j, mult in img) != aq * f[i] for f in lines):
+                raise InternalInvariantError(f"eigensymbol line of {name} fails T_{q} f = {aq} f")
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -569,9 +589,8 @@ def _twisted_functionals(sym: EigenSymbol, D: int, space: ManinSpace) -> tuple[l
     Mazur-Tate-Teitelbaum), the twist's symbol on a path {r -> s} is a
     multiple of sum_u chi(u) (Phi_E(oo -> s + u/|D|) - Phi_E(oo -> r + u/|D|)),
     with Phi_E read off sym's plus and minus lines at level N.  Generator
-    (c : d) is the path {b/d -> a/c} of [[a, b], [c, d]] with a = d^-1 mod c
-    and b = (ad - 1)/c, or of the identity at (0 : 1); the reps have
-    gcd(c, d) = 1.  tau(chi) is real for D > 0 and imaginary for D < 0, so an
+    (c : d) is the path {b/d -> a/c} of its lift [[a, b], [c, d]] (_lift).
+    tau(chi) is real for D > 0 and imaginary for D < 0, so an
     odd chi takes the twist's plus part from E's minus and its minus part
     from E's plus.
     """
@@ -580,11 +599,7 @@ def _twisted_functionals(sym: EigenSymbol, D: int, space: ManinSpace) -> tuple[l
     chars = [(u, kronecker_symbol(D, u)) for u in range(m) if gcd(u, m) == 1]
     twisted_plus, twisted_minus = [], []
     for c, d in space.p1_reps:
-        if c == 0:
-            a, b = 1, 0
-        else:
-            a = pow(d, -1, c)
-            b = (a * d - 1) // c
+        a, b = _lift(c, d)
         x = y = 0
         for u, chi in chars:
             x_to, y_to = _path_values(base, plus, minus, a * m + u * c, c * m)
@@ -596,31 +611,6 @@ def _twisted_functionals(sym: EigenSymbol, D: int, space: ManinSpace) -> tuple[l
     if D < 0:
         return twisted_minus, twisted_plus
     return twisted_plus, twisted_minus
-
-
-def _certify_twisted(T: EllipticCurve, space: ManinSpace, lines) -> None:
-    """The twisted lines on all generators of space: the two- and three-term
-    Manin relations, f(iota x) = +-f(x) for the plus and the minus line, and
-    T_q f = a_q(T) f for the first two primes q prime to the level, with a_q
-    counted on T itself.  InternalInvariantError on any failure."""
-    sigma, tau, iota = space.sigma, space.tau, space.iota
-    for sign, f in zip((1, -1), lines):
-        if any(f[i] + f[sigma[i]] or f[i] + f[tau[i]] + f[tau[tau[i]]]
-               for i in range(space.n)):
-            raise InternalInvariantError(
-                f"twisted line of {T.label or T.ainvs} (star sign {sign:+d}) fails the Manin relations"
-            )
-        if any(f[iota[i]] != sign * f[i] for i in range(space.n)):
-            raise InternalInvariantError(
-                f"twisted line of {T.label or T.ainvs} is not of star sign {sign:+d}"
-            )
-    # one T_q's images at a time: at level M they are the step's largest object
-    checked, q = 0, 1
-    while checked < 2:
-        q += 1
-        if isprime(q) and space.N % q:
-            _certify_hecke(T, lines, [(q, trace_of_frobenius(T, q), space.hecke_images(q))])
-            checked += 1
 
 
 # the largest d tried for a cycle {0, b/d} that the symbol does not kill
@@ -636,8 +626,7 @@ def _nonzero_cycle(sym: EigenSymbol) -> tuple[int, int, int]:
     for d in range(2, CYCLE_SEARCH_LIMIT + 1):
         if gcd(d, N) != 1:
             continue
-        a = pow(d, -1, N)
-        b = (a * d - 1) // N
+        a, b = _lift(N, d)
         if sym.raw_value(b, d) != base:
             return a, b, d
     raise InternalInvariantError(
@@ -647,9 +636,10 @@ def _nonzero_cycle(sym: EigenSymbol) -> tuple[int, int, int]:
 
 def isolate_eigensymbol(E: EllipticCurve, space: ManinSpace | None = None) -> EigenSymbol:
     """The normalized plus eigensymbol of E, cut out of the functionals at
-    level N by the Hecke operators (_isolate_functionals), sign pinned
-    numerically (_normalized).  This is the one path for a curve taken on its
-    own; twist_eigensymbol reads the curve's twists off the symbol it gives.
+    level N by the Hecke operators (_isolate_functionals), certified with the
+    images of T_q it was cut by (_certify), sign pinned numerically
+    (_normalized).  This is the one path for a curve taken on its own;
+    twist_eigensymbol reads the curve's twists off the symbol it gives.
     """
     N = E.conductor
     if space is None:
@@ -658,7 +648,7 @@ def isolate_eigensymbol(E: EllipticCurve, space: ManinSpace | None = None) -> Ei
         raise InputError("space level does not match the curve conductor")
     if space.genus == 0:
         raise InputError(f"no cusp forms at level {N}")
-    return _normalized(E, space, *_isolate_functionals(E, space))
+    return _normalized(E, space, *_certify(E, space, *_isolate_functionals(E, space)))
 
 
 def twist_eigensymbol(sym: EigenSymbol, D: int, twist: EllipticCurve) -> EigenSymbol:
@@ -669,8 +659,9 @@ def twist_eigensymbol(sym: EigenSymbol, D: int, twist: EllipticCurve) -> EigenSy
     plus and minus lines (_twisted_functionals), so nothing is cut again at
     level N, the level-M space is built only for its P^1 table, its
     generating actions and its boundary rows, and no relation kernel or
-    Hecke cut is solved there.  Each primitive line is certified on all
-    generators (_certify_twisted) and then normalized and pinned exactly as
+    Hecke cut is solved there.  The primitive lines pass the cut's
+    certificate (_certify), with T_q for the first two primes q prime to M,
+    a_q counted on the twist, and are then normalized and pinned exactly as
     isolate_eigensymbol does, so sign * fvec and the denominator are the
     cut's.
     """
@@ -684,8 +675,10 @@ def twist_eigensymbol(sym: EigenSymbol, D: int, twist: EllipticCurve) -> EigenSy
         if g == 0:
             raise InternalInvariantError(f"twisted functional of {twist.label or twist.ainvs} vanishes")
         lines.append([x // g for x in f])
-    _certify_twisted(twist, space, lines)
-    return _normalized(twist, space, *lines)
+    # one row of T_q's images at a time: at level M a whole T_q is the step's largest object
+    primes = islice((q for q in count(2) if M % q and isprime(q)), 2)
+    hecke = ((q, trace_of_frobenius(twist, q), space._hecke_rows(q)) for q in primes)
+    return _normalized(twist, space, *_certify(twist, space, lines, hecke))
 
 
 def _normalized(E: EllipticCurve, space: ManinSpace, f_int, f_minus) -> EigenSymbol:

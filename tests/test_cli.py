@@ -860,7 +860,15 @@ def test_oracle_check_subcommand(capsys):
     assert [row["label"] for row in report["rows"]] == ["11a1", "17a1"]
 
 
-@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "1", "100", "1e30"])
+def test_oracle_check_meets_the_least_tolerance_it_accepts(capsys):
+    code, out, _ = run_main(
+        capsys, "oracle-check", "--curves", SAMPLE, "--label", "11a1", "--tol", "1e-14",
+    )
+    assert code == 0 and json.loads(out)["ok"] is True
+
+
+# 1e-15 is below the floor: the float series alone errs by 1.3-2.5e-15
+@pytest.mark.parametrize("tol", ["0", "1e-15", "-1", "nan", "inf", "1", "100", "1e30"])
 def test_oracle_check_refuses_a_tolerance_outside_0_1(capsys, tol):
     code, out, err = run_main(
         capsys, "oracle-check", "--curves", SAMPLE, "--label", "11a1", "--tol", tol,
@@ -1086,6 +1094,28 @@ def test_wrong_conductor_exponent_is_refused_as_input(tmp_path, capsys):
     code, out, err = run_main(capsys, "predict", "--curves", str(path), "--p", "7")
     assert code == 2 and out == ""
     assert "conductor exponent 2 at q=11" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("label, ainvs, conductor", [
+    ("33a1-as-11", [1, 1, 0, -11, 0], 11),
+    ("58a1-as-29", [1, -1, 0, -1, 1], 29),
+])
+def test_a_conductor_that_leaves_out_a_bad_prime_is_refused_as_input(tmp_path, capsys, monkeypatch,
+                                                                      label, ainvs, conductor):
+    # each conductor's one prime has the right exponent; the bad prime it
+    # leaves out (3, 2) would end the eigen-cut with exit 4
+    path = tmp_path / "c.jsonl"
+    path.write_text(json.dumps({"label": label, "ainvs": ainvs, "conductor": conductor}) + "\n")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("eigen-work ran before the conductor was checked")
+
+    monkeypatch.setattr(modsym, "build_manin_space", no_work)
+    code, out, err = run_main(
+        capsys, "predict", "--curves", str(path), "--p", "7", "--prime-bound", "100",
+    )
+    assert code == 2 and out == ""
+    assert f"outside the conductor {conductor}" in err and "Traceback" not in err
 
 
 def test_cache_dir_naming_a_file_is_refused_before_any_work(tmp_path, capsys, monkeypatch):

@@ -263,6 +263,19 @@ def test_split_level_component():
     assert "1/sqrt(7)" in str(comp)
 
 
+# (D_K, q) -> theta's image in Z/q^6; even D_K reads the same (trd - sqrt(-D_K))/2
+FROZEN_EVEN_SPLIT_IMAGES = {(4, 5): 14558, (4, 13): 1999510, (8, 3): 510, (8, 11): 704687}
+
+
+@pytest.mark.parametrize("D_K, q", list(FROZEN_EVEN_SPLIT_IMAGES))
+def test_split_components_at_even_discriminants(D_K, q):
+    data, mod = make_theta(D_K), q**6
+    image = FROZEN_EVEN_SPLIT_IMAGES[D_K, q]
+    assert gross_point_component(q, "p_split", data, 6).matrix.entries == (image, mod - 1, 1, 0)
+    level = gross_point_component(q, "split_Nplus", data, 6)
+    assert level.matrix.entries == (image, (data.theta_trace - image) % mod, 1, 1)
+
+
 def test_component_case_consistency_errors():
     data = make_theta(7)
     with pytest.raises(InputError, match="inert"):

@@ -28,6 +28,7 @@ from selmerkit.modsym import (
     EigenSymbol,
     ManinSpace,
     _isolate_functionals,
+    _lift,
     _merel_matrices,
     _nonzero_cycle,
     _p1_fill,
@@ -384,7 +385,7 @@ def test_isolated_lines_match_the_stacked_oracle(curve, label):
     E = _twist(curve, label) if label in TWIST_ORACLE_BOUNDS else curve(label)
     sp = build_manin_space(E.conductor)
     lines = []
-    for sign, f in zip((1, -1), _isolate_functionals(E, sp)):
+    for sign, f in zip((1, -1), _isolate_functionals(E, sp)[0]):
         (line,) = stacked_eigenline(E, sp, sign, TWIST_ORACLE_BOUNDS.get(label))
         assert list(f) in (line, [-x for x in line])
         lines.append(line)
@@ -414,7 +415,7 @@ def test_a_line_that_fails_off_the_free_columns_is_refused(curve, monkeypatch):
     # on all n generators can see it
     E = _twist(curve, "37a1x-3")
     sp = build_manin_space(E.conductor)
-    plus, _ = _isolate_functionals(E, sp)
+    plus, _ = _isolate_functionals(E, sp)[0]
     served = set(sp.free_columns[1]) | set(sp.free_columns[-1])
     g = next(i for i in range(sp.n) if i not in served and plus[i])
     images = ManinSpace.hecke_images
@@ -427,7 +428,7 @@ def test_a_line_that_fails_off_the_free_columns_is_refused(curve, monkeypatch):
 
     monkeypatch.setattr(ManinSpace, "hecke_images", bent)
     with pytest.raises(InternalInvariantError, match="fails T_2"):
-        _isolate_functionals(E, sp)
+        isolate_eigensymbol(E, sp)
     # the cuts read only the free columns, and never the bent row
     assert reads and reads <= served and g not in reads
 
@@ -582,14 +583,17 @@ def test_cusp_keys_match_the_pairwise_partition(N):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_closed_form_cusp_ends_match_an_sl2_lift(data):
-    # the boundary map keys a generator's ends without lifting it to SL2(Z)
+    # the boundary map keys a generator's ends off _lift, which lifts the
+    # coprime (c, d) itself; the oracle lifts a search for one mod N
     N = data.draw(st.integers(1, 3000))
     c = data.draw(st.integers(0, N - 1))
-    d = data.draw(st.integers(0, N - 1))
-    assume(gcd(gcd(c, d), N) == 1)
-    a, b, cc, dd = lift_to_sl2(N, c, d)
-    assert cusp_key(N, pow(d, -1, gcd(c, N)), c) == cusp_key(N, a, cc)
-    assert cusp_key(N, -pow(c, -1, gcd(d, N)), d) == cusp_key(N, b, dd)
+    d = data.draw(st.integers(0, N))
+    assume(gcd(c, d) == 1)
+    a, b = _lift(c, d)
+    assert a * d - b * c == 1
+    a2, b2, cc, dd = lift_to_sl2(N, c, d)
+    assert cusp_key(N, a, c) == cusp_key(N, a2, cc)
+    assert cusp_key(N, b, d) == cusp_key(N, b2, dd)
 
 
 # ---------------------------------------------------------------------------
@@ -763,7 +767,7 @@ def _twisted_oracle(E, D, space):
     search (lattice_oracle.generator_ends), each path walked through
     ManinSpace.index with its signs kept."""
     base = build_manin_space(E.conductor)
-    plus, minus = _isolate_functionals(E, base)
+    plus, minus = _isolate_functionals(E, base)[0]
     m = abs(D)
     out = []
     for f in (plus, minus):
@@ -791,7 +795,7 @@ def test_signed_walk_matches_the_path_oracle(curve, label, a, b):
     # the minus line is star-odd, so a walk that dropped the sign would fail
     E = curve(label)
     sp = build_manin_space(E.conductor)
-    plus, minus = _isolate_functionals(E, sp)
+    plus, minus = _isolate_functionals(E, sp)[0]
     assert _path_values(sp, plus, minus, a, b) == (pair_path(sp, plus, a, b), pair_path(sp, minus, a, b))
 
 
@@ -820,16 +824,21 @@ def _base_line(E, space, plus, minus):
     """E's own plus line read on the generators of the twist's level: a
     modular symbol of Gamma_0(M), star-even, of the wrong Hecke eigenvalues."""
     base = build_manin_space(E.conductor)
-    f, _ = _isolate_functionals(E, base)
+    f, _ = _isolate_functionals(E, base)[0]
     line = [pair_path(base, f, a, c) - pair_path(base, f, b, d) for (b, d), (a, c) in generator_ends(space)]
     return line, minus
 
 
-@pytest.mark.parametrize("mutate, message", [
+# the mutations that fail a check before T_q, the same for a cut or a twisted line
+_LINE_MUTATIONS = [
     (_perturbed, "star sign \\+1\\) fails the Manin relations"),
     (lambda E, space, plus, minus: (minus, minus), "is not of star sign \\+1"),
     (lambda E, space, plus, minus: (plus, plus), "is not of star sign -1"),
     (lambda E, space, plus, minus: (minus, plus), "is not of star sign \\+1"),
+]
+
+
+@pytest.mark.parametrize("mutate, message", _LINE_MUTATIONS + [
     (_base_line, "fails T_2 f = 2 f"),
 ], ids=["one-entry", "star-odd-plus", "star-even-minus", "signs-unswapped", "base-curve-line"])
 def test_each_twisted_certificate_check_catches_its_mutation(curve, eigensymbol, monkeypatch, mutate, message):
@@ -842,6 +851,65 @@ def test_each_twisted_certificate_check_catches_its_mutation(curve, eigensymbol,
     _bend(monkeypatch, mutate)
     with pytest.raises(InternalInvariantError, match=message):
         twist_eigensymbol(eigensymbol("37a1"), -3, T)
+
+
+def _other_curve_line(E, space, plus, minus):
+    """37b1's plus line as 37a1's: a star-even symbol of Gamma_0(37), but a_2 = 0."""
+    return _isolate_functionals(CURVES["37b1"], space)[0][0], minus
+
+
+@pytest.mark.parametrize("mutate, message", _LINE_MUTATIONS + [
+    (_other_curve_line, "fails T_2 f = -2 f"),
+], ids=["one-entry", "star-odd-plus", "star-even-minus", "signs-swapped", "other-curve-line"])
+def test_each_cut_certificate_check_catches_its_mutation(curve, monkeypatch, mutate, message):
+    # the cut's lines pass the twist's certificate, with the images it cut by
+    E = curve("37a1")
+    assert trace_of_frobenius(E, 2) == -2 and trace_of_frobenius(curve("37b1"), 2) == 0
+    isolate = modsym._isolate_functionals
+
+    def bent(E, space):
+        lines, used = isolate(E, space)
+        return mutate(E, space, *lines), used
+
+    monkeypatch.setattr(modsym, "_isolate_functionals", bent)
+    with pytest.raises(InternalInvariantError, match=message):
+        isolate_eigensymbol(E)
+
+
+def test_each_constructor_certifies_once_then_normalizes(curve, monkeypatch):
+    isolate, certify, normalized = modsym._isolate_functionals, modsym._certify, modsym._normalized
+    events, cuts = [], []
+
+    def cut(E, space):
+        lines, used = isolate(E, space)
+        cuts.append(used)
+        return lines, used
+
+    def certified(E, space, lines, hecke):
+        hecke = list(hecke)
+        events.append(("certify", E.label, space.N, [(q, aq) for q, aq, _ in hecke], hecke))
+        return certify(E, space, lines, hecke)
+
+    def normal(E, space, f_int, f_minus):
+        events.append(("normalize", E.label))
+        return normalized(E, space, f_int, f_minus)
+
+    monkeypatch.setattr(modsym, "_isolate_functionals", cut)
+    monkeypatch.setattr(modsym, "_certify", certified)
+    monkeypatch.setattr(modsym, "_normalized", normal)
+    E = curve("37a1")
+    sym = isolate_eigensymbol(E)
+    # the cut passes every T_q it cut by, images and all
+    (used,) = cuts
+    assert events == [("certify", "37a1", 37, [(q, aq) for q, aq, _ in used], used), ("normalize", "37a1")]
+    assert events[0][3][0] == (2, -2)
+    events.clear()
+    T = quadratic_twist(E, -3)
+    twist_eigensymbol(sym, -3, T)
+    # the twist at M = 333 = 3^2 37: the first two primes prime to M
+    twisted = [(q, trace_of_frobenius(T, q)) for q in (2, 5)]
+    assert [event[:4] for event in events] == [("certify", "37a1x-3", 333, twisted), ("normalize", "37a1x-3")]
+    assert cuts == [used]
 
 
 def test_a_vanishing_twisted_functional_is_refused(curve, eigensymbol, monkeypatch):
