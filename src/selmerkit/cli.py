@@ -506,8 +506,11 @@ def gz_pair(record_E: CurveRecord, D_K: int, config: RunConfig,
     E = record_E.to_curve()
     splitting = split_conductor(E, D)
     twist = quadratic_twist(E, D)
-    # whether a twist inherits E's hypothesis flags is undecided, so the twist
-    # record asserts none and its run notes them as not asserted
+    # the twist record asserts no p-flags, and its run notes them as not
+    # asserted.  Surjectivity would carry over for p >= 5 (rho-bar (x) chi has
+    # the commutator subgroup SL2(F_p) and the determinant of rho-bar), but
+    # the Manin-constant flag waits on the twist's lattice index, so both stay
+    # unasserted
     twist_record = CurveRecord(
         label=twist.label,
         ainvs=twist.ainvs,
@@ -869,6 +872,10 @@ def main(argv=None) -> int:
     except SelmerkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except MemoryError:
+        print(f"error: {args.command} ran out of memory; shrink the region or the level",
+              file=sys.stderr)
+        return 2
     return 0
 
 

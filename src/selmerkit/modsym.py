@@ -2,13 +2,12 @@
 
 The space of modular symbols is presented by generators indexed by P^1(Z/N)
 subject to the two-term and three-term Manin relations.  ManinSpace owns
-P^1(Z/N): one flat N^2 table gives the class of each pair (c, d) to the
-relations, the Hecke images and the eigensymbol; the cusps that end each
-generator's path are read off (c : d) in closed form.  That table and the
-eigensymbol's table of values are typed buffers, each entry as wide as the
-range of its data needs (two bytes and one byte at every level used here),
-filled one row at a time: a row c is the row gcd(c, N) read at a unit
-multiple of d.  We
+P^1(Z/N) as one row of classes per divisor g of N: the class of (c : d) is
+row gcd(c, N) read at a unit multiple of d, for the relations, the Hecke
+images and the eigensymbol; the cusps that end each generator's path are
+read off (c : d) in closed form.  The one N^2 table of a level is the
+eigensymbol's table of values, a typed buffer as wide as their range needs
+(one byte at every level used here), laid out from the same rows.  We
 work throughout on the dual side: a "functional" is an integer vector
 orthogonal to every relation, so the functional space has dimension 2g + c - 1.
 The star involution iota preserves the relations, so that space splits into
@@ -45,7 +44,7 @@ formula f_chi = tau(chi)^-1 sum_{u mod |D|} chi(u) f(z + u/|D|), its plus
 and minus lines are chi-twisted sums of the minus and plus lines that E's
 eigensymbol keeps (plus and minus for D > 0), each path read by a signed
 continued-fraction walk at level N.  The level-M space then serves only its
-P^1 table and boundary rows; each line passes the same certificate, with two
+P^1 rows and boundary rows; each line passes the same certificate, with two
 primes q, and is normalized and pinned as above, so the symbol is the one the
 cut would give.
 """
@@ -174,16 +173,16 @@ def _typed_table(N: int, code: str, rows) -> memoryview:
     return memoryview(buf).toreadonly().cast(code)
 
 
-def _p1_fill(N: int) -> tuple[memoryview, list[tuple[int, int]]]:
-    """(p1_table, p1_reps) of P^1(Z/N), filled row by row.
+def _p1_fill(N: int) -> tuple[dict[int, list[int]], list[tuple[int, int]], list[tuple[int, int]]]:
+    """(p1_rows, p1_lift, p1_reps): P^1(Z/N) as d(N) rows of N classes.
 
     A unit u maps (c : d) to (u c : u d), so g = gcd(c, N) is constant on a
     class, and the classes met in row c = g are the orbits of d under the
     units u = 1 mod N/g.  Each divisor row g < N is scanned once, d
-    ascending, and (0 : 1) comes last, so the classes are numbered by g and
-    then by their least d.  Every row c is u g for a unit u, and
-    (c : d) = u (g : u^-1 d), so row c is row g read at u^-1 d; row 0 is the
-    class of (0 : 1) at the units d.
+    ascending, and (0 : 1) comes last (row g = N, for c = 0), so the classes
+    are numbered by g and then by their least d; p1_rows[g][d] is the class
+    of (g : d), or -1 off P^1.  Row c is u g for a unit u, and
+    (c : d) = u (g : u^-1 d), so p1_lift[c] = (g, u^-1 mod N).
     """
     units = [u for u in range(N) if gcd(u, N) == 1]
     reps: list[tuple[int, int]] = []
@@ -204,32 +203,30 @@ def _p1_fill(N: int) -> tuple[memoryview, list[tuple[int, int]]]:
         raise InternalInvariantError(
             f"P^1(Z/{N}) has {len(reps)} classes, expected {psi_index(N)}"
         )
-
-    def row_at(c: int) -> list[int]:
+    lift = []
+    for c in range(N):
         g = gcd(c, N)
         u = c // g
         while gcd(u, N) != 1:  # lift c/g, a unit mod N/g, to a unit mod N
             u += N // g
-        v, base = pow(u, -1, N), rows[g]
-        return [base[v * d % N] for d in range(N)]
-
-    return _typed_table(N, _typecode(-1, len(reps) - 1), map(row_at, range(N))), reps
+        lift.append((g, pow(u, -1, N) or N))  # v in 1 .. N, a stride even at N = 1
+    return rows, lift, reps
 
 
 class ManinSpace:
     """Relation data, functionals and operators at a fixed level N.
 
-    p1_table[c * N + d] is the class of (c : d), 0 <= c, d < N, or -1 off
-    P^1(Z/N), in a flat read-only typed buffer of the narrowest width that
-    holds -1 .. psi(N) - 1 (two bytes up to psi(N) = 32768), filled by rows
-    (_p1_fill).  Class k is the unit orbit of p1_reps[k]: (g, least d) for a
-    divisor g < N of N, or (0 : 1).  The constructor builds only P^1(Z/N),
-    the generating actions sigma, tau and iota, and the boundary rows.
+    P^1(Z/N) is kept as the divisor rows of _p1_fill, with no N^2 table: the
+    class of (c : d) is p1_rows[g][v d mod N] for (g, v) = p1_lift[c], and
+    index is their one reader.  Class k is the unit orbit of p1_reps[k]:
+    (g, least d) for a divisor g < N of N, or (0 : 1).  The constructor
+    builds only P^1(Z/N), the generating actions sigma, tau and iota, and the
+    boundary rows.
     functionals[s], s = +-1, is a primitive integer basis of the functionals
     with f(iota x) = s f(x); m counts both.  free_columns[s] lists the
     generators on which that basis is diagonal, one per vector, as
     sparse_nullspace returns them.  These relation kernels are solved on first
-    use, so a space read only for its table and boundary (the level of a
+    use, so a space read only for its P^1 and boundary (the level of a
     twist, twist_eigensymbol) never solves them.
     """
 
@@ -237,9 +234,8 @@ class ManinSpace:
         if N < 1:
             raise InputError(f"level must be positive, got N={N}")
         self.N = N
-        self.p1_table, reps = _p1_fill(N)
-        self.p1_reps = reps
-        self.n = len(reps)
+        self.p1_rows, self.p1_lift, reps = _p1_fill(N)
+        self.p1_reps, self.n = reps, len(reps)
         idx = self.index
         # index permutations of the generating actions
         self.sigma = [idx(d, -c) for (c, d) in reps]
@@ -292,7 +288,8 @@ class ManinSpace:
     def index(self, c: int, d: int) -> int:
         """The class of (c : d) in P^1(Z/N)."""
         N = self.N
-        k = self.p1_table[c % N * N + d % N]
+        g, v = self.p1_lift[c % N]
+        k = self.p1_rows[g][v * d % N]
         if k < 0:
             raise InputError(f"({c % N}:{d % N}) is not a point of P^1(Z/{N})")
         return k
@@ -332,7 +329,7 @@ class ManinSpace:
 
         A functional f goes to (T_q f)_i = sum of mult * f_j over images[i]
         (Merel's matrices of determinant q acting on the symbol (c : d)).
-        Each image pair is looked up in p1_table.  A q dividing N is refused:
+        Each image pair is looked up with index.  A q dividing N is refused:
         the same matrices then give neither T_q nor U_q.
         """
         N = self.N
@@ -342,12 +339,12 @@ class ManinSpace:
 
     def _hecke_rows(self, q: int):
         """images[0], images[1], ... of hecke_images(q), one row at a time."""
-        N, tab = self.N, self.p1_table
+        index = self.index
         mats = _merel_matrices(q)
         for c, d in self.p1_reps:
             counts: dict[int, int] = {}
             for a, b, cc, dd in mats:
-                j = tab[(c * a + d * cc) % N * N + (c * b + d * dd) % N]
+                j = index(c * a + d * cc, c * b + d * dd)
                 counts[j] = counts.get(j, 0) + 1
             yield list(counts.items())
 
@@ -370,9 +367,10 @@ class EigenSymbol:
     [a/b]+ = sign * raw / denominator, and raw_sum a weighted sum of such
     pairings over one denominator.
 
-    Construction reads the space's P^1(Z/N) index table (Cremona, "Algorithms
-    for Modular Elliptic Curves") through fvec, one row at a time, into a flat
-    read-only typed table of length N^2 whose entry (c mod N) * N + (d mod N)
+    Construction maps each P^1(Z/N) divisor row of the space (Cremona,
+    "Algorithms for Modular Elliptic Curves") through fvec once and lays out
+    row c as value row g read at v d, (g, v) = p1_lift[c]: the level's only
+    N^2 table, flat, read-only and typed, whose entry (c mod N) * N + (d mod N)
     is fvec at the class of (c : d), and 0 at pairs that are not points of
     P^1(Z/N).  Each entry is as wide as the range of fvec needs: one byte at
     every sample curve, so N^2 bytes (151 kB at N = 389).  The functional must
@@ -390,15 +388,16 @@ class EigenSymbol:
     _table: memoryview = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        space, f = self.space, self.fvec
+        space, f, N = self.space, self.fvec, self.space.N
         if any(f[space.iota[i]] != f[i] for i in range(space.n)):
             raise InternalInvariantError(
                 "eigensymbol functional is not invariant under the star involution"
             )
         values = list(f) + [0]  # index -1, a non-point, reads 0
-        N, p1 = space.N, space.p1_table
+        rows = {g: [values[k] for k in row] for g, row in space.p1_rows.items()}
+        lifted = ((rows[g], v) for g, v in space.p1_lift)  # row c: value row g at v d mod N
         self._table = _typed_table(N, _typecode(min(values), max(values)),
-                                   (map(values.__getitem__, p1[c * N:(c + 1) * N]) for c in range(N)))
+                                   ([row[x % N] for x in range(0, v * N, v)] for row, v in lifted))
 
     def raw_value(self, a: int, b: int) -> int:
         """<fvec, {oo -> a/b}>: raw_sum of the one term (a, 1) over |b|."""
@@ -564,8 +563,8 @@ def _path_values(space: ManinSpace, plus, minus, p: int, q: int) -> tuple[int, i
     """
     if q == 0:
         return 0, 0
-    N, tab = space.N, space.p1_table
-    j = tab[1 % N * N]  # the first step, {oo -> floor(p/q)}, is (1 : 0)
+    N, index = space.N, space.index
+    j = index(1, 0)  # the first step, {oo -> floor(p/q)}, is (1 : 0)
     x, y = plus[j], minus[j]
     a, b = q, p % q
     q_prev, q_cur, s = 0, 1, 1
@@ -573,7 +572,7 @@ def _path_values(space: ManinSpace, plus, minus, p: int, q: int) -> tuple[int, i
         k = a // b
         a, b = b, a - k * b
         q_prev, q_cur = q_cur, (k * q_cur + q_prev) % N
-        j = tab[s * q_cur % N * N + q_prev]
+        j = index(s * q_cur, q_prev)
         x += plus[j]
         y += minus[j]
         s = -s
@@ -657,7 +656,7 @@ def twist_eigensymbol(sym: EigenSymbol, D: int, twist: EllipticCurve) -> EigenSy
 
     The twist's lines at level M = N D^2 are the chi_D-twisted sums of sym's
     plus and minus lines (_twisted_functionals), so nothing is cut again at
-    level N, the level-M space is built only for its P^1 table, its
+    level N, the level-M space is built only for its P^1 rows, its
     generating actions and its boundary rows, and no relation kernel or
     Hecke cut is solved there.  The primitive lines pass the cut's
     certificate (_certify), with T_q for the first two primes q prime to M,

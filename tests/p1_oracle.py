@@ -3,7 +3,10 @@
 Scan c = g for each divisor g < N of N with d ascending, then (0 : 1 % N);
 each point not yet filled starts a class, and its whole orbit under the units
 mod N gets that class.  This is psi(N) * phi(N) writes into an N^2 list.
-modsym._p1_fill fills the same table row by row; the tests compare the two.
+modsym._p1_fill keeps only one row per divisor of N and a unit lift per c;
+the tests compare the class it gives every (c : d) with this table, and
+check the eigensymbol's table against the classes read from it, so a fault
+in the rows cannot pass on both sides.
 """
 
 from math import gcd

@@ -877,6 +877,19 @@ def test_oracle_check_refuses_a_tolerance_outside_0_1(capsys, tol):
     assert "tolerance" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["oracle-check", "--curves", SAMPLE, "--label", "11a1"],
+    ["gz", "--curves", SAMPLE, "--label", "37a1", "--DK", "-3", "--p", "5", "--prime-bound", "100"],
+])
+def test_running_out_of_memory_is_one_error_line(capsys, monkeypatch, argv):
+    def exhausted(E):
+        raise MemoryError
+    monkeypatch.setattr(cli, "isolate_eigensymbol", exhausted)
+    code, out, err = run_main(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {argv[0]} ran out of memory; shrink the region or the level\n"
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code, out, _ = run_main(

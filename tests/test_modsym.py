@@ -74,7 +74,6 @@ def test_p1_list_sizes():
     for N in (1, 11, 24, 37, 49):
         sp = build_manin_space(N)
         assert len(sp.p1_reps) == sp.n == psi_index(N)
-        assert len(sp.p1_table) == N * N
     with pytest.raises(InputError):
         ManinSpace(0)
 
@@ -103,13 +102,11 @@ def test_p1_table_partitions_the_points_into_unit_orbits(N):
     classes: dict[int, set] = {}
     for c in range(N):
         for d in range(N):
-            k = sp.p1_table[c * N + d]
             if gcd(gcd(c, d), N) != 1:
-                assert k == -1
                 with pytest.raises(InputError):
                     sp.index(c, d)
             else:
-                classes.setdefault(k, set()).add((c, d))
+                classes.setdefault(sp.index(c, d), set()).add((c, d))
     assert sorted(classes) == list(range(psi_index(N)))
     for k, pairs in classes.items():
         c, d = sp.p1_reps[k]
@@ -117,16 +114,21 @@ def test_p1_table_partitions_the_points_into_unit_orbits(N):
         assert len(pairs) == len(units)
 
 
+def _row_fill_classes(N):
+    """(classes, reps) from _p1_fill: the class of (c : d) at c * N + d is
+    p1_rows[g][v d mod N] with (g, v) = p1_lift[c], -1 off P^1."""
+    rows, lift, reps = _p1_fill(N)
+    return [rows[g][v * d % N] for g, v in lift for d in range(N)], reps
+
+
 def test_row_fill_matches_the_unit_orbit_fill_up_to_200():
     for N in range(1, 201):
-        table, reps = _p1_fill(N)
-        assert (table.tolist(), reps) == unit_orbit_fill(N), N
+        assert _row_fill_classes(N) == unit_orbit_fill(N), N
 
 
 @pytest.mark.parametrize("N", [240, 333, 360, 720, 1000])
 def test_row_fill_matches_the_unit_orbit_fill(N):
-    table, reps = _p1_fill(N)
-    assert (table.tolist(), reps) == unit_orbit_fill(N)
+    assert _row_fill_classes(N) == unit_orbit_fill(N)
 
 
 @pytest.mark.parametrize(
@@ -156,10 +158,21 @@ def test_manin_space_stays_within_its_memory_budget():
     assert peak < 14 * 2 ** 20
 
 
+def test_a_space_keeps_no_n_squared_table():
+    # P^1(Z/5077) is two divisor rows and 5077 lifts; a table of all N^2
+    # classes would take 49 MiB at two bytes a slot
+    tracemalloc.start()
+    try:
+        ManinSpace(5077)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
 def test_tables_are_typed_at_the_twisted_level_333(curve):
     sym = isolate_eigensymbol(quadratic_twist(curve("37a1"), -3))
     assert sym.space.N == 333
-    assert sym.space.p1_table.itemsize == 2
     assert sym._table.itemsize == 1
 
 
@@ -326,16 +339,14 @@ def test_two_byte_symbol_table_matches_path_oracle(eigensymbol, label, a, b):
 
 
 def test_table_covers_exactly_the_points_of_p1(eigensymbol, curve):
-    # N = 26, and N = 126 for 14a1 twisted by -3
-    for sym in (eigensymbol("26a1"), isolate_eigensymbol(quadratic_twist(curve("14a1"), -3))):
-        sp, N = sym.space, sym.space.N
-        for c in range(N):
-            for d in range(N):
-                entry = sym._table[c * N + d]
-                if gcd(gcd(c, d), N) == 1:
-                    assert entry == sym.fvec[sp.index(c, d)]
-                else:
-                    assert entry == 0
+    # N = 26, N = 126 for 14a1 twisted by -3 and N = 333 for 37a1 twisted by
+    # -3; the classes come from the unit-orbit oracle, not the space's rows
+    for sym in (eigensymbol("26a1"), isolate_eigensymbol(quadratic_twist(curve("14a1"), -3)),
+                isolate_eigensymbol(quadratic_twist(curve("37a1"), -3))):
+        N = sym.space.N
+        classes, _ = unit_orbit_fill(N)
+        for cd, k in enumerate(classes):
+            assert sym._table[cd] == (sym.fvec[k] if k >= 0 else 0)
 
 
 def test_star_variant_functional_is_refused(eigensymbol):
