@@ -6,10 +6,11 @@ submodule m^(length M_n) * (cyclic target) pins the divisibility of the
 lambda/kappa values: every value has index >= length(M_n), and a rigidity
 constant delta makes each value generate m^delta * Stub_n on the nose.
 This module implements the resulting arithmetic: the lambda-profile formula
-partial^(r) = min{k, delta + sum_{i >= r/2+1} d_i}, its inversion back to
-the exponents d_i, the k -> infinity limit process, and a step simulator
-for the one-prime transitions, which track exactly the quantities the
-theory constrains: lengths, parities and indices.
+partial^(r) = min{k, delta + sum_{i >= r/2+1} d_i}, whose sums are the
+dictionaries' own selmer_predict.suffix_partials; its inversion back to the
+exponents d_i, the k -> infinity limit process, and a step simulator for the
+one-prime transitions, which track exactly the quantities the theory
+constrains: lengths, parities and indices.
 
 Nothing here touches curves or cohomology; states are value-semantic and
 all functions are pure apart from seeded random generation.
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 from .arith import isprime
 from .errors import InconclusiveRegionError, InputError, InternalInvariantError
-from .selmer_predict import ModuleShape
+from .selmer_predict import ModuleShape, suffix_partials
 
 
 @dataclass(frozen=True)
@@ -86,11 +87,25 @@ def lambda_profile(shape: ModuleShape, delta: int, ctx: ArtinianContext) -> dict
     """
     if delta < 0:
         raise InputError("the rigidity constant delta must be nonnegative")
-    d = _effective_exponents(shape, ctx)
-    profile = {}
-    for half in range(len(d) + 2):
-        profile[2 * half] = min(ctx.k, delta + sum(d[half:]))
-    return profile
+    tails = suffix_partials(_effective_exponents(shape, ctx)) + [0]
+    return {2 * half: min(ctx.k, delta + s) for half, s in enumerate(tails)}
+
+
+def _profile_values(profile: dict[int, int], k: int) -> list[int]:
+    """The values of a level-k profile in offset order, refused unless some
+    lambda_profile could have them: offsets 0, 2, 4, ... with no gaps, values
+    in [0, k], non-increasing in the offset."""
+    if not profile:
+        raise InputError("empty profile")
+    offsets = sorted(profile)
+    if offsets != list(range(0, 2 * len(offsets), 2)):
+        raise InputError(f"profile offsets {offsets} must be 0, 2, 4, ... with no gaps")
+    values = [profile[r] for r in offsets]
+    if any(v < 0 or v > k for v in values):
+        raise InputError("profile values must lie in [0, k]")
+    if any(a < b for a, b in zip(values, values[1:])):
+        raise InputError("profile must be non-increasing in the offset")
+    return values
 
 
 def recover_shape(profile: dict[int, int], ctx: ArtinianContext) -> tuple[ModuleShape, int]:
@@ -102,32 +117,21 @@ def recover_shape(profile: dict[int, int], ctx: ArtinianContext) -> tuple[Module
     on faith.  A value equal to k certifies nothing (the true entry is only
     bounded below), so a saturated window is refused.
     """
-    if not profile:
-        raise InputError("empty profile")
-    offsets = sorted(profile)
-    if offsets != list(range(0, 2 * len(offsets), 2)):
-        raise InputError(f"profile offsets {offsets} must be 0, 2, 4, ... with no gaps")
-    values = [profile[r] for r in offsets]
-    if any(v < 0 or v > ctx.k for v in values):
-        raise InputError("profile values must lie in [0, k]")
+    values = _profile_values(profile, ctx.k)
     if any(v >= ctx.k for v in values):
         raise InconclusiveRegionError(
             f"profile is saturated at k = {ctx.k}, so the leading exponents "
             f"are unrecoverable: k too small, retry with k >= {ctx.k + 1}"
         )
     diffs = [a - b for a, b in zip(values, values[1:])]
-    if any(d < 0 for d in diffs):
-        raise InputError("profile must be non-increasing in the offset")
-    exponents = []
-    for j, d in enumerate(diffs):
-        if d > 0 and any(diffs[j2] == 0 for j2 in range(j)):
-            raise InputError(
-                "profile strictly decreases after stabilizing; no shape "
-                "produces such differences"
-            )
-        if d > 0:
-            exponents.append(d)
-    return ModuleShape(0, tuple(exponents)), values[-1]
+    while diffs and diffs[-1] == 0:
+        diffs.pop()
+    if 0 in diffs:
+        raise InputError(
+            "profile strictly decreases after stabilizing; no shape "
+            "produces such differences"
+        )
+    return ModuleShape(0, tuple(diffs)), values[-1]
 
 
 @dataclass
@@ -146,10 +150,11 @@ class LimitProfile:
 def limit_profile(profiles: dict[int, dict[int, int]]) -> LimitProfile:
     """Take the limit of level-k profiles over the provided range of k.
 
-    Requires the reduction consistency value_at_k' = min{k', value_at_k} for
-    k' < k (which also forces the values to be non-decreasing in k).  An
-    offset whose value at the largest k still equals that k has not
-    stabilized on the range and is reported as such rather than guessed.
+    Requires each level-k profile to be one lambda_profile could give, and
+    the reduction consistency value_at_k' = min{k', value_at_k} for k' < k
+    (which also forces the values to be non-decreasing in k).  An offset
+    whose value at the largest k still equals that k has not stabilized on
+    the range and is reported as such rather than guessed.
     """
     if not profiles:
         raise InputError("no profiles given")
@@ -160,6 +165,7 @@ def limit_profile(profiles: dict[int, dict[int, int]]) -> LimitProfile:
     for k in ks:
         if set(profiles[k]) != offsets:
             raise InputError("all profiles must cover the same offsets")
+        _profile_values(profiles[k], k)
     for lo, hi in zip(ks, ks[1:]):
         for r in offsets:
             want = min(lo, profiles[hi][r])

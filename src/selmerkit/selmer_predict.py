@@ -11,13 +11,18 @@ system in the indefinite setting, and of a toric-period family in the
 definite setting.  Both dictionaries come with an equality of total spreads
 that is asserted, never assumed.
 
+The one shape -> partials formula, shared with the bipartite lambda-profile,
+is suffix_partials; _asserted is the one raise on a failed identity.
+
 Everything here is exact integer bookkeeping on already-computed statistics;
 no curve arithmetic happens in this module.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import accumulate, zip_longest
 
 from .errors import (
     HypothesisError,
@@ -70,6 +75,15 @@ class ModuleShape:
         return cls(corank=data["corank"], exponents=tuple(data["exponents"]))
 
 
+def suffix_partials(*exponents: Sequence[int]) -> list[int]:
+    """Suffix sums of the steps that take the lists in turn, a shorter list
+    reading 0; trailing zero steps are dropped, so the sums end at one 0."""
+    steps = [d for row in zip_longest(*exponents, fillvalue=0) for d in row]
+    while steps and steps[-1] == 0:
+        steps.pop()
+    return list(accumulate(reversed(steps), initial=0))[::-1]
+
+
 @dataclass(frozen=True)
 class IdentityCheck:
     """One asserted equality from a structure statement, kept as evidence."""
@@ -84,6 +98,14 @@ class IdentityCheck:
 
     def to_json_dict(self) -> dict:
         return {"name": self.name, "lhs": self.lhs, "rhs": self.rhs, "ok": self.ok}
+
+
+def _asserted(*checks: IdentityCheck) -> list[IdentityCheck]:
+    """The checks as evidence, once each holds; a failed identity is a bug."""
+    for c in checks:
+        if not c.ok:
+            raise InternalInvariantError(f"{c.name}: {c.lhs} != {c.rhs}")
+    return list(checks)
 
 
 @dataclass
@@ -186,9 +208,7 @@ def predict_selmer_Q(stats: DeltaStats) -> SelmerPrediction:
     # vanish: a zero would have to be followed by a positive one, caught above
     shape = ModuleShape(corank=ord_, exponents=tuple(exponents))
     length = values[0] - floor
-    check = IdentityCheck("divisible_quotient_length", length, shape.finite_length)
-    if not check.ok:
-        raise InternalInvariantError(f"{check.name}: {check.lhs} != {check.rhs}")
+    checks = _asserted(IdentityCheck("divisible_quotient_length", length, shape.finite_length))
     fitting = {ord_ + 2 * j: v - floor for j, v in enumerate(values)}
     return SelmerPrediction(
         shape=shape,
@@ -196,7 +216,7 @@ def predict_selmer_Q(stats: DeltaStats) -> SelmerPrediction:
         fitting_exponents=fitting,
         partial_floor=floor,
         evidence=stats.search_region,
-        identities=[check],
+        identities=checks,
     )
 
 
@@ -211,12 +231,11 @@ def synthetic_delta_stats(
     """
     if floor < 0:
         raise InputError("floor valuation must be nonnegative")
-    tails = [floor + 2 * sum(shape.exponents[j:]) for j in range(len(shape.exponents) + 1)]
     partial: dict[int, StratumStat] = {}
-    for j, v in enumerate(tails):
+    for j, s in enumerate(suffix_partials(shape.exponents)):
         i = shape.corank + 2 * j
         kind = "exact_on_region" if i == 0 else "upper_bound_semantics"
-        partial[i] = StratumStat(value=v, bound_kind=kind, from_saturated=False)
+        partial[i] = StratumStat(value=floor + 2 * s, bound_kind=kind, from_saturated=False)
     return DeltaStats(
         ord_bound=shape.corank,
         ord_is_certified_on_region=True,
@@ -339,34 +358,21 @@ def predict_heegner_profile(
             f"put it on side {big_side:+d}"
         )
     big, small = (pred_E, pred_EK) if c_e > c_k else (pred_EK, pred_E)
-    e_small, e_big = small.shape.exponents, big.shape.exponents
-    decs: list[int] = []
-    for j in range(max(len(e_small), len(e_big))):
-        decs.append(e_small[j] if j < len(e_small) else 0)
-        decs.append(e_big[j] if j < len(e_big) else 0)
-    while decs and decs[-1] == 0:
-        decs.pop()
-    partials = [0]
-    for d in reversed(decs):
-        partials.append(partials[-1] + d)
-    partials.reverse()
+    partials = suffix_partials(small.shape.exponents, big.shape.exponents)
     profile = HeegnerProfile(
         ord_kappa=ord_kappa,
         normalized_partials=tuple(partials),
         root_number_side=big_side,
     )
     spread = pred_E.divisible_quotient_length + pred_EK.divisible_quotient_length
-    checks = [
+    checks = _asserted(
         IdentityCheck("higher_gross_zagier_spread", 2 * partials[0], spread),
         IdentityCheck(
             "ord_kappa_minus_smaller_corank",
             ord_kappa - profile.eigenspace_corank(-big_side),
             0,
         ),
-    ]
-    for c in checks:
-        if not c.ok:
-            raise InternalInvariantError(f"{c.name}: {c.lhs} != {c.rhs}")
+    )
     return GrossZagierPrediction(
         profile=profile,
         shape_E=pred_E.shape,
@@ -445,21 +451,13 @@ def predict_waldspurger_profile(
             "impossible in the definite setting where the functional-equation "
             "sign over the field is +1"
         )
-    partials = [0]
-    for d in reversed(merged.exponents):
-        partials.append(partials[-1] + d)
-    partials.reverse()
-    check = IdentityCheck(
-        "higher_waldspurger_spread",
-        2 * partials[0],
-        pred_E.divisible_quotient_length + pred_EK.divisible_quotient_length,
-    )
-    if not check.ok:
-        raise InternalInvariantError(f"{check.name}: {check.lhs} != {check.rhs}")
+    partials = suffix_partials(merged.exponents)
+    spread = pred_E.divisible_quotient_length + pred_EK.divisible_quotient_length
+    checks = _asserted(IdentityCheck("higher_waldspurger_spread", 2 * partials[0], spread))
     return WaldspurgerPrediction(
         ord_lambda=merged.corank,
         normalized_partials=tuple(partials),
         shape_K=merged,
-        identities=[check],
+        identities=checks,
         evidence=_paired_evidence(stats_E, stats_EK),
     )

@@ -204,6 +204,12 @@ def test_criterion_07_bipartite_round_trips_and_limits():
         ctx = ArtinianContext(p=5, k=k)
         shape = ModuleShape(0, tuple(exps))
         assert recover_shape(lambda_profile(shape, delta, ctx), ctx) == (shape, delta)
+        # the definite dictionary reads the same partials as the delta = 0 profile
+        toric = predict_waldspurger_profile(
+            synthetic_delta_stats(shape), synthetic_delta_stats(ModuleShape(0))
+        ).normalized_partials
+        at_zero = lambda_profile(shape, 0, ctx)
+        assert toric == tuple(at_zero[2 * s] for s in range(len(toric)))
     # stabilization of level-k families over k = 1..10
     for exps, delta in (((2, 1), 0), ((3,), 2), ((), 4), ((2, 2, 1), 1)):
         shape = ModuleShape(0, exps)

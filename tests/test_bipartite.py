@@ -167,6 +167,15 @@ def test_limit_rejects_inconsistent_family():
         limit_profile({1: {0: 1}, 2: {0: 1, 2: 1}})
 
 
+def test_limit_refuses_profiles_no_level_produces():
+    with pytest.raises(InputError, match=r"lie in \[0, k\]"):
+        limit_profile({3: {0: -1, 2: -1}})
+    with pytest.raises(InputError, match="non-increasing"):
+        limit_profile({3: {0: 1, 2: 2}})  # rises with the offset
+    with pytest.raises(InputError, match=r"lie in \[0, k\]"):
+        limit_profile({2: {0: 2, 2: 1}, 3: {0: 5, 2: 1}})  # 5 > k = 3
+
+
 # ------------------------------------------------------------------- steps
 
 

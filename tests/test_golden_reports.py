@@ -54,6 +54,11 @@ GOLDEN = {
          "--curves", SAMPLE, "--prime-bound", "300"],
         "aff1a167df64b209bb8f0607864c38f01ae7c75fa62f6a8f77396ecf3adb6203",
     ),
+    "bipartite-sim": (  # the README command; its profile comes from lambda_profile
+        ["bipartite-sim", "--p", "5", "--k", "4", "--shape", "2,1", "--delta", "1",
+         "--steps", "15", "--seed", "3"],
+        "672aecdaf5b9e46175425145540c4e04878687bd5be6bd1438762c3605246f9d",
+    ),
     "waldspurger": (
         ["waldspurger", "--label", "11a1", "--DK", "-3", "--p", "7", *REGION],
         "be9deed041811c634697a647a03c6bae03a19b0dc476ddd20f41fd59dd321f97",

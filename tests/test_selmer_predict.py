@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selmerkit.errors import HypothesisError, InconclusiveRegionError, InputError
+from selmerkit.errors import (
+    HypothesisError,
+    InconclusiveRegionError,
+    InputError,
+    InternalInvariantError,
+)
 from selmerkit.kurihara import (
     DeltaStats,
     RegionSpec,
@@ -17,13 +22,16 @@ from selmerkit.kurihara import (
 from selmerkit.selmer_predict import (
     GrossZagierPrediction,
     HeegnerProfile,
+    IdentityCheck,
     ModuleShape,
     REGION_DIAGNOSIS,
+    _asserted,
     combine_over_K,
     heegner_profile_to_shapes,
     predict_heegner_profile,
     predict_selmer_Q,
     predict_waldspurger_profile,
+    suffix_partials,
     synthetic_delta_stats,
 )
 from selmerkit.sieves import build_indices, sieve
@@ -195,6 +203,30 @@ shapes_strategy = st.builds(
 def test_round_trip_property(shape, floor):
     pred = predict_selmer_Q(synthetic_delta_stats(shape, floor=floor))
     assert pred.shape == shape
+
+
+def _stripped(xs):
+    xs = list(xs)
+    while xs and xs[-1] == 0:
+        xs.pop()
+    return xs
+
+
+@given(st.lists(st.integers(1, 9), max_size=6), st.lists(st.integers(1, 9), max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_suffix_partials_interleave_round_trip(a, b):
+    partials = suffix_partials(a, b)
+    steps = [x - y for x, y in zip(partials, partials[1:])]
+    assert _stripped(steps[0::2]) == a and _stripped(steps[1::2]) == b
+    assert partials[-1] == 0
+    assert all(x >= y for x, y in zip(partials, partials[1:]))
+
+
+def test_asserted_passes_holding_checks_and_raises_on_a_failed_one():
+    ok = IdentityCheck("same", 3, 3)
+    assert _asserted(ok) == [ok]
+    with pytest.raises(InternalInvariantError, match="spread: 4 != 5"):
+        _asserted(ok, IdentityCheck("spread", 4, 5))
 
 
 # ---------------------------------------------------------------- over K
