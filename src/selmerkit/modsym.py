@@ -4,16 +4,15 @@ The space of modular symbols is presented by generators indexed by P^1(Z/N)
 subject to the two-term and three-term Manin relations.  ManinSpace owns
 P^1(Z/N) as one row of classes per divisor g of N: the class of (c : d) is
 row gcd(c, N) read at a unit multiple of d, for the relations, the Hecke
-images and the eigensymbol; the cusps that end each generator's path are
-read off (c : d) in closed form.  The one N^2 table of a level is the
-eigensymbol's table of values, a typed buffer as wide as their range needs
-(one byte at every level used here), laid out from the same rows.  We
-work throughout on the dual side: a "functional" is an integer vector
-orthogonal to every relation, so the functional space has dimension 2g + c - 1.
-The star involution iota preserves the relations, so that space splits into
-its sign +1 and sign -1 parts; each is one sparse kernel, of the relations
-together with the star rows f_i - s f_iota(i), as in Cremona's plus and minus
-quotients.  A space solves these kernels only when they are first read.
+images and the eigensymbol, which maps the same rows to its values; the
+cusps that end each generator's path are read off (c : d) in closed form.
+No level keeps an N^2 table.  We work throughout on the dual side: a
+"functional" is an integer vector orthogonal to every relation, so the
+functional space has dimension 2g + c - 1.  The star involution iota
+preserves the relations, so that space splits into its sign +1 and sign -1
+parts; each is one sparse kernel, of the relations together with the star
+rows f_i - s f_iota(i), as in Cremona's plus and minus quotients.  A space
+solves these kernels only when they are first read.
 
 For a rational elliptic curve of conductor N, the plus eigensymbol is the
 one-dimensional common eigenspace of the Hecke operators (eigenvalues from
@@ -57,7 +56,6 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import count, islice
 from math import gcd
-from struct import calcsize, pack
 
 from .analytic import cycle_period
 from .arith import divisors, factorint, isprime, kronecker_symbol, primerange, totient
@@ -152,27 +150,6 @@ def _lift(c: int, d: int) -> tuple[int, int]:
     return a, (a * d - 1) // c
 
 
-def _typecode(lo: int, hi: int) -> str:
-    """The narrowest signed struct code, b, h, i or q, that holds lo .. hi."""
-    for code in "bhiq":
-        top = 1 << 8 * calcsize(code) - 1
-        if -top <= lo and hi < top:
-            return code
-    raise InternalInvariantError(f"table entries {lo} .. {hi} do not fit in 64 bits")
-
-
-def _typed_table(N: int, code: str, rows) -> memoryview:
-    """The N rows of N integers that rows yields, as one flat read-only table
-    of struct code `code`; each row is packed as it comes, so at most one row
-    is held as Python ints."""
-    fmt = f"{N}{code}"
-    width = calcsize(fmt)
-    buf = bytearray(N * width)
-    for c, row in enumerate(rows):
-        buf[c * width:(c + 1) * width] = pack(fmt, *row)
-    return memoryview(buf).toreadonly().cast(code)
-
-
 def _p1_fill(N: int) -> tuple[dict[int, list[int]], list[tuple[int, int]], list[tuple[int, int]]]:
     """(p1_rows, p1_lift, p1_reps): P^1(Z/N) as d(N) rows of N classes.
 
@@ -217,11 +194,12 @@ class ManinSpace:
     """Relation data, functionals and operators at a fixed level N.
 
     P^1(Z/N) is kept as the divisor rows of _p1_fill, with no N^2 table: the
-    class of (c : d) is p1_rows[g][v d mod N] for (g, v) = p1_lift[c], and
-    index is their one reader.  Class k is the unit orbit of p1_reps[k]:
-    (g, least d) for a divisor g < N of N, or (0 : 1).  The constructor
-    builds only P^1(Z/N), the generating actions sigma, tau and iota, and the
-    boundary rows.
+    class of (c : d) is p1_rows[g][v d mod N] for (g, v) = p1_lift[c].  index
+    reads them one pair at a time, and an EigenSymbol maps them to its value
+    rows, which its raw_sum reads the same way.  Class k is the unit orbit of
+    p1_reps[k]: (g, least d) for a divisor g < N of N, or (0 : 1).  The
+    constructor builds only P^1(Z/N), the generating actions sigma, tau and
+    iota, and the boundary rows.
     functionals[s], s = +-1, is a primitive integer basis of the functionals
     with f(iota x) = s f(x); m counts both.  free_columns[s] lists the
     generators on which that basis is diagonal, one per vector, as
@@ -368,13 +346,12 @@ class EigenSymbol:
     pairings over one denominator.
 
     Construction maps each P^1(Z/N) divisor row of the space (Cremona,
-    "Algorithms for Modular Elliptic Curves") through fvec once and lays out
-    row c as value row g read at v d, (g, v) = p1_lift[c]: the level's only
-    N^2 table, flat, read-only and typed, whose entry (c mod N) * N + (d mod N)
-    is fvec at the class of (c : d), and 0 at pairs that are not points of
-    P^1(Z/N).  Each entry is as wide as the range of fvec needs: one byte at
-    every sample curve, so N^2 bytes (151 kB at N = 389).  The functional must
-    be star-invariant, f(iota x) = f(x); anything else is refused.  minus is
+    "Algorithms for Modular Elliptic Curves") through fvec once, into a value
+    row that reads 0 at pairs that are not points of P^1(Z/N), and keeps
+    _rows[c] = (value row g, v) for (g, v) = p1_lift[c]: fvec at the class
+    of (c : d) is value row g read at v d mod N.  So a symbol holds d(N) rows
+    of N values and N lifts, and no N^2 table.  The functional must be
+    star-invariant, f(iota x) = f(x); anything else is refused.  minus is
     the primitive minus line of the same eigensystem: the normalization
     reads it, and twist_eigensymbol reads a twist's lines off fvec and minus.
     """
@@ -385,19 +362,17 @@ class EigenSymbol:
     minus: tuple[int, ...]
     denominator: int
     sign: int
-    _table: memoryview = field(init=False, repr=False, compare=False)
+    _rows: list[tuple[list[int], int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        space, f, N = self.space, self.fvec, self.space.N
+        space, f = self.space, self.fvec
         if any(f[space.iota[i]] != f[i] for i in range(space.n)):
             raise InternalInvariantError(
                 "eigensymbol functional is not invariant under the star involution"
             )
         values = list(f) + [0]  # index -1, a non-point, reads 0
         rows = {g: [values[k] for k in row] for g, row in space.p1_rows.items()}
-        lifted = ((rows[g], v) for g, v in space.p1_lift)  # row c: value row g at v d mod N
-        self._table = _typed_table(N, _typecode(min(values), max(values)),
-                                   ([row[x % N] for x in range(0, v * N, v)] for row, v in lifted))
+        self._rows = [(rows[g], v) for g, v in space.p1_lift]
 
     def raw_value(self, a: int, b: int) -> int:
         """<fvec, {oo -> a/b}>: raw_sum of the one term (a, 1) over |b|."""
@@ -416,11 +391,12 @@ class EigenSymbol:
         the star image of (c : d).  The convergent denominators depend only on
         the partial quotients, which a common factor of a and n does not
         change, so they are tracked mod N without reducing a/n.  The first
-        step of every a/n gives (1 : 0), so that entry is read once for the
-        whole sum, times the total weight; each later step is one lookup.
+        step of every a/n gives (1 : 0), so that value is read once for the
+        whole sum, times the total weight; each later step reads (c : d) as
+        row[v d mod N] for (row, v) = _rows[c].
         """
         N = self.space.N
-        tab = self._table
+        rows = self._rows
         total = weight = 0
         for a, w in terms:
             if not w:
@@ -434,10 +410,11 @@ class EigenSymbol:
                 k = a // b
                 a, b = b, a - k * b
                 q_prev, q_cur = q_cur, (k * q_cur + q_prev) % N
-                raw += tab[q_cur * N + q_prev]
+                row, v = rows[q_cur]
+                raw += row[v * q_prev % N]
             total += w * raw
             weight += w
-        return total + weight * tab[1 % N * N]
+        return total + weight * rows[1 % N][0][0]  # (1 : 0) is row 1 read at 0
 
     def eval_plus(self, a: int, b: int) -> Fraction:
         return Fraction(self.sign * self.raw_value(a, b), self.denominator)

@@ -5,8 +5,8 @@ each point not yet filled starts a class, and its whole orbit under the units
 mod N gets that class.  This is psi(N) * phi(N) writes into an N^2 list.
 modsym._p1_fill keeps only one row per divisor of N and a unit lift per c;
 the tests compare the class it gives every (c : d) with this table, and
-check the eigensymbol's table against the classes read from it, so a fault
-in the rows cannot pass on both sides.
+check the eigensymbol's value rows against the classes read from it, so a
+fault in the rows cannot pass on both sides.
 """
 
 from math import gcd

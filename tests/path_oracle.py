@@ -2,8 +2,8 @@
 
 This is the direct Manin-symbol walk: each continued-fraction step is
 normalized into P^1(Z/N) through ManinSpace.index, with the (-1)^k sign kept.
-EigenSymbol.raw_value replaces it with a table lookup; the tests compare
-the two.
+EigenSymbol.raw_value replaces it with one read of the value rows per step;
+the tests compare the two.
 """
 
 from math import gcd

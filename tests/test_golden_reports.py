@@ -59,6 +59,11 @@ GOLDEN = {
          "--steps", "15", "--seed", "3"],
         "672aecdaf5b9e46175425145540c4e04878687bd5be6bd1438762c3605246f9d",
     ),
+    "gz-389a1": (  # the twist's level is M = 6224 = 2^4 * 389, with 10 divisor rows
+        ["gz", "--curves", "data/large_conductor.jsonl", "--label", "389a1", "--DK", "-4",
+         "--p", "5", "--prime-bound", "300", "--max-nu", "2"],
+        "839a56674edfb96d3983c7a9a616d94aad3a752b0b2432793ed0deccf933f490",
+    ),
     "waldspurger": (
         ["waldspurger", "--label", "11a1", "--DK", "-3", "--p", "7", *REGION],
         "be9deed041811c634697a647a03c6bae03a19b0dc476ddd20f41fd59dd321f97",

@@ -34,7 +34,6 @@ from selmerkit.modsym import (
     _p1_fill,
     _path_values,
     _twisted_functionals,
-    _typecode,
     build_manin_space,
     cusp_key,
     cusp_number,
@@ -131,24 +130,9 @@ def test_row_fill_matches_the_unit_orbit_fill(N):
     assert _row_fill_classes(N) == unit_orbit_fill(N)
 
 
-@pytest.mark.parametrize(
-    "lo, hi, code",
-    [(0, 127, "b"), (-128, 0, "b"), (0, 128, "h"), (-129, 0, "h"), (-32768, 32767, "h"),
-     (-32769, 0, "i"), (0, 32768, "i"), (0, 2 ** 31, "q"), (-2 ** 63, 2 ** 63 - 1, "q")],
-)
-def test_typecode_is_the_narrowest_signed_width(lo, hi, code):
-    assert _typecode(lo, hi) == code
-
-
-@pytest.mark.parametrize("lo, hi", [(0, 2 ** 63), (-2 ** 63 - 1, 0)])
-def test_typecode_refuses_past_64_bits(lo, hi):
-    with pytest.raises(InternalInvariantError, match="64 bits"):
-        _typecode(lo, hi)
-
-
 def test_manin_space_stays_within_its_memory_budget():
-    # the N^2 class table is 2 bytes a slot; as a list it was 8, and the peak
-    # was 19.0 MiB
+    # P^1(Z/1000) as 16 divisor rows, the generating actions and the dense
+    # boundary rows, one per cusp class
     tracemalloc.start()
     try:
         ManinSpace(1000)
@@ -170,10 +154,18 @@ def test_a_space_keeps_no_n_squared_table():
     assert peak < 8 * 2 ** 20
 
 
-def test_tables_are_typed_at_the_twisted_level_333(curve):
-    sym = isolate_eigensymbol(quadratic_twist(curve("37a1"), -3))
-    assert sym.space.N == 333
-    assert sym._table.itemsize == 1
+def test_a_symbol_keeps_no_n_squared_table():
+    # the all-ones functional is star-invariant; at N = 5077 the symbol maps
+    # the space's two divisor rows to values and keeps 5077 lifts, where a
+    # one-byte table of all N^2 values would take 24.6 MiB
+    space = ManinSpace(5077)
+    tracemalloc.start()
+    try:
+        EigenSymbol(curve=None, space=space, fvec=(1,) * space.n, minus=(), denominator=1, sign=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
 
 
 def test_functional_dimensions():
@@ -328,25 +320,26 @@ def test_raw_sum_matches_the_path_oracle(eigensymbol, label, n, data):
     a=st.integers(-10 ** 6, 10 ** 6),
     b=st.integers(-10 ** 6, 10 ** 6),
 )
-def test_two_byte_symbol_table_matches_path_oracle(eigensymbol, label, a, b):
-    # no sample curve has a functional entry past 127, so scale one
+def test_scaled_symbol_matches_path_oracle(eigensymbol, label, a, b):
+    # no sample curve has a functional entry past 127; scale one so that the
+    # reads carry wider values
     sym = eigensymbol(label)
     wide = EigenSymbol(curve=sym.curve, space=sym.space, fvec=tuple(200 * x for x in sym.fvec),
                        minus=sym.minus, denominator=sym.denominator, sign=sym.sign)
-    assert sym._table.itemsize == 1
-    assert wide._table.itemsize == 2
     assert wide.raw_value(a, b) == pair_path(sym.space, wide.fvec, a, b)
 
 
-def test_table_covers_exactly_the_points_of_p1(eigensymbol, curve):
+def test_value_rows_cover_exactly_the_points_of_p1(eigensymbol, curve):
     # N = 26, N = 126 for 14a1 twisted by -3 and N = 333 for 37a1 twisted by
     # -3; the classes come from the unit-orbit oracle, not the space's rows
     for sym in (eigensymbol("26a1"), isolate_eigensymbol(quadratic_twist(curve("14a1"), -3)),
                 isolate_eigensymbol(quadratic_twist(curve("37a1"), -3))):
         N = sym.space.N
         classes, _ = unit_orbit_fill(N)
-        for cd, k in enumerate(classes):
-            assert sym._table[cd] == (sym.fvec[k] if k >= 0 else 0)
+        for c, (row, v) in enumerate(sym._rows):
+            for d in range(N):
+                k = classes[c * N + d]
+                assert row[v * d % N] == (sym.fvec[k] if k >= 0 else 0)
 
 
 def test_star_variant_functional_is_refused(eigensymbol):
