@@ -2,17 +2,21 @@
 
 real_periods needs only the standard library: exact bisection of an integer
 cubic, then `decimal` for the square roots, the AGM and pi.  cycle_period
-integrates 2*pi*i*f over one closed Gamma_0(N) cycle with a proven error
-bound, which pins the eigensymbol's sign; modular_symbol_series integrates it
-from a/b up the vertical line, an independent, heuristic check.  The AGM and
-the cycle follow Cremona, "Algorithms for Modular Elliptic Curves".
+integrates 2*pi*i*f over one closed Gamma_0(N) cycle {0, b/d} with a proven
+error bound, which pins the eigensymbol's sign.  It folds the path through
+the Fricke involution W_N, whose eigenvalue w = +-1 the caller reads exactly
+off the symbol: the path's ends then sit at height 1/(d sqrt N), not 1/N, so
+the series has about log(1/tol) d sqrt(N) / (2 pi) terms instead of
+log(1/tol) N / (2 pi).  modular_symbol_series integrates f from a/b up the
+vertical line, an independent, heuristic check.  The AGM and the cycle follow
+Cremona, "Algorithms for Modular Elliptic Curves".
 """
 
 from __future__ import annotations
 
 from cmath import exp as cexp
 from decimal import Context, Decimal, getcontext, localcontext
-from math import ceil, cos, exp, gcd, isqrt, log, pi
+from math import ceil, cos, exp, gcd, isqrt, log, pi, sqrt
 from sys import float_info
 
 from .curves import EllipticCurve, hecke_an_list
@@ -137,61 +141,88 @@ def numeric_plus(E: EllipticCurve, a: int, b: int, tol: float = 1e-6) -> float:
     return modular_symbol_series(E, a, b, tol=tol).real / real_periods(E)[0]
 
 
-def _cycle_tail_bound(N: int, omega_plus: float, T: int) -> float:
-    """Bound on the part of |cycle_period| carried by the terms past T.
+def _cycle_tail_bound(r: float, omega_plus: float, T: int) -> float:
+    """Bound on the part of one folded series carried by its terms past T.
 
-    Term n is (a_n/n) times a difference of two numbers of modulus
-    r^n = e^{-2 pi n/N}; |a_n|/n <= d(n)/sqrt(n) <= 2, so it is at most 4 r^n,
-    and the tail is at most 4 r^{T+1} / (1 - r).
+    Term n is at most 4 r^n in absolute value (cycle_period), so the tail is
+    at most 4 r^{T+1} / (1 - r), over omega_plus.
     """
-    r = exp(-2 * pi / N)
     return 4 * r ** (T + 1) / ((1 - r) * omega_plus)
 
 
-def cycle_period(E: EllipticCurve, a: int, d: int, tol: float = 1e-10) -> tuple[float, float]:
-    """(value, bound): Re of the integral of 2 pi i f over the cycle of
-    gamma = [[a, b], [N, d]], divided by omega_plus, and a proven bound on the
-    distance from the computed value to the true one.
-
-    The cycle is {0, b/d}, so the value is [b/d]+ - [0]+.  Requires
-    a*d = 1 (mod N).  After Cremona, the integral from z to gamma z does not
-    depend on z, and z = (-d + i)/N puts gamma z at (a + i)/N, so both ends
-    sit at height 1/N and the sum is
-    sum (a_n/n)(e^{2 pi i n gamma z} - e^{2 pi i n z}).  The real part of
-    term n is (a_n/n) r^n (cos(2 pi n a/N) - cos(2 pi n d/N)), summed up to
-    the least T whose tail bound is at most tol, about
-    log(1/tol) * N / (2*pi) terms.
-
-    The bound adds a floating-point budget to the tail bound.  With u the
-    unit roundoff (epsilon / 2), term n is off by at most (2n + 24) u times
-    its size bound 4 r^n (r^n by repeated multiplication, the cosine table,
-    one division and two products), and summation and the division by
-    omega_plus add at most (T + 2) u times the total size bound
-    4r / (1 - r) / omega_plus; (8T + 128) u times that total covers both
-    with room to spare.
-    """
-    N = E.conductor
-    if (a * d - 1) % N:
-        raise InputError(f"[[{a}, b], [{N}, {d}]] is not in Gamma_0({N}): a*d != 1 mod N")
-    om_p, _ = real_periods(E)
-    r = exp(-2 * pi / N)
-    T = max(1, ceil(N / (2 * pi) * log(4 / ((1 - r) * om_p * tol))) - 1)
-    while _cycle_tail_bound(N, om_p, T) > tol:
-        T += 1
-    an = hecke_an_list(E, T)
-    cosines = [cos(2 * pi * k / N) for k in range(N)]
-    S, rn, pa, pd = 0.0, 1.0, 0, 0
-    a, d = a % N, d % N
+def _cosine_series(an: list[int], r: float, T: int, phases: list[float]) -> float:
+    """sum_{n=1}^T (a_n / n) r^n phases[n mod len(phases)]."""
+    S, rn, k, m = 0.0, 1.0, 0, len(phases)
     for n in range(1, T + 1):
         rn *= r
-        pa += a
-        if pa >= N:
-            pa -= N
-        pd += d
-        if pd >= N:
-            pd -= N
+        k += 1
+        if k == m:
+            k = 0
         if an[n]:
-            S += (an[n] / n) * rn * (cosines[pa] - cosines[pd])
-    total = 4 * r / ((1 - r) * om_p)
-    rounding = (8 * T + 128) * (float_info.epsilon / 2) * total
-    return S / om_p, _cycle_tail_bound(N, om_p, T) + rounding
+            S += (an[n] / n) * rn * phases[k]
+    return S
+
+
+def cycle_period(E: EllipticCurve, b: int, d: int, w: int, tol: float = 1e-10) -> tuple[float, float]:
+    """(value, bound): Re of the integral of 2 pi i f over the cycle
+    {0, b/d} = {0, gamma 0} of gamma = [[a, b], [N, d]], divided by
+    omega_plus, and a proven bound on the distance from the computed value
+    to the true one.  w = +-1 is the eigenvalue of f under the Fricke
+    involution W_N: tau -> -1/(N tau); the value is [b/d]+ - [0]+.
+
+    Requires d >= 1 and b N = -1 (mod d), so that a = (1 + b N)/d.  After
+    Cremona (2.10-2.11, the W_N trick behind the fast L(E, 1) series), write
+    F(z) = sum (a_n/n) e^{2 pi i n z}, the integral of 2 pi i f from oo to z,
+    and P(x, y) for the integral from x to y; P(W_N x, W_N y) = w P(x, y),
+    P(gamma x, gamma y) = P(x, y), and W_N 0 = oo.  Then, with
+    tau = (1 + i/sqrt(N))/d and gamma W_N tau = b/d + i/(d sqrt(N)),
+      P(oo, b/d) = F(gamma W_N tau) + P(gamma W_N tau, gamma W_N oo)
+                 = F(gamma W_N tau) - w F(tau),
+    and through the fixed point i/sqrt(N) of W_N,
+      P(0, oo) = P(W_N oo, W_N (i/sqrt N)) - F(i/sqrt N) = -(1 - w) F(i/sqrt N).
+    With r_m = e^{-2 pi/(m sqrt N)}, the real part of the sum is
+      sum (a_n/n) r_d^n (cos(2 pi n b/d) - w cos(2 pi n/d))
+        - (1 - w) sum (a_n/n) r_1^n,
+    two series whose ends sit at height 1/(d sqrt N) and 1/sqrt N instead of
+    1/N.  Since |a_n|/n <= d(n)/sqrt(n) <= 2, term n of either series is
+    at most 4 r_m^n; each is summed up to the least T_m whose tail bound
+    4 r_m^{T_m+1} / ((1 - r_m) omega_plus) is at most tol/2, about
+    log(1/tol) m sqrt(N) / (2 pi) terms.  The second series is zero when
+    w = 1.
+
+    The bound adds a floating-point budget to the two tail bounds.  Let u be
+    the unit roundoff (epsilon / 2) and S_m = 4 r_m / ((1 - r_m) omega_plus)
+    the size bound of series m.  The rounded r_m = e^{-x} is off by at most
+    (5x + 2) u <= 12 u relative (x <= 2 pi/sqrt(11)), so r_m^n by repeated
+    multiplication is off by at most 13 n u, and a phase
+    cos(2 pi j/d) - w cos(2 pi k/d) by at most 44 u; so term n is off by at
+    most (16 n + 32) u times 4 r_m^n, (16/(1 - r_m) + 32) u S_m in all.
+    Summation adds at most T_m u S_m, and the last addition, the division and
+    omega_plus's own rounding 3 u S_m.  The float evaluation of the tail
+    bound is off by at most (12 T_m + 12/(1 - r_m) + 20) u times the tail,
+    which is at most S_m r_m^{T_m}, and T r^T <= 1/(e (1 - r)): at most
+    (17/(1 - r_m) + 20) u S_m.  (40/(1 - r_m) + 2 T_m + 72) u S_m covers all
+    of it, with room for the budget's own rounding.
+    """
+    N = E.conductor
+    if d < 1 or (b * N + 1) % d:
+        raise InputError(f"no [[a, {b}], [{N}, {d}]] in Gamma_0({N}): b*N != -1 mod d")
+    if w not in (1, -1):
+        raise InputError(f"the W_{N} eigenvalue must be +1 or -1, got {w}")
+    om_p, _ = real_periods(E)
+    series = [(d, [cos(2 * pi * (k * b % d) / d) - w * cos(2 * pi * k / d) for k in range(d)])]
+    if w == -1:  # -[0]+ = -(1 - w) F(i/sqrt N), at the fixed point of W_N
+        series.append((1, [-2.0]))
+    S = bound = 0.0
+    an: list[int] = []
+    for m, phases in series:
+        r = exp(-2 * pi / (m * sqrt(N)))
+        T = max(1, ceil(log(8 / ((1 - r) * om_p * tol)) * m * sqrt(N) / (2 * pi)) - 1)
+        while _cycle_tail_bound(r, om_p, T) > tol / 2:
+            T += 1
+        if len(an) <= T:
+            an = hecke_an_list(E, T)
+        S += _cosine_series(an, r, T, phases)
+        rounding = (40 / (1 - r) + 2 * T + 72) * (float_info.epsilon / 2) * 4 * r / ((1 - r) * om_p)
+        bound += _cycle_tail_bound(r, om_p, T) + rounding
+    return S / om_p, bound

@@ -35,8 +35,11 @@ the plus functional carried along; no basis of the cycles is built.  The
 overall sign is pinned once on a Gamma_0(N) cycle {0, b/d} = {0, gamma 0}
 with gamma = [[a, b], [N, d]]: the first d >= 2 prime to N on which the
 symbol is nonzero.  Its exact value [b/d]+ - [0]+ is compared with the
-cycle period of the analytic module, whose two ends sit at height 1/N and
-whose error is bounded.
+cycle period of the analytic module, whose error is bounded.  That period
+folds the cycle through the Fricke involution W_N, so that its ends sit at
+height 1/(d sqrt N); the W_N eigenvalue it needs is read exactly off the
+symbol, as the ratio of the symbol on W_N {0, b/d} = {oo, -d/(N b)} to its
+value on {0, b/d}, and must be +-1.
 
 The twist E^D of a pair is not cut at its level M = N D^2.  By the twisting
 formula f_chi = tau(chi)^-1 sum_{u mod |D|} chi(u) f(z + u/|D|), its plus
@@ -657,6 +660,23 @@ def twist_eigensymbol(sym: EigenSymbol, D: int, twist: EllipticCurve) -> EigenSy
     return _normalized(twist, space, *_certify(twist, space, lines, hecke))
 
 
+def _fricke_sign(sym: EigenSymbol, b: int, d: int) -> int:
+    """w = +-1 with f | W_N = w f, read exactly off the symbol on the cycle
+    {0, b/d} of _nonzero_cycle.  The Fricke involution W_N: tau -> -1/(N tau)
+    commutes with the Hecke operators and with the star involution, so it
+    acts on the plus eigenline by w, and it maps {0, b/d} to
+    {oo, -d/(N b)}: [-d/(N b)]+ = w ([b/d]+ - [0]+).  Any other ratio is a
+    fault in the symbol.
+    """
+    cycle = sym.raw_value(b, d) - sym.raw_value(0, 1)
+    image = sym.raw_value(-d, sym.space.N * b)
+    if not cycle or image not in (cycle, -cycle):
+        raise InternalInvariantError(
+            f"W_{sym.space.N} maps the cycle {{0, {b}/{d}}} to {image}/{cycle} times itself, not +-1"
+        )
+    return 1 if image == cycle else -1
+
+
 def _normalized(E: EllipticCurve, space: ManinSpace, f_int, f_minus) -> EigenSymbol:
     """The eigensymbol of E on the plus line f_int, normalized and pinned.
 
@@ -668,8 +688,12 @@ def _normalized(E: EllipticCurve, space: ManinSpace, f_int, f_minus) -> EigenSym
 
     The sign is pinned on one Gamma_0(N) cycle {0, b/d}: its exact value
     [b/d]+ - [0]+ is compared with the cycle period, which comes with a
-    proven error bound.  The pin needs the exact value to exceed twice the
-    bound, and the pinned value must then lie within the bound.
+    proven error bound.  The period folds the cycle through W_N (Cremona's
+    trick), so it needs the W_N eigenvalue w; that is read exactly off the
+    symbol (_fricke_sign), never taken from an ingested root number, and it
+    must be +-1.  The folded series then has about 4 d sqrt(N) terms, not
+    about 4 N.  The pin needs the exact value to exceed twice the bound, and
+    the pinned value must then lie within the bound.
     """
     # integral cycles: killed by the boundary map, and killed by f_minus
     denominator = kernel_image_gcd(space.boundary_rows + [list(f_minus)], f_int)
@@ -679,9 +703,9 @@ def _normalized(E: EllipticCurve, space: ManinSpace, f_int, f_minus) -> EigenSym
     sym = EigenSymbol(curve=E, space=space, fvec=tuple(f_int), minus=tuple(f_minus),
                       denominator=denominator, sign=1)
 
-    a, b, d = _nonzero_cycle(sym)
+    _, b, d = _nonzero_cycle(sym)
     exact = float(sym.eval_plus(b, d) - sym.eval_plus(0, 1))
-    approx, bound = cycle_period(E, a, d)
+    approx, bound = cycle_period(E, b, d, _fricke_sign(sym, b, d))
     if abs(exact) <= 2 * bound:
         raise InternalInvariantError("cycle value too small to pin the sign")
     if abs(exact - approx) > abs(exact + approx):
@@ -689,6 +713,6 @@ def _normalized(E: EllipticCurve, space: ManinSpace, f_int, f_minus) -> EigenSym
     check = sym.sign * exact
     if abs(check - approx) > bound:
         raise InternalInvariantError(
-            f"normalized symbol disagrees with direct integration: {check} vs {approx}"
+            f"normalized symbol disagrees with direct integration: {check} vs {approx} (bound {bound})"
         )
     return sym

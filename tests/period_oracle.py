@@ -1,5 +1,7 @@
-"""Reference real periods: mpmath's polyroots and AGM, the runtime's method
-before the periods moved to the standard library's `decimal`.
+"""Reference periods: the real periods by mpmath's polyroots and AGM, the
+runtime's method before the periods moved to the standard library's
+`decimal`; and the cycle period by the unfolded series at height 1/N, the
+runtime's method before the path was folded through W_N.
 
 polyroots gets guard bits from c4, c6 and Delta on top of its own 10, so
 that close roots converge, and up to 1000 Durand-Kerner steps instead of
@@ -8,9 +10,13 @@ that converged within 50 steps is the same.  `dps` sets the working
 precision.
 """
 
+from math import ceil, cos, exp, log, pi
+from sys import float_info
+
 import mpmath as mp
 
-from selmerkit.curves import EllipticCurve
+from selmerkit.analytic import real_periods as runtime_real_periods
+from selmerkit.curves import EllipticCurve, hecke_an_list
 
 
 def root_guard_bits(E: EllipticCurve) -> int:
@@ -45,3 +51,59 @@ def real_periods(E: EllipticCurve, dps: int = 30) -> tuple[float, float]:
             om_p = 2 * mp.pi / mp.agm(2 * mp.sqrt(a), mp.sqrt(2 * a + 3 * e1))
             om_m = 2 * mp.pi / mp.agm(2 * mp.sqrt(a), mp.sqrt(2 * a - 3 * e1))
         return float(om_p), float(om_m)
+
+
+def _series_tail_bound(N: int, omega_plus: float, T: int) -> float:
+    """Bound on the part of |series_cycle_period| carried by the terms past T.
+
+    Term n is (a_n/n) times a difference of two numbers of modulus
+    r^n = e^{-2 pi n/N}; |a_n|/n <= d(n)/sqrt(n) <= 2, so it is at most 4 r^n,
+    and the tail is at most 4 r^{T+1} / (1 - r).
+    """
+    r = exp(-2 * pi / N)
+    return 4 * r ** (T + 1) / ((1 - r) * omega_plus)
+
+
+def series_cycle_period(E: EllipticCurve, a: int, d: int, tol: float = 1e-10) -> tuple[float, float]:
+    """(value, bound) for the cycle {0, b/d} of gamma = [[a, b], [N, d]], a*d = 1
+    (mod N), by the O(N) series with no W_N fold.
+
+    The integral from z to gamma z does not depend on z, and z = (-d + i)/N
+    puts gamma z at (a + i)/N, so both ends sit at height 1/N and the sum is
+    sum (a_n/n)(e^{2 pi i n gamma z} - e^{2 pi i n z}).  The real part of
+    term n is (a_n/n) r^n (cos(2 pi n a/N) - cos(2 pi n d/N)), summed up to
+    the least T whose tail bound is at most tol, about
+    log(1/tol) * N / (2*pi) terms.
+
+    The bound adds a floating-point budget to the tail bound.  With u the
+    unit roundoff (epsilon / 2), term n is off by at most (2n + 24) u times
+    its size bound 4 r^n (r^n by repeated multiplication, the cosine table,
+    one division and two products), and summation and the division by
+    omega_plus add at most (T + 2) u times the total size bound
+    4r / (1 - r) / omega_plus; (8T + 128) u times that total covers both
+    with room to spare.
+    """
+    N = E.conductor
+    assert (a * d - 1) % N == 0, "gamma is not in Gamma_0(N)"
+    om_p, _ = runtime_real_periods(E)
+    r = exp(-2 * pi / N)
+    T = max(1, ceil(N / (2 * pi) * log(4 / ((1 - r) * om_p * tol))) - 1)
+    while _series_tail_bound(N, om_p, T) > tol:
+        T += 1
+    an = hecke_an_list(E, T)
+    cosines = [cos(2 * pi * k / N) for k in range(N)]
+    S, rn, pa, pd = 0.0, 1.0, 0, 0
+    a, d = a % N, d % N
+    for n in range(1, T + 1):
+        rn *= r
+        pa += a
+        if pa >= N:
+            pa -= N
+        pd += d
+        if pd >= N:
+            pd -= N
+        if an[n]:
+            S += (an[n] / n) * rn * (cosines[pa] - cosines[pd])
+    total = 4 * r / ((1 - r) * om_p)
+    rounding = (8 * T + 128) * (float_info.epsilon / 2) * total
+    return S / om_p, _series_tail_bound(N, om_p, T) + rounding

@@ -1,9 +1,11 @@
 """Curve ingestion, run configs, pipeline reports, and the subcommand surface."""
 
 import hashlib
+import inspect
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -12,7 +14,7 @@ import pytest
 
 import selmerkit
 
-from selmerkit import cli, modsym
+from selmerkit import analytic, cli, modsym
 from selmerkit.cli import (
     CurveRecord,
     RunConfig,
@@ -30,6 +32,8 @@ from selmerkit.selmer_predict import (
     predict_waldspurger_profile,
     synthetic_delta_stats,
 )
+
+from conftest import CURVES
 
 SAMPLE = "data/sample_curves.jsonl"
 LARGE = "data/large_conductor.jsonl"
@@ -391,8 +395,8 @@ def test_curve_with_close_period_roots_exits_4_not_1(tmp_path, capsys):
         "--prime-bound", "200", "--max-nu", "1",
     )
     assert code == 4 and out == ""
-    assert "disagrees with direct integration: -2.0 vs -6.0" in err
-    assert "Traceback" not in err
+    assert err.startswith("error: normalized symbol disagrees with direct integration: -2.0 vs ")
+    assert pin_ratio(err) == 3
 
 
 def test_cold_multi_curve_batch_matches_single_runs(tmp_path, capsys):
@@ -484,6 +488,19 @@ def test_a_pair_cuts_the_curve_at_most_once(monkeypatch, tmp_path):
     assert cuts == [("37a1", 37)]
 
 
+PIN_REFUSAL = re.compile(
+    r"error: normalized symbol disagrees with direct integration: (\S+) vs (\S+) \(bound (\S+)\)\n"
+)
+
+
+def pin_ratio(err):
+    """k with numeric = k * exact within the pin's bound, from a pin refusal."""
+    exact, numeric, bound = map(float, PIN_REFUSAL.fullmatch(err).groups())
+    k = round(numeric / exact)
+    assert abs(numeric - k * exact) <= bound, (exact, numeric, bound)
+    return k
+
+
 def test_waldspurger_refusal_at_the_twisted_level_240_exits_4(capsys):
     # 15a1 x -4: the exact pin value is half the cycle period (ROADMAP item 2)
     code, out, err = run_main(
@@ -491,8 +508,48 @@ def test_waldspurger_refusal_at_the_twisted_level_240_exits_4(capsys):
         "--p", "7", "--prime-bound", "300", "--max-nu", "1",
     )
     assert code == 4 and out == ""
-    assert "disagrees with direct integration: -1.5 vs -2.99999" in err
-    assert "Traceback" not in err
+    assert err.startswith("error: normalized symbol disagrees with direct integration: -1.5 vs ")
+    assert pin_ratio(err) == 2
+
+
+# ROADMAP item 2's table: a real twist ingested as a curve of its own is
+# refused at the pin, with numeric/exact an exact integer
+@pytest.mark.parametrize("label, D, ratio", [("14a1", 5, 3), ("15a1", 8, 4), ("11a1", 5, 5)])
+def test_real_twist_refusals_keep_their_integer_ratios(tmp_path, capsys, label, D, ratio):
+    T = quadratic_twist(CURVES[label], D)
+    curves_file = tmp_path / "curves.jsonl"
+    curves_file.write_text(json.dumps({"ainvs": list(T.ainvs), "conductor": T.conductor, "label": T.label}) + "\n")
+    code, out, err = run_main(
+        capsys, "predict", "--curves", str(curves_file), "--p", "7", "--prime-bound", "200", "--max-nu", "1",
+    )
+    assert code == 4 and out == ""
+    assert pin_ratio(err) == ratio
+
+
+@pytest.mark.parametrize("label", ["11a1", "37a1"])
+def test_a_flipped_fricke_sign_makes_the_pin_refuse(capsys, monkeypatch, label):
+    real = modsym.cycle_period
+    monkeypatch.setattr(modsym, "cycle_period", lambda E, b, d, w: real(E, b, d, -w))
+    code, out, err = run_main(
+        capsys, "predict", "--curves", SAMPLE, "--label", label, "--p", "7", "--prime-bound", "200", "--max-nu", "1",
+    )
+    assert code == 4 and out == ""
+    assert PIN_REFUSAL.fullmatch(err)
+
+
+def test_dropping_the_fixed_point_series_makes_the_pin_refuse(capsys, monkeypatch):
+    # the mutant sums only the first series, so at w = -1 it misses -[0]+
+    source = inspect.getsource(analytic.cycle_period)
+    line = "        series.append((1, [-2.0]))\n"
+    assert source.count(line) == 1
+    namespace = dict(vars(analytic))
+    exec(source.replace(line, "        pass\n"), namespace)
+    monkeypatch.setattr(modsym, "cycle_period", namespace["cycle_period"])
+    code, out, err = run_main(
+        capsys, "predict", "--curves", SAMPLE, "--label", "11a1", "--p", "7", "--prime-bound", "200", "--max-nu", "1",
+    )
+    assert code == 4 and out == ""
+    assert PIN_REFUSAL.fullmatch(err)
 
 
 def test_waldspurger_certifies_ord_lambda_two_for_389a1(capsys):

@@ -21,12 +21,15 @@ from hypothesis import strategies as st
 from selmerkit import analytic, curves, modsym
 from selmerkit.arith import is_fundamental_discriminant, kronecker_symbol
 from selmerkit.analytic import cycle_period, numeric_plus, real_periods
+from selmerkit.cli import ingest
 from selmerkit.curves import quadratic_twist, trace_of_frobenius
 from selmerkit.errors import InputError, InternalInvariantError
 from selmerkit.linalg import kernel_image_gcd
 from selmerkit.modsym import (
+    CYCLE_SEARCH_LIMIT,
     EigenSymbol,
     ManinSpace,
+    _fricke_sign,
     _isolate_functionals,
     _lift,
     _merel_matrices,
@@ -635,12 +638,33 @@ def test_frozen_denominators(eigensymbol, curve, case):
 
 
 def _cycle_exact(sym, d):
-    """a = d^-1 mod N and the exact value [b/d]+ - [0]+ of the cycle of
-    gamma = [[a, b], [N, d]]."""
+    """b = (a d - 1)/N for a = d^-1 mod N, and the exact value [b/d]+ - [0]+
+    of the cycle of gamma = [[a, b], [N, d]]."""
     N = sym.space.N
     a = pow(d, -1, N)
     b = (a * d - 1) // N
-    return a, float(sym.eval_plus(b, d) - sym.eval_plus(0, 1))
+    return b, float(sym.eval_plus(b, d) - sym.eval_plus(0, 1))
+
+
+def _fricke(sym):
+    """The W_N eigenvalue w, read off the pin's cycle {0, b/d}."""
+    _, b, d = _nonzero_cycle(sym)
+    return _fricke_sign(sym, b, d)
+
+
+_LARGE_SYMBOLS = {}
+
+
+def _large_symbol(D=None):
+    """389a1's symbol, or its twist by D = -3 (M = 3501) or -4 (M = 6224)
+    read off that symbol as a pair does."""
+    if D not in _LARGE_SYMBOLS:
+        E = DATA_CURVES["389a1"]
+        if D is None:
+            _LARGE_SYMBOLS[D] = isolate_eigensymbol(E)
+        else:
+            _LARGE_SYMBOLS[D] = twist_eigensymbol(_large_symbol(), D, quadratic_twist(E, D))
+    return _LARGE_SYMBOLS[D]
 
 
 @pytest.mark.parametrize("case", SAMPLE_LABELS + [f"N={N}" for N in TWISTS])
@@ -652,20 +676,82 @@ def test_cycle_period_matches_the_exact_cycle_value(eigensymbol, curve, case):
     a, b, d = _nonzero_cycle(sym)
     assert d >= 2 and a * d - b * sym.space.N == 1
     assert sym.raw_value(b, d) != sym.raw_value(0, 1)
-    value, bound = cycle_period(sym.curve, a, d)
+    value, bound = cycle_period(sym.curve, b, d, _fricke(sym))
     _, exact = _cycle_exact(sym, d)
     assert exact != 0 and abs(exact) > 2 * bound
     assert abs(value - exact) <= bound
     assert bound < 1e-9
 
 
+@pytest.mark.parametrize("case", SAMPLE_LABELS + ["N=99", "N=153", "N=333", "N=6224"])
+def test_folded_cycle_period_matches_the_unfolded_series(eigensymbol, curve, case):
+    # the O(N) series at height 1/N, the runtime's method before the W_N fold
+    if case == "N=6224":
+        sym = _large_symbol(-4)
+    elif case.startswith("N="):
+        sym = _twist_symbol(curve, int(case[2:]))
+    else:
+        sym = eigensymbol(case)
+    a, b, d = _nonzero_cycle(sym)
+    folded, bound = cycle_period(sym.curve, b, d, _fricke(sym))
+    series, series_bound = period_oracle.series_cycle_period(sym.curve, a, d)
+    assert abs(folded - series) <= bound + series_bound
+
+
+def test_fricke_sign_is_minus_the_ingested_root_number(eigensymbol):
+    # w = -epsilon for weight 2; the runtime reads w off the symbol and never
+    # the record, so the record's root number is an independent check
+    records = [r for r in ingest("data/sample_curves.jsonl") if r.root_number is not None]
+    assert {r.label for r in records} == set(SAMPLE_LABELS)
+    for r in records:
+        assert _fricke(eigensymbol(r.label)) == -r.root_number, r.label
+    assert _fricke(eigensymbol("37a1")) == 1 and _fricke(eigensymbol("11a1")) == -1
+
+
+@pytest.mark.parametrize("M", [99, 153, 333, 3501, 6224])
+def test_twisted_fricke_sign_follows_the_twisting_rule(eigensymbol, curve, M):
+    # w(E^D) = w(E) chi_D(-N) for (D, N) = 1
+    if M in TWISTS:
+        label, D = TWISTS[M]
+        w_E, sym = _fricke(eigensymbol(label)), _twist_symbol(curve, M)
+    else:
+        label, D = "389a1", {3501: -3, 6224: -4}[M]
+        w_E, sym = _fricke(_large_symbol()), _large_symbol(D)
+    assert sym.space.N == M
+    N = DATA_CURVES[label].conductor
+    assert _fricke(sym) == w_E * kronecker_symbol(D, -N)
+
+
+def test_fricke_sign_refuses_a_ratio_other_than_plus_or_minus_one(eigensymbol, monkeypatch):
+    # a symbol that W_N does not map to +-itself is not an eigensymbol
+    sym = eigensymbol("11a1")
+    _, b, d = _nonzero_cycle(sym)
+    real = EigenSymbol.raw_value
+    image = (-d, sym.space.N * b)
+    monkeypatch.setattr(EigenSymbol, "raw_value",
+                        lambda self, x, y: 2 * real(self, x, y) if (x, y) == image else real(self, x, y))
+    with pytest.raises(InternalInvariantError, match="not \\+-1"):
+        _fricke_sign(sym, b, d)
+
+
+@pytest.mark.parametrize("d", [2, 97, CYCLE_SEARCH_LIMIT])
+def test_cycle_period_within_its_bound_at_fixed_d(eigensymbol, d):
+    # CYCLE_SEARCH_LIMIT (1000) is the largest d the pin can use
+    sym = eigensymbol("11a1")
+    b, exact = _cycle_exact(sym, d)
+    value, bound = cycle_period(sym.curve, b, d, _fricke(sym))
+    assert abs(value - exact) <= bound
+
+
 @settings(max_examples=60, deadline=None)
-@given(label=st.sampled_from(["11a1", "37a1", "14a1"]), d=st.integers(2, 2000))
+@given(label=st.sampled_from(["11a1", "37a1", "14a1"]), d=st.integers(2, CYCLE_SEARCH_LIMIT))
 def test_cycle_period_within_its_bound_for_any_d(eigensymbol, label, d):
+    # the folded series has about 4 d sqrt(N) terms, so the draws stop at
+    # the largest d the pin can use
     sym = eigensymbol(label)
     assume(gcd(d, sym.space.N) == 1)
-    a, exact = _cycle_exact(sym, d)
-    value, bound = cycle_period(sym.curve, a, d)
+    b, exact = _cycle_exact(sym, d)
+    value, bound = cycle_period(sym.curve, b, d, _fricke(sym))
     assert abs(value - exact) <= bound
 
 
@@ -675,14 +761,17 @@ def test_cycle_bound_covers_short_sums(eigensymbol, label, d, k):
     # a loose tolerance leaves much of the value in the tail; the bound must cover it
     sym = eigensymbol(label)
     assume(gcd(d, sym.space.N) == 1)
-    a, exact = _cycle_exact(sym, d)
-    value, bound = cycle_period(sym.curve, a, d, tol=10.0 ** -k)
+    b, exact = _cycle_exact(sym, d)
+    value, bound = cycle_period(sym.curve, b, d, _fricke(sym), tol=10.0 ** -k)
     assert abs(value - exact) <= bound
 
 
 def test_cycle_period_refuses_a_matrix_outside_gamma0(curve):
-    with pytest.raises(InputError):
-        cycle_period(curve("11a1"), 2, 5)
+    # 2 * 11 + 1 = 23 is not a multiple of 5, so no [[a, 2], [11, 5]] has determinant 1
+    with pytest.raises(InputError, match="Gamma_0"):
+        cycle_period(curve("11a1"), 2, 5, -1)
+    with pytest.raises(InputError, match="eigenvalue"):
+        cycle_period(curve("11a1"), 1, 2, 0)
 
 
 def test_cycle_search_refuses_past_its_limit(eigensymbol, monkeypatch):
@@ -703,9 +792,9 @@ def test_twisted_level_240_is_refused(curve):
 
 @pytest.mark.parametrize("case", ["37a1", "37a1x-3"])
 def test_sign_pin_counts_points_only_up_to_a_small_multiple_of_N(curve, monkeypatch, case):
-    # the cycle period needs about log(1/tol) N / (2 pi), some 4N, terms and
-    # the Hecke cuts stop past the Sturm bound; a series whose length grows
-    # with b^2 N would count far beyond 5N
+    # the folded cycle period needs about log(1/tol) d sqrt(N) / (2 pi)
+    # terms and the Hecke cuts stop past the Sturm bound; a series whose
+    # length grows with b^2 N would count far beyond 5N
     E = quadratic_twist(curve("37a1"), -3) if case == "37a1x-3" else curve("37a1")
     monkeypatch.setattr(curves, "_AQ_CACHE", {})
     isolate_eigensymbol(E)
@@ -948,7 +1037,8 @@ def test_twisted_path_solves_no_kernel_at_the_twisted_level(curve, eigensymbol, 
 @pytest.mark.parametrize("case", ["37a1x-3", "11a1x-4"])
 def test_twisted_sign_pin_counts_points_only_up_to_a_small_multiple_of_M(curve, monkeypatch, case):
     # the twin of the cut's test: the level-N cut counts a_q(E) up to its
-    # Sturm bound, the certificate two a_q(T), and the pin about 4M terms
+    # Sturm bound, the certificate two a_q(T), and the pin about 4 d sqrt(M)
+    # terms
     base, D = case.split("x")
     E, D = curve(base), int(D)
     T = quadratic_twist(E, D)
@@ -957,3 +1047,19 @@ def test_twisted_sign_pin_counts_points_only_up_to_a_small_multiple_of_M(curve, 
     counted = [q for ainvs, q in curves._AQ_CACHE if ainvs == T.ainvs]
     assert counted and max(counted) <= 5 * T.conductor
     assert max(q for ainvs, q in curves._AQ_CACHE if ainvs == E.ainvs) <= 5 * E.conductor
+
+
+def test_twisted_sign_pin_sums_order_d_sqrt_m_terms_at_6224(monkeypatch):
+    # the pin of 389a1 x -4 reads its a_n once, up to the folded series'
+    # length, about log(1/tol) d sqrt(M) / (2 pi): 3,373 terms at d = 9 (the
+    # cycles at d = 3, 5 and 7 vanish).  The unfolded series needs about
+    # 5 M = 31,030, so a length of M or more means it is back
+    E = DATA_CURVES["389a1"]
+    T, base = quadratic_twist(E, -4), _large_symbol()
+    lengths = []
+    real = analytic.hecke_an_list
+    monkeypatch.setattr(analytic, "hecke_an_list", lambda F, n: lengths.append(n) or real(F, n))
+    sym = twist_eigensymbol(base, -4, T)
+    M, (_, _, d) = T.conductor, _nonzero_cycle(sym)
+    assert M == 6224 and len(lengths) == 1
+    assert d == 9 and lengths[0] <= 6 * d * M ** 0.5 < M
