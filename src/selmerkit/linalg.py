@@ -1,16 +1,10 @@
 """Exact integer linear algebra.
 
-Two kernel computations serve the modular symbol machinery:
-
-* the nullspace of a sparse integer matrix (fraction-free Gauss-Jordan
-  elimination with content stripping; each step pivots on the sparsest
-  remaining row, at its smallest coefficient), which gives the Manin
-  functionals of each star sign and cuts them down to Hecke eigenspaces;
-  its basis is diagonal on the non-pivot columns, which it returns too,
-* the gcd of a linear form over the integer kernel of a small dense matrix,
-  by unimodular column reduction with the form carried along as a last row
-  (the value group that normalizes the eigensymbol); no kernel basis and no
-  transform matrix is built.
+The nullspace of a sparse integer matrix (fraction-free Gauss-Jordan
+elimination with content stripping; each step pivots on the sparsest
+remaining row, at its smallest coefficient) gives the Manin functionals of
+each star sign and cuts them down to Hecke eigenspaces; its basis is
+diagonal on the non-pivot columns, which it returns too.
 
 Everything is deterministic; no floating point is involved.
 """
@@ -24,7 +18,6 @@ __all__ = [
     "gcd_list",
     "strip_content",
     "sparse_nullspace",
-    "kernel_image_gcd",
 ]
 
 
@@ -130,37 +123,3 @@ def sparse_nullspace(rows, ncols) -> tuple[list[list[int]], list[int]]:
         g = gcd_list(v)
         basis.append([x // g for x in v])
     return basis, free
-
-
-def kernel_image_gcd(rows, f) -> int:
-    """gcd of f . x over the integer x with rows . x = 0; 0 if f vanishes there.
-
-    `rows` is a list of integer row lists, each as long as `f`.  Unimodular
-    column operations bring each row in turn to a single pivot column, and
-    are applied to f, carried as a last row, alike.  The columns that never
-    became pivots then vanish on every row and span the kernel lattice: the
-    pivot columns form a triangular block, so no combination that kills the
-    rows can use them.  The answer is the gcd of f on the non-pivot columns.
-    """
-    m = len(rows)
-    cols = [[row[j] for row in rows] + [fj] for j, fj in enumerate(f)]
-    active = list(range(len(cols)))  # columns not yet used as a pivot
-    for r in range(m):
-        live = [j for j in active if cols[j][r] != 0]
-        if not live:
-            continue
-        while len(live) > 1:
-            live.sort(key=lambda j: abs(cols[j][r]))
-            c0 = cols[live[0]]
-            a = c0[r]
-            new_live = [live[0]]
-            for j in live[1:]:
-                cj = cols[j]
-                q = cj[r] // a
-                for i in range(r, m + 1):
-                    cj[i] -= q * c0[i]
-                if cj[r] != 0:
-                    new_live.append(j)
-            live = new_live
-        active.remove(live[0])
-    return gcd_list(cols[j][m] for j in active)

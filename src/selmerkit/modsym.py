@@ -29,9 +29,10 @@ T_q f = a_q f (for the cut, with the images of every q it cut by).  The plus
 eigensymbol is normalized to take the value group Z exactly on the
 integral cycles killed by the minus eigensymbol (the cycles fixed by the
 involution can give an index-2 sublattice), so that evaluations are the
-classical ratios [a/b]+ = Re int / (real period).  That value group is read
-off one column reduction of the boundary rows and the minus functional, with
-the plus functional carried along; no basis of the cycles is built.  The
+classical ratios [a/b]+ = Re int / (real period).  The boundary map is the
+incidence matrix of a graph on the cusp classes, one edge per generator, so
+that value group is read off the fundamental cycles of a spanning tree, with
+the minus functional cancelled by Euclid in the same pass.  The
 overall sign is pinned once on a Gamma_0(N) cycle {0, b/d} = {0, gamma 0}
 with gamma = [[a, b], [N, d]]: the first d >= 2 prime to N on which the
 symbol is nonzero.  Its exact value [b/d]+ - [0]+ is compared with the
@@ -46,7 +47,7 @@ formula f_chi = tau(chi)^-1 sum_{u mod |D|} chi(u) f(z + u/|D|), its plus
 and minus lines are chi-twisted sums of the minus and plus lines that E's
 eigensymbol keeps (plus and minus for D > 0), each path read by a signed
 continued-fraction walk at level N.  The level-M space then serves only its
-P^1 rows and boundary rows; each line passes the same certificate, with two
+P^1 rows and cusp ends; each line passes the same certificate, with two
 primes q, and is normalized and pinned as above, so the symbol is the one the
 cut would give.
 """
@@ -64,7 +65,7 @@ from .analytic import cycle_period
 from .arith import divisors, factorint, isprime, kronecker_symbol, primerange, totient
 from .curves import EllipticCurve, trace_of_frobenius
 from .errors import AmbiguityError, InputError, InternalInvariantError
-from .linalg import gcd_list, kernel_image_gcd, sparse_nullspace
+from .linalg import gcd_list, sparse_nullspace
 
 # ---------------------------------------------------------------------------
 # index sets and dimension formulas
@@ -202,12 +203,12 @@ class ManinSpace:
     rows, which its raw_sum reads the same way.  Class k is the unit orbit of
     p1_reps[k]: (g, least d) for a divisor g < N of N, or (0 : 1).  The
     constructor builds only P^1(Z/N), the generating actions sigma, tau and
-    iota, and the boundary rows.
+    iota, and cusp_ends, the two cusp classes of each generator.
     functionals[s], s = +-1, is a primitive integer basis of the functionals
     with f(iota x) = s f(x); m counts both.  free_columns[s] lists the
     generators on which that basis is diagonal, one per vector, as
     sparse_nullspace returns them.  These relation kernels are solved on first
-    use, so a space read only for its P^1 and boundary (the level of a
+    use, so a space read only for its P^1 and cusp ends (the level of a
     twist, twist_eigensymbol) never solves them.
     """
 
@@ -278,8 +279,9 @@ class ManinSpace:
     # -- boundary map ------------------------------------------------------
 
     def _build_boundary(self):
-        """boundary_rows[k][i]: +1 or -1 where generator i ends or starts at
-        cusp class k, classes numbered in order of first appearance.
+        """cusp_ends[i] = (from, to): the cusp classes where generator i
+        starts and ends, classes numbered in order of first appearance.  The
+        boundary map is the incidence matrix of this graph on the cusps.
 
         Generator (c : d) is the path {b/d -> a/c} of its lift
         [[a, b], [c, d]] in SL2(Z) (_lift).  A key count equal to the number of
@@ -297,11 +299,7 @@ class ManinSpace:
             raise InternalInvariantError(
                 f"found {len(classes)} cusp classes at N={N}, expected {self.ncusps}"
             )
-        rows = [[0] * self.n for _ in classes]
-        for i, (k_from, k_to) in enumerate(ends):
-            rows[k_to][i] += 1
-            rows[k_from][i] -= 1
-        self.boundary_rows = rows
+        self.cusp_ends = ends
 
     # -- operators on functionals -------------------------------------------
 
@@ -637,7 +635,7 @@ def twist_eigensymbol(sym: EigenSymbol, D: int, twist: EllipticCurve) -> EigenSy
     The twist's lines at level M = N D^2 are the chi_D-twisted sums of sym's
     plus and minus lines (_twisted_functionals), so nothing is cut again at
     level N, the level-M space is built only for its P^1 rows, its
-    generating actions and its boundary rows, and no relation kernel or
+    generating actions and its cusp ends, and no relation kernel or
     Hecke cut is solved there.  The primitive lines pass the cut's
     certificate (_certify), with T_q for the first two primes q prime to M,
     a_q counted on the twist, and are then normalized and pinned exactly as
@@ -677,14 +675,56 @@ def _fricke_sign(sym: EigenSymbol, b: int, d: int) -> int:
     return 1 if image == cycle else -1
 
 
+def _value_group(space: ManinSpace, f, f_minus) -> int:
+    """gcd of f over the integral cycles that f_minus kills; 0 if f vanishes
+    on all of them.
+
+    The boundary map is the incidence matrix of the cusp graph, whose edges
+    are the generators (space.cusp_ends), so the integral cycles are its
+    cycle space, spanned over Z by the fundamental cycles of a spanning tree
+    (Cremona, ch. 2).  Each cusp gets the potential pair (f, f_minus) summed
+    along the tree from cusp 0, and generator i's fundamental cycle takes
+    x_i - (pot[to] - pot[from]) for x = f, f_minus, which is 0 on a tree
+    edge.  One pass of Euclid on the f_minus entries reduces those pairs, and
+    the gcd is that of the f parts left where f_minus cancels.
+    """
+    # the cusp graph with one edge kept per pair of cusps, searched from cusp 0
+    links = [{} for _ in range(space.ncusps)]
+    for i, (k_from, k_to) in enumerate(space.cusp_ends):
+        links[k_from].setdefault(k_to, (i, 1))
+        links[k_to].setdefault(k_from, (i, -1))
+    pot, stack = {0: (0, 0)}, [0]
+    while stack:
+        k = stack.pop()
+        pf, pm = pot[k]
+        for other, (i, s) in links[k].items():
+            if other not in pot:
+                pot[other] = (pf + s * f[i], pm + s * f_minus[i])
+                stack.append(other)
+    if len(pot) != space.ncusps:
+        raise InternalInvariantError(
+            f"the generators at N={space.N} connect {len(pot)} of {space.ncusps} cusp classes"
+        )
+    den = gi = fi = 0  # (gi, fi): the pivot, whose f_minus entry divides every one so far
+    for i, (k_from, k_to) in enumerate(space.cusp_ends):
+        (f0, m0), (f1, m1) = pot[k_from], pot[k_to]
+        g, r = f_minus[i] - m1 + m0, f[i] - f1 + f0
+        while g:
+            q = gi // g
+            gi, fi, g, r = g, r, gi - q * g, fi - q * r
+        den = gcd(den, r)
+    return den
+
+
 def _normalized(E: EllipticCurve, space: ManinSpace, f_int, f_minus) -> EigenSymbol:
     """The eigensymbol of E on the plus line f_int, normalized and pinned.
 
     Normalization: the value group of the symbol on integral cycles killed by
-    the minus line f_minus is exactly Z.  Those cycles integrate onto the full
-    real sublattice of the period lattice (the star-fixed cycles alone can
-    land in an index-2 sublattice), so evaluations agree with
-    Re(period integral) / omega_plus on the nose.
+    the minus line f_minus (_value_group, off a spanning tree of the cusps)
+    is exactly Z.  Those cycles integrate onto the full real sublattice of
+    the period lattice (the star-fixed cycles alone can land in an index-2
+    sublattice), so evaluations agree with Re(period integral) / omega_plus
+    on the nose.
 
     The sign is pinned on one Gamma_0(N) cycle {0, b/d}: its exact value
     [b/d]+ - [0]+ is compared with the cycle period, which comes with a
@@ -695,8 +735,7 @@ def _normalized(E: EllipticCurve, space: ManinSpace, f_int, f_minus) -> EigenSym
     about 4 N.  The pin needs the exact value to exceed twice the bound, and
     the pinned value must then lie within the bound.
     """
-    # integral cycles: killed by the boundary map, and killed by f_minus
-    denominator = kernel_image_gcd(space.boundary_rows + [list(f_minus)], f_int)
+    denominator = _value_group(space, f_int, f_minus)
     if denominator == 0:
         raise InternalInvariantError("eigensymbol vanishes on all real cycles")
 

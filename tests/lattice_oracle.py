@@ -1,13 +1,17 @@
 """Reference lattice computations, kept only as test oracles.
 
 integer_kernel builds a Z-basis of an integer kernel by unimodular column
-reduction with the full n x n transform; linalg.kernel_image_gcd runs the
-same reduction without the transform and returns only the gcd of a form on
-that kernel.  boundary_rows partitions cusps by the pairwise Gamma_0(N)
+reduction with the full n x n transform; kernel_image_gcd runs the same
+reduction without the transform and returns only the gcd of a form on that
+kernel.  cusp_classes partitions cusps by the pairwise Gamma_0(N)
 equivalence test of Cremona's "Algorithms for Modular Elliptic Curves",
 one scan over the classes found so far per cusp, at the ends of an explicit
-SL2 lift of each generator found by search; ManinSpace keys each cusp, read
-off the generator in closed form.  The tests compare the two sides.
+SL2 lift of each generator found by search, and boundary_rows lays the
+boundary map out as a dense cusps x generators matrix; ManinSpace keys each
+cusp, read off the generator in closed form, and keeps only each
+generator's two ends.  kernel_image_gcd over boundary_rows plus the minus
+line is the dense reference for the value group that modsym reads off a
+spanning tree of the cusps.  The tests compare the two sides.
 """
 
 from math import gcd
@@ -54,6 +58,43 @@ def integer_kernel(rows):
         if all(x == 0 for x in cols[j]):
             kernel.append(list(transform[j]))
     return kernel
+
+
+def kernel_image_gcd(rows, f) -> int:
+    """gcd of f . x over the integer x with rows . x = 0; 0 if f vanishes there.
+
+    `rows` is a list of integer row lists, each as long as `f`.  Unimodular
+    column operations bring each row in turn to a single pivot column, and
+    are applied to f, carried as a last row, alike.  The columns that never
+    became pivots then vanish on every row and span the kernel lattice: the
+    pivot columns form a triangular block, so no combination that kills the
+    rows can use them.  The answer is the gcd of f on the non-pivot columns.
+    """
+    m = len(rows)
+    cols = [[row[j] for row in rows] + [fj] for j, fj in enumerate(f)]
+    active = list(range(len(cols)))  # columns not yet used as a pivot
+    for r in range(m):
+        live = [j for j in active if cols[j][r] != 0]
+        if not live:
+            continue
+        while len(live) > 1:
+            live.sort(key=lambda j: abs(cols[j][r]))
+            c0 = cols[live[0]]
+            a = c0[r]
+            new_live = [live[0]]
+            for j in live[1:]:
+                cj = cols[j]
+                q = cj[r] // a
+                for i in range(r, m + 1):
+                    cj[i] -= q * c0[i]
+                if cj[r] != 0:
+                    new_live.append(j)
+            live = new_live
+        active.remove(live[0])
+    g = 0
+    for j in active:
+        g = gcd(g, cols[j][m])
+    return g
 
 
 def _inv_mod(u, v):
@@ -114,9 +155,9 @@ def generator_ends(space):
     return ends
 
 
-def boundary_rows(space):
-    """The boundary matrix with cusp classes found by pairwise tests, in
-    order of first appearance."""
+def cusp_classes(space):
+    """(from, to) cusp class of each generator, classes found by pairwise
+    tests and numbered in order of first appearance."""
     reps = []
 
     def cusp_class(u, v):
@@ -126,9 +167,15 @@ def boundary_rows(space):
         reps.append((u, v))
         return len(reps) - 1
 
-    ends = [(cusp_class(*_reduce_cusp(*frm)), cusp_class(*_reduce_cusp(*to)))
+    return [(cusp_class(*_reduce_cusp(*frm)), cusp_class(*_reduce_cusp(*to)))
             for frm, to in generator_ends(space)]
-    rows = [[0] * space.n for _ in reps]
+
+
+def boundary_rows(space):
+    """The dense boundary matrix: row k is +1 or -1 where a generator ends
+    or starts at cusp class k of cusp_classes."""
+    ends = cusp_classes(space)
+    rows = [[0] * space.n for _ in range(1 + max(max(e) for e in ends))]
     for i, (k_from, k_to) in enumerate(ends):
         rows[k_to][i] += 1
         rows[k_from][i] -= 1

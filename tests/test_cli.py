@@ -25,7 +25,7 @@ from selmerkit.cli import (
     run_pipeline,
 )
 from selmerkit.curves import quadratic_twist
-from selmerkit.errors import HypothesisError, InputError
+from selmerkit.errors import HypothesisError, InputError, InternalInvariantError
 from selmerkit.selmer_predict import (
     ModuleShape,
     predict_heegner_profile,
@@ -535,6 +535,24 @@ def test_a_flipped_fricke_sign_makes_the_pin_refuse(capsys, monkeypatch, label):
     )
     assert code == 4 and out == ""
     assert PIN_REFUSAL.fullmatch(err)
+
+
+def test_an_unreachable_cusp_is_refused_and_oracle_check_exits_4(capsys, monkeypatch):
+    # every end at the last cusp class is sent to class 0, so no generator
+    # reaches that cusp and the value group has no spanning tree
+    build = modsym.ManinSpace._build_boundary
+
+    def stranded(self):
+        build(self)
+        last = self.ncusps - 1
+        self.cusp_ends = [tuple(0 if k == last else k for k in ends) for ends in self.cusp_ends]
+
+    monkeypatch.setattr(modsym.ManinSpace, "_build_boundary", stranded)
+    with pytest.raises(InternalInvariantError, match="connect 1 of 2 cusp classes"):
+        modsym.isolate_eigensymbol(CURVES["11a1"])
+    code, out, err = run_main(capsys, "oracle-check", "--curves", SAMPLE, "--label", "11a1")
+    assert code == 4 and out == ""
+    assert err == "error: the generators at N=11 connect 1 of 2 cusp classes\n"
 
 
 def test_dropping_the_fixed_point_series_makes_the_pin_refuse(capsys, monkeypatch):

