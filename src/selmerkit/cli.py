@@ -369,7 +369,8 @@ def _gather(record: CurveRecord, config: RunConfig,
     notes = _hypothesis_gate(record, config.p)
     region = config.region()
     primes = sieve("cyc", E, config.p, config.k, config.prime_bound)
-    indices = build_indices(primes, config.max_nu, config.max_n)
+    # the estimate is at least sum n, so build_indices refuses early what it would refuse
+    indices = build_indices(primes, config.max_nu, config.max_n, config.max_evaluations)
     estimated = _estimate_evaluations(indices)
     if estimated > config.max_evaluations:
         raise InputError(

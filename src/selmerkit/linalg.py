@@ -3,8 +3,8 @@
 The nullspace of a sparse integer matrix (fraction-free Gauss-Jordan
 elimination with content stripping; each step pivots on the sparsest
 remaining row, at its smallest coefficient) gives the Manin functionals of
-each star sign and cuts them down to Hecke eigenspaces; its basis is
-diagonal on the non-pivot columns, which it returns too.
+each star sign and cuts them down to Hecke eigenspaces; its basis, sparse
+dicts as the elimination holds them, is diagonal on the non-pivot columns.
 
 Everything is deterministic; no floating point is involved.
 """
@@ -38,16 +38,16 @@ def strip_content(row: dict) -> dict:
     return row
 
 
-def sparse_nullspace(rows, ncols) -> tuple[list[list[int]], list[int]]:
+def sparse_nullspace(rows, ncols) -> tuple[list[dict[int, int]], list[int]]:
     """Nullspace basis of a sparse integer matrix, with its free columns.
 
     `rows` is an iterable of {column: coefficient} dicts.  Zero rows and
     rows equal to an earlier one after content stripping are dropped, so
     callers may pass repeats.  Returns (basis, free): `free` lists the
     non-pivot columns in ascending order, and basis[k] is a primitive
-    integer vector of length `ncols` that is positive on free[k] and zero on
-    every other free column.  So the basis restricted to `free` is diagonal,
-    and a kernel vector is fixed by its values there.
+    integer vector, a {column: value} dict with no zero stored, positive on
+    free[k] and otherwise keyed by pivot columns.  So the basis restricted
+    to `free` is diagonal, and a kernel vector is fixed by its values there.
     """
     active: list[dict] = []
     seen = set()
@@ -116,10 +116,5 @@ def sparse_nullspace(rows, ncols) -> tuple[list[list[int]], list[int]]:
     for f in free:
         hits = [(pivot_of_row[i], active[i]) for i in col_rows.get(f, ())]
         scale = lcm(*(row[pc] for pc, row in hits))
-        v = [0] * ncols
-        v[f] = scale
-        for pc, row in hits:
-            v[pc] = -row[f] * scale // row[pc]
-        g = gcd_list(v)
-        basis.append([x // g for x in v])
+        basis.append(strip_content({f: scale} | {pc: -row[f] * scale // row[pc] for pc, row in hits}))
     return basis, free

@@ -65,7 +65,7 @@ from .analytic import cycle_period
 from .arith import divisors, factorint, isprime, kronecker_symbol, primerange, totient
 from .curves import EllipticCurve, trace_of_frobenius
 from .errors import AmbiguityError, InputError, InternalInvariantError
-from .linalg import gcd_list, sparse_nullspace
+from .linalg import gcd_list, sparse_nullspace, strip_content
 
 # ---------------------------------------------------------------------------
 # index sets and dimension formulas
@@ -205,11 +205,11 @@ class ManinSpace:
     constructor builds only P^1(Z/N), the generating actions sigma, tau and
     iota, and cusp_ends, the two cusp classes of each generator.
     functionals[s], s = +-1, is a primitive integer basis of the functionals
-    with f(iota x) = s f(x); m counts both.  free_columns[s] lists the
-    generators on which that basis is diagonal, one per vector, as
-    sparse_nullspace returns them.  These relation kernels are solved on first
-    use, so a space read only for its P^1 and cusp ends (the level of a
-    twist, twist_eigensymbol) never solves them.
+    with f(iota x) = s f(x), sparse {generator: value} dicts; m counts both.
+    free_columns[s] lists the generators on which that basis is diagonal, one
+    per vector, as sparse_nullspace returns them.  These relation kernels are
+    solved on first use, so a space read only for its P^1 and cusp ends (the
+    level of a twist, twist_eigensymbol) never solves them.
     """
 
     def __init__(self, N: int):
@@ -228,7 +228,7 @@ class ManinSpace:
         self._build_boundary()
 
     @cached_property
-    def _kernels(self) -> tuple[dict[int, list[list[int]]], dict[int, list[int]]]:
+    def _kernels(self) -> tuple[dict[int, list[dict[int, int]]], dict[int, list[int]]]:
         """(functionals, free_columns), solved on first use, with the
         dimension of the whole kernel checked against 2g + c - 1."""
         n = self.n
@@ -240,8 +240,7 @@ class ManinSpace:
             relations.append(Counter((i, self.tau[i], self.tau[self.tau[i]])))
         # functionals[s] is the kernel of the relations and of f_i - s f_iota(i),
         # which at a fixed point of iota is 2 f_i for s = -1 and absent for s = +1
-        functionals: dict[int, list[list[int]]] = {}
-        free_columns: dict[int, list[int]] = {}
+        functionals, free_columns = {}, {}
         for s in (1, -1):
             star_rows = [{i: 1, j: -s} if i != j else {i: 1 - s}
                          for i, j in enumerate(self.iota) if i <= j]
@@ -256,7 +255,7 @@ class ManinSpace:
         return functionals, free_columns
 
     @property
-    def functionals(self) -> dict[int, list[list[int]]]:
+    def functionals(self) -> dict[int, list[dict[int, int]]]:
         return self._kernels[0]
 
     @property
@@ -421,9 +420,9 @@ class EigenSymbol:
         return Fraction(self.sign * self.raw_value(a, b), self.denominator)
 
 
-def _cut(V, F, images, eigenvalue: int) -> tuple[list[list[int]], list[int]]:
+def _cut(V, F, images, eigenvalue: int) -> tuple[list[dict[int, int]], list[int]]:
     """(W, F'): a primitive integer basis W of span(V) cut by A - eigenvalue,
-    and the generators F' on which W is diagonal.
+    and the generators F' on which W is diagonal; V and W hold sparse dicts.
 
     V must be diagonal on the generators F, one per vector, and span a space
     that A preserves; A acts pointwise, (Af)_i = sum of mult * f_j over
@@ -436,18 +435,16 @@ def _cut(V, F, images, eigenvalue: int) -> tuple[list[list[int]], list[int]]:
     rows = [{} for _ in F]
     for k, v in enumerate(V):
         for r, i in enumerate(F):
-            w = sum(v[j] * mult for j, mult in images[i]) - eigenvalue * v[i]
+            w = sum(v.get(j, 0) * mult for j, mult in images[i]) - eigenvalue * v.get(i, 0)
             if w:
                 rows[r][k] = w
     kernel, free = sparse_nullspace(rows, len(V))
     cut = []
     for x in kernel:
-        w = [0] * len(V[0])
-        for xk, v in zip(x, V):
-            if xk:
-                w = [wi + xk * vi for wi, vi in zip(w, v)]
-        g = gcd_list(w)
-        cut.append([wi // g for wi in w])
+        w = Counter()
+        for k, xk in x.items():
+            w.update({j: xk * vj for j, vj in V[k].items()})
+        cut.append(strip_content({j: wj for j, wj in w.items() if wj}))
     return cut, [F[k] for k in free]
 
 
@@ -467,9 +464,8 @@ def _isolate_functionals(E: EllipticCurve, space: ManinSpace) -> tuple[tuple[lis
     N = E.conductor
     spaces, frees = dict(space.functionals), dict(space.free_columns)
     for sign, V in spaces.items():
-        F = frees[sign]
-        if len(F) != len(V) or any(v[i] <= 0 if k == r else v[i]
-                                   for k, v in enumerate(V) for r, i in enumerate(F)):
+        F, free = frees[sign], set(frees[sign])
+        if len(F) != len(V) or any(free.intersection(v) != {i} or v[i] <= 0 for v, i in zip(V, F)):
             raise InternalInvariantError(
                 f"functional basis of star sign {sign:+d} at N={N} "
                 "is not diagonal on its free columns"
@@ -499,7 +495,8 @@ def _isolate_functionals(E: EllipticCurve, space: ManinSpace) -> tuple[tuple[lis
                 f"eigenspace of {E.label or E.ainvs} (star sign {sign:+d}) "
                 f"has dimension {len(V)}"
             )
-    return (spaces[1][0], spaces[-1][0]), used
+    # only the two lines are laid out densely, for _certify and _normalized
+    return tuple([V[0].get(i, 0) for i in range(space.n)] for V in (spaces[1], spaces[-1])), used
 
 
 def _certify(E: EllipticCurve, space: ManinSpace, lines, hecke):

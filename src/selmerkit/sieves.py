@@ -190,10 +190,12 @@ def build_indices(
     primes: list[KolyvaginPrime],
     max_nu: int,
     max_n: int,
+    max_total: int | None = None,
 ) -> list[SquarefreeIndex]:
     """All squarefree products n <= max_n with nu(n) <= max_nu, n ascending.
 
-    Includes n = 1, the empty product.
+    Includes n = 1, the empty product.  Given max_total, an InputError stops
+    the enumeration as soon as the sum of n passes it.
     """
     if len({f.family for f in primes}) > 1:
         raise InputError("cannot mix prime families in one index set")
@@ -202,13 +204,18 @@ def build_indices(
 
     ordered = sorted(primes, key=lambda f: f.q)
     results: list[SquarefreeIndex] = [SquarefreeIndex(())]
+    total = 1
 
     def extend(start: int, n: int, chosen: tuple[KolyvaginPrime, ...]):
+        nonlocal total
         for i in range(start, len(ordered)):
             f = ordered[i]
             n2 = n * f.q
             if n2 > max_n:
                 break  # ordered ascending: later primes only grow n
+            total += n2
+            if max_total is not None and total > max_total:
+                raise InputError(f"region's sum of n passes the budget {max_total}; shrink it or raise the budget")
             results.append(SquarefreeIndex(chosen + (f,)))
             if len(chosen) + 1 < max_nu:
                 extend(i + 1, n2, chosen + (f,))

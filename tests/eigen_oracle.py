@@ -13,6 +13,8 @@ from selmerkit.curves import trace_of_frobenius
 from selmerkit.linalg import sparse_nullspace
 from selmerkit.modsym import psi_index
 
+from lattice_oracle import densify
+
 
 def _row(pairs):
     row = {}
@@ -41,4 +43,4 @@ def stacked_eigenline(E, space, sign, bound=None):
         aq = trace_of_frobenius(E, q)
         for i, img in enumerate(space.hecke_images(q)):
             rows.append(_row(img + [(i, -aq)]))
-    return sparse_nullspace(rows, n)[0]
+    return densify(sparse_nullspace(rows, n)[0], n)

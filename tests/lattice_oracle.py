@@ -11,10 +11,17 @@ boundary map out as a dense cusps x generators matrix; ManinSpace keys each
 cusp, read off the generator in closed form, and keeps only each
 generator's two ends.  kernel_image_gcd over boundary_rows plus the minus
 line is the dense reference for the value group that modsym reads off a
-spanning tree of the cusps.  The tests compare the two sides.
+spanning tree of the cusps.  densify lays out the sparse kernel bases of
+linalg as the dense vectors the oracles and the tests read.  The tests
+compare the two sides.
 """
 
 from math import gcd
+
+
+def densify(basis, n):
+    """The {column: value} dicts of a sparse basis as integer lists of length n."""
+    return [[v.get(i, 0) for i in range(n)] for v in basis]
 
 
 def integer_kernel(rows):

@@ -14,7 +14,7 @@ import pytest
 
 import selmerkit
 
-from selmerkit import analytic, cli, modsym
+from selmerkit import analytic, cli, modsym, sieves
 from selmerkit.cli import (
     CurveRecord,
     RunConfig,
@@ -254,6 +254,27 @@ def test_pipeline_refuses_false_flag():
 def test_pipeline_cost_guard():
     with pytest.raises(InputError, match="budget"):
         run_pipeline(sample_record("11a1"), RunConfig(p=7, prime_bound=500, max_evaluations=10))
+
+
+def test_an_over_budget_region_is_refused_before_it_is_enumerated(capsys, monkeypatch):
+    # 37a1 at p = 5 with nu <= 6 below 10^24 has 110,056 indices; their sum
+    # of n passes the default budget within the first few hundred
+    built = []
+
+    class Counted(sieves.SquarefreeIndex):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(sieves, "SquarefreeIndex", Counted)
+    config = RunConfig(p=5, prime_bound=3000, max_nu=6, max_n=10 ** 24)
+    with pytest.raises(InputError, match="budget"):
+        run_pipeline(sample_record("37a1"), config)
+    assert 0 < len(built) < 1000
+    code, out, err = run_main(capsys, "predict", "--curves", SAMPLE, "--label", "37a1", "--p", "5",
+                              "--prime-bound", "3000", "--max-nu", "6", "--max-n", str(10 ** 24))
+    assert code == 2 and out == "" and "budget" in err
+    assert len(built) < 2000
 
 
 def entry_body(path):

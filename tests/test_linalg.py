@@ -7,7 +7,7 @@ from sympy import Matrix
 
 from selmerkit.linalg import gcd_list, sparse_nullspace
 
-from lattice_oracle import integer_kernel, kernel_image_gcd
+from lattice_oracle import densify, integer_kernel, kernel_image_gcd
 
 
 def _matrix_strategy(max_rows=5, max_cols=6):
@@ -23,14 +23,14 @@ def _matrix_strategy(max_rows=5, max_cols=6):
 
 
 def test_sparse_nullspace_hand_case():
-    assert sparse_nullspace([{0: 1, 1: 2}, {2: 1}], 3) == ([[-2, 1, 0]], [1])
+    assert sparse_nullspace([{0: 1, 1: 2}, {2: 1}], 3) == ([{0: -2, 1: 1}], [1])
     # 2x = 3y: the rational kernel vector (3/2, 1) comes back as (3, 2)
-    assert sparse_nullspace([{0: 2, 1: -3}], 2) == ([[3, 2]], [1])
+    assert sparse_nullspace([{0: 2, 1: -3}], 2) == ([{0: 3, 1: 2}], [1])
 
 
 def test_sparse_nullspace_drops_repeated_and_scaled_rows():
     single = sparse_nullspace([{0: 1, 2: -3}], 3)
-    assert sorted(single[0]) == [[0, 1, 0], [3, 0, 1]]
+    assert single[0] == [{1: 1}, {0: 3, 2: 1}]
     rows = [{0: 1, 2: -3}, {0: 4, 2: -12}, {0: 1, 2: -3}, {0: -2, 2: 6}, {2: -3, 0: 1}]
     assert sparse_nullspace(rows, 3) == single
 
@@ -38,7 +38,7 @@ def test_sparse_nullspace_drops_repeated_and_scaled_rows():
 def test_sparse_nullspace_zero_matrix():
     basis, free = sparse_nullspace([{}], 4)
     assert free == [0, 1, 2, 3]
-    assert sorted(basis, reverse=True) == [[int(i == j) for i in range(4)] for j in range(4)]
+    assert basis == [{0: 1}, {1: 1}, {2: 1}, {3: 1}]
 
 
 @settings(max_examples=80, deadline=None)
@@ -46,7 +46,7 @@ def test_sparse_nullspace_zero_matrix():
 def test_sparse_nullspace_matches_rank_nullity(mat):
     rows = [{j: v for j, v in enumerate(row) if v} for row in mat]
     ncols = len(mat[0])
-    basis, _ = sparse_nullspace(rows, ncols)
+    basis = densify(sparse_nullspace(rows, ncols)[0], ncols)
     assert len(basis) == ncols - Matrix(mat).rank()
     if basis:
         assert Matrix(basis).rank() == len(basis)
@@ -64,7 +64,8 @@ def test_sparse_nullspace_is_diagonal_on_exactly_its_free_columns(mat):
     # on the free columns, and there the basis is positive diagonal
     rows = [{j: v for j, v in enumerate(row) if v} for row in mat]
     ncols = len(mat[0])
-    basis, free = sparse_nullspace(rows, ncols)
+    sparse, free = sparse_nullspace(rows, ncols)
+    basis = densify(sparse, ncols)
     assert free == sorted(set(free)) and len(free) == len(basis)
     for k, v in enumerate(basis):
         assert [v[c] > 0 if r == k else v[c] == 0 for r, c in enumerate(free)] == [True] * len(free)
@@ -74,6 +75,21 @@ def test_sparse_nullspace_is_diagonal_on_exactly_its_free_columns(mat):
     assert len(pivots) == rank
     if pivots:
         assert Matrix(mat).extract(list(range(len(mat))), pivots).rank() == rank
+
+
+@settings(max_examples=80, deadline=None)
+@given(mat=_matrix_strategy())
+def test_sparse_nullspace_basis_is_sparse_and_primitive(mat):
+    # each vector is a dict that stores no zero, with no common factor, and
+    # lives on its own free column and the pivot columns alone
+    rows = [{j: v for j, v in enumerate(row) if v} for row in mat]
+    ncols = len(mat[0])
+    basis, free = sparse_nullspace(rows, ncols)
+    pivots = set(range(ncols)) - set(free)
+    for f, v in zip(free, basis):
+        assert isinstance(v, dict) and 0 not in v.values()
+        assert gcd_list(v.values()) == 1
+        assert set(v) <= {f} | pivots
 
 
 @settings(max_examples=80, deadline=None)

@@ -220,6 +220,15 @@ def test_build_indices_respects_bounds(curve):
     assert len(nu1) == 5
 
 
+def test_build_indices_stops_once_the_sum_of_n_passes_its_budget(curve):
+    primes = sieve("cyc", curve("37a1"), 5, 1, 500)
+    full = build_indices(primes, max_nu=2, max_n=10 ** 6)
+    total = sum(ix.n for ix in full)
+    assert build_indices(primes, max_nu=2, max_n=10 ** 6, max_total=total) == full
+    with pytest.raises(InputError, match="budget"):
+        build_indices(primes, max_nu=2, max_n=10 ** 6, max_total=total - 1)
+
+
 def test_build_indices_rejects_mixed_families(curve):
     a = sieve("cyc", curve("11a1"), 7, 1, 500)
     b = sieve("adm", curve("11a1"), 5, 1, 60, D_K=-3)
