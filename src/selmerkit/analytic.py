@@ -7,14 +7,14 @@ error bound, which pins the eigensymbol's sign.  It folds the path through
 the Fricke involution W_N, whose eigenvalue w = +-1 the caller reads exactly
 off the symbol: the path's ends then sit at height 1/(d sqrt N), not 1/N, so
 the series has about log(1/tol) d sqrt(N) / (2 pi) terms instead of
-log(1/tol) N / (2 pi).  modular_symbol_series integrates f from a/b up the
-vertical line, an independent, heuristic check.  The AGM and the cycle follow
-Cremona, "Algorithms for Modular Elliptic Curves".
+log(1/tol) N / (2 pi).  numeric_plus integrates f from a/b up the vertical
+line, an independent, heuristic check.  Both sum their real series through
+one cosine-series loop (_cosine_series); only the paths differ.  The AGM and
+the cycle follow Cremona, "Algorithms for Modular Elliptic Curves".
 """
 
 from __future__ import annotations
 
-from cmath import exp as cexp
 from decimal import Context, Decimal, getcontext, localcontext
 from math import ceil, cos, exp, gcd, isqrt, log, pi, sqrt
 from sys import float_info
@@ -24,7 +24,7 @@ from .errors import InputError, InternalInvariantError
 
 
 PERIOD_DIGITS = 40  # decimal precision of the square roots, the AGM and pi
-TOLERANCE_FLOOR = 1e-14  # the least tol that modular_symbol_series accepts
+TOLERANCE_FLOOR = 1e-14  # the least tol that numeric_plus accepts
 
 
 def _agm(a: Decimal, b: Decimal) -> tuple[Decimal, Decimal]:
@@ -92,14 +92,16 @@ def real_periods(E: EllipticCurve) -> tuple[float, float]:
         return float(scale / _agm(c, plus)[0]), float(scale / _agm(c, minus)[0])
 
 
-def modular_symbol_series(E: EllipticCurve, a: int, b: int, tol: float = 1e-8) -> complex:
-    """sum_n (a_n / n) e^{2 pi i n a/b} e^{-2 pi n delta}, the truncated
-    period integral of 2 pi i f from a/b + i*delta up to the cusp at infinity
-    combined with the bound on the missing lower segment.
+def numeric_plus(E: EllipticCurve, a: int, b: int, tol: float = 1e-6) -> float:
+    """Direct-integration value of [a/b]+, i.e. Re(integral) / omega_plus.
 
-    The tail of the sum decays like exp(-2*pi*n*delta), while the discarded
-    segment below height delta is controlled by the decay of f at the base
-    cusp, of width h = N / gcd(b^2, N).  Balancing the two gives
+    The integral of 2 pi i f from a/b + i*delta up to the cusp at infinity
+    has real part sum_n (a_n / n) cos(2 pi n a/b) e^{-2 pi n delta}, summed
+    by _cosine_series on the phase table cos(2 pi (k a mod b) / b), which
+    takes any integer a.  The tail of the sum decays like
+    exp(-2*pi*n*delta), while the discarded segment below height delta is
+    controlled by the decay of f at the base cusp, of width
+    h = N / gcd(b^2, N).  Balancing the two gives
     delta = 2*pi / (h * b^2 * L) with L = log(1/tol), and a term requirement
     of about L^2 * h * b^2 / (4*pi^2).  That balance is a heuristic, not a
     proof; at b = 1 the series costs about 7N terms.
@@ -111,7 +113,7 @@ def modular_symbol_series(E: EllipticCurve, a: int, b: int, tol: float = 1e-8) -
     if not TOLERANCE_FLOOR <= tol < 1:
         raise InputError(f"tolerance must lie in [{TOLERANCE_FLOOR}, 1), got {tol}")
     if b == 0:
-        return 0j
+        return 0.0
     if b < 0:
         a, b = -a, -b
     g = gcd(a, b)
@@ -121,24 +123,8 @@ def modular_symbol_series(E: EllipticCurve, a: int, b: int, tol: float = 1e-8) -
     L = log(1.0 / tol) + 3.0
     T = ceil(L * L * h * b * b / (4 * pi * pi)) + 64
     delta = 2 * pi / (h * b * b * L)
-    an = hecke_an_list(E, T)
-    # e^{2 pi i k / b} table; the phase of term n is the (n*a mod b)-th entry
-    zeta = [cexp(2j * pi * k / b) for k in range(b)]
-    r = exp(-2 * pi * delta)
-    S, rn, phase = 0j, 1.0, 0
-    for n in range(1, T + 1):
-        rn *= r
-        phase += a
-        if phase >= b:
-            phase -= b
-        if an[n]:
-            S += (an[n] / n) * zeta[phase] * rn
-    return S
-
-
-def numeric_plus(E: EllipticCurve, a: int, b: int, tol: float = 1e-6) -> float:
-    """Direct-integration value of [a/b]+, i.e. Re(integral) / omega_plus."""
-    return modular_symbol_series(E, a, b, tol=tol).real / real_periods(E)[0]
+    phases = [cos(2 * pi * (k * a % b) / b) for k in range(b)]
+    return _cosine_series(hecke_an_list(E, T), exp(-2 * pi * delta), T, phases) / real_periods(E)[0]
 
 
 def _cycle_tail_bound(r: float, omega_plus: float, T: int) -> float:

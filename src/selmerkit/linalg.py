@@ -5,6 +5,7 @@ elimination with content stripping; each step pivots on the sparsest
 remaining row, at its smallest coefficient) gives the Manin functionals of
 each star sign and cuts them down to Hecke eigenspaces; its basis, sparse
 dicts as the elimination holds them, is diagonal on the non-pivot columns.
+Content is the gcd of a row's entries, taken by math.gcd in one call.
 
 Everything is deterministic; no floating point is involved.
 """
@@ -15,24 +16,14 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 __all__ = [
-    "gcd_list",
     "strip_content",
     "sparse_nullspace",
 ]
 
 
-def gcd_list(values) -> int:
-    g = 0
-    for v in values:
-        g = gcd(g, int(v))
-        if g == 1:
-            return 1
-    return g
-
-
 def strip_content(row: dict) -> dict:
     """Divide a sparse integer row by the gcd of its entries."""
-    g = gcd_list(row.values())
+    g = gcd(*row.values())
     if g > 1:
         return {c: v // g for c, v in row.items()}
     return row

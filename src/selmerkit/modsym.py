@@ -3,10 +3,11 @@
 The space of modular symbols is presented by generators indexed by P^1(Z/N)
 subject to the two-term and three-term Manin relations.  ManinSpace owns
 P^1(Z/N) as one row of classes per divisor g of N: the class of (c : d) is
-row gcd(c, N) read at a unit multiple of d, for the relations, the Hecke
-images and the eigensymbol, which maps the same rows to its values; the
-cusps that end each generator's path are read off (c : d) in closed form.
-No level keeps an N^2 table.  We work throughout on the dual side: a
+row gcd(c, N) read at a unit multiple of d, for the relations, Merel's T_q
+(one flat row of image classes per generator, repeats kept) and the
+eigensymbol, which maps the same rows to its values; the cusps that end each
+generator's path are read off (c : d) in closed form.  No level keeps an N^2
+table.  We work throughout on the dual side: a
 "functional" is an integer vector orthogonal to every relation, so the
 functional space has dimension 2g + c - 1.  The star involution iota
 preserves the relations, so that space splits into its sign +1 and sign -1
@@ -48,8 +49,8 @@ and minus lines are chi-twisted sums of the minus and plus lines that E's
 eigensymbol keeps (plus and minus for D > 0), each path read by a signed
 continued-fraction walk at level N.  The level-M space then serves only its
 P^1 rows and cusp ends; each line passes the same certificate, with two
-primes q, and is normalized and pinned as above, so the symbol is the one the
-cut would give.
+primes q whose T_q rows are read one at a time, and is normalized and pinned
+as above, so the symbol is the one the cut would give.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from .analytic import cycle_period
 from .arith import divisors, factorint, isprime, kronecker_symbol, primerange, totient
 from .curves import EllipticCurve, trace_of_frobenius
 from .errors import AmbiguityError, InputError, InternalInvariantError
-from .linalg import gcd_list, sparse_nullspace, strip_content
+from .linalg import sparse_nullspace, strip_content
 
 # ---------------------------------------------------------------------------
 # index sets and dimension formulas
@@ -302,29 +303,21 @@ class ManinSpace:
 
     # -- operators on functionals -------------------------------------------
 
-    def hecke_images(self, q: int) -> list[list[tuple[int, int]]]:
-        """T_q on generators, q prime to N: images[i] lists (j, multiplicity).
+    def hecke_images(self, q: int):
+        """T_q on generators, q prime to N: images[0], images[1], ..., made
+        one row at a time as they are iterated.
 
-        A functional f goes to (T_q f)_i = sum of mult * f_j over images[i]
-        (Merel's matrices of determinant q acting on the symbol (c : d)).
-        Each image pair is looked up with index.  A q dividing N is refused:
-        the same matrices then give neither T_q nor U_q.
+        images[i] lists the classes j of Merel's matrices of determinant q
+        acting on the symbol (c : d) of generator i, repeats kept, and f goes
+        to (T_q f)_i = sum of f_j over images[i].  A q dividing N is refused
+        at the call: the same matrices then give neither T_q nor U_q.
         """
         N = self.N
         if N % q == 0:
             raise InputError(f"T_q needs q prime to the level; q = {q} divides N = {N}")
-        return list(self._hecke_rows(q))
-
-    def _hecke_rows(self, q: int):
-        """images[0], images[1], ... of hecke_images(q), one row at a time."""
-        index = self.index
-        mats = _merel_matrices(q)
-        for c, d in self.p1_reps:
-            counts: dict[int, int] = {}
-            for a, b, cc, dd in mats:
-                j = index(c * a + d * cc, c * b + d * dd)
-                counts[j] = counts.get(j, 0) + 1
-            yield list(counts.items())
+        index, mats = self.index, _merel_matrices(q)
+        return ([index(c * a + d * cc, c * b + d * dd) for a, b, cc, dd in mats]
+                for c, d in self.p1_reps)
 
 
 def build_manin_space(N: int) -> ManinSpace:
@@ -425,8 +418,8 @@ def _cut(V, F, images, eigenvalue: int) -> tuple[list[dict[int, int]], list[int]
     and the generators F' on which W is diagonal; V and W hold sparse dicts.
 
     V must be diagonal on the generators F, one per vector, and span a space
-    that A preserves; A acts pointwise, (Af)_i = sum of mult * f_j over
-    images[i], and only the images of F are read.  A vector of that space
+    that A preserves; A acts pointwise, (Af)_i = sum of f_j over the classes
+    j of images[i], and only the images of F are read.  A vector of that space
     vanishes exactly when it vanishes on F, so the combinations x with
     sum x_k (A - eigenvalue) V_k = 0 are the kernel of the |V| x |V| system
     on the rows F.  The kernel basis is diagonal on its free positions k, so
@@ -435,7 +428,7 @@ def _cut(V, F, images, eigenvalue: int) -> tuple[list[dict[int, int]], list[int]
     rows = [{} for _ in F]
     for k, v in enumerate(V):
         for r, i in enumerate(F):
-            w = sum(v.get(j, 0) * mult for j, mult in images[i]) - eigenvalue * v.get(i, 0)
+            w = sum(v.get(j, 0) for j in images[i]) - eigenvalue * v.get(i, 0)
             if w:
                 rows[r][k] = w
     kernel, free = sparse_nullspace(rows, len(V))
@@ -479,7 +472,7 @@ def _isolate_functionals(E: EllipticCurve, space: ManinSpace) -> tuple[tuple[lis
         if not cutting:
             break
         aq = trace_of_frobenius(E, q)
-        images = space.hecke_images(q)
+        images = list(space.hecke_images(q))
         for sign in cutting:
             spaces[sign], frees[sign] = _cut(spaces[sign], frees[sign], images, aq)
         used.append((q, aq, images))
@@ -503,8 +496,8 @@ def _certify(E: EllipticCurve, space: ManinSpace, lines, hecke):
     """lines = (plus, minus) of E, once each satisfies on all generators of
     space the two- and three-term Manin relations, f(iota x) = +-f(x), and
     T_q f = a_q f for every (q, a_q, images of T_q) that hecke yields, the
-    images read once, row by row; InternalInvariantError otherwise.  The one
-    certificate of an eigenline."""
+    images (as hecke_images gives them) read once, row by row;
+    InternalInvariantError otherwise.  The one certificate of an eigenline."""
     sigma, tau, iota = space.sigma, space.tau, space.iota
     name = E.label or E.ainvs
     for sign, f in zip((1, -1), lines):
@@ -517,7 +510,7 @@ def _certify(E: EllipticCurve, space: ManinSpace, lines, hecke):
             raise InternalInvariantError(f"eigensymbol line of {name} is not of star sign {sign:+d}")
     for q, aq, images in hecke:
         for i, img in enumerate(images):
-            if any(sum(f[j] * mult for j, mult in img) != aq * f[i] for f in lines):
+            if any(sum(f[j] for j in img) != aq * f[i] for f in lines):
                 raise InternalInvariantError(f"eigensymbol line of {name} fails T_{q} f = {aq} f")
     return lines
 
@@ -645,13 +638,13 @@ def twist_eigensymbol(sym: EigenSymbol, D: int, twist: EllipticCurve) -> EigenSy
     space = build_manin_space(M)
     lines = []
     for f in _twisted_functionals(sym, D, space):
-        g = gcd_list(f)
+        g = gcd(*f)
         if g == 0:
             raise InternalInvariantError(f"twisted functional of {twist.label or twist.ainvs} vanishes")
         lines.append([x // g for x in f])
     # one row of T_q's images at a time: at level M a whole T_q is the step's largest object
     primes = islice((q for q in count(2) if M % q and isprime(q)), 2)
-    hecke = ((q, trace_of_frobenius(twist, q), space._hecke_rows(q)) for q in primes)
+    hecke = ((q, trace_of_frobenius(twist, q), space.hecke_images(q)) for q in primes)
     return _normalized(twist, space, *_certify(twist, space, lines, hecke))
 
 

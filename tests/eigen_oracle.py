@@ -42,5 +42,5 @@ def stacked_eigenline(E, space, sign, bound=None):
             continue
         aq = trace_of_frobenius(E, q)
         for i, img in enumerate(space.hecke_images(q)):
-            rows.append(_row(img + [(i, -aq)]))
+            rows.append(_row([(j, 1) for j in img] + [(i, -aq)]))
     return densify(sparse_nullspace(rows, n)[0], n)

@@ -1,11 +1,13 @@
 """Exact kernels: sparse integer nullspaces, and the lattice oracle's gcd of
 a form on an integer kernel against its saturated kernel basis."""
 
+from math import gcd
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import Matrix
 
-from selmerkit.linalg import gcd_list, sparse_nullspace
+from selmerkit.linalg import sparse_nullspace
 
 from lattice_oracle import densify, integer_kernel, kernel_image_gcd
 
@@ -52,7 +54,7 @@ def test_sparse_nullspace_matches_rank_nullity(mat):
         assert Matrix(basis).rank() == len(basis)
     for v in basis:
         assert all(isinstance(x, int) for x in v)
-        assert gcd_list(v) == 1
+        assert gcd(*v) == 1
         for row in mat:
             assert sum(c * x for c, x in zip(row, v)) == 0
 
@@ -88,7 +90,7 @@ def test_sparse_nullspace_basis_is_sparse_and_primitive(mat):
     pivots = set(range(ncols)) - set(free)
     for f, v in zip(free, basis):
         assert isinstance(v, dict) and 0 not in v.values()
-        assert gcd_list(v.values()) == 1
+        assert gcd(*v.values()) == 1
         assert set(v) <= {f} | pivots
 
 
@@ -120,7 +122,7 @@ def test_kernel_image_gcd_matches_the_oracle_kernel(data):
     mat = data.draw(_matrix_strategy())
     n = len(mat[0])
     f = data.draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
-    expected = gcd_list(sum(fi * wi for fi, wi in zip(f, w)) for w in integer_kernel(mat))
+    expected = gcd(*(sum(fi * wi for fi, wi in zip(f, w)) for w in integer_kernel(mat)))
     assert kernel_image_gcd(mat, f) == expected
 
 

@@ -219,8 +219,8 @@ def test_a_space_lives_only_as_long_as_its_symbols():
 
 
 def _apply(images, f):
-    """(Af)_i = sum of mult * f_j over images[i], the pointwise operator."""
-    return [sum(f[j] * mult for j, mult in img) for img in images]
+    """(Af)_i = sum of f_j over the classes j of images[i], the pointwise operator."""
+    return [sum(f[j] for j in img) for img in images]
 
 
 def _satisfies_manin_relations(sp, g):
@@ -273,7 +273,7 @@ def test_hecke_images_preserve_the_functional_space(N):
     for q in (2, 3, 5, 7):
         if N % q == 0:
             continue
-        images = sp.hecke_images(q)
+        images = list(sp.hecke_images(q))
         for f in densify(sp.functionals[1] + sp.functionals[-1], sp.n):
             assert _satisfies_manin_relations(sp, _apply(images, f))
 
@@ -285,22 +285,44 @@ def test_hecke_images_refuse_a_q_dividing_the_level():
             ManinSpace(N).hecke_images(q)
 
 
+def test_hecke_images_read_no_class_until_iterated(monkeypatch):
+    # the twist's certificate streams T_q one row at a time, so the call
+    # itself reads nothing, and a q dividing N is refused at the call
+    sp = ManinSpace(26)
+    index, calls = ManinSpace.index, []
+
+    def counted(self, c, d):
+        calls.append((c, d))
+        return index(self, c, d)
+
+    monkeypatch.setattr(ManinSpace, "index", counted)
+    rows = sp.hecke_images(3)
+    with pytest.raises(InputError, match="q = 13 divides N = 26"):
+        sp.hecke_images(13)
+    assert calls == []
+    first = next(rows)
+    assert len(calls) == len(first) == len(_merel_matrices(3))
+
+
 def test_star_commutes_with_hecke():
     for N in (11, 37):
         sp = build_manin_space(N)
-        t2 = sp.hecke_images(2)
-        star = [[(j, 1)] for j in sp.iota]
+        t2 = list(sp.hecke_images(2))
+        star = [[j] for j in sp.iota]
         for f in densify(sp.functionals[1] + sp.functionals[-1], sp.n):
             assert _apply(star, _apply(t2, f)) == _apply(t2, _apply(star, f))
 
 
 def test_merel_matrices():
+    sp = ManinSpace(37)
     for q in (2, 3, 5, 7, 13):
         mats = _merel_matrices(q)
         assert len(mats) == len(set(mats))
         for a, b, c, d in mats:
             assert a * d - b * c == q
             assert a > b >= 0 and d > c >= 0
+        # each T_q row keeps one class per matrix, repeats and all
+        assert all(len(row) == len(mats) for row in sp.hecke_images(q))
     assert len(_merel_matrices(2)) == 4
 
 
@@ -436,18 +458,6 @@ def test_isolated_lines_match_the_stacked_oracle(curve, label):
         assert (digest, sym.denominator) == FROZEN_TWIST_LINES[label]
 
 
-class _ReadLog(list):
-    """Hecke images that record which rows are looked up by index."""
-
-    def __init__(self, images, reads):
-        super().__init__(images)
-        self.reads = reads
-
-    def __getitem__(self, i):
-        self.reads.add(i)
-        return super().__getitem__(i)
-
-
 def test_a_line_that_fails_off_the_free_columns_is_refused(curve, monkeypatch):
     # T_2 is wrong at one generator that no cut reads, so only the certificate
     # on all n generators can see it
@@ -456,15 +466,19 @@ def test_a_line_that_fails_off_the_free_columns_is_refused(curve, monkeypatch):
     plus, _ = _isolate_functionals(E, sp)[0]
     served = set(sp.free_columns[1]) | set(sp.free_columns[-1])
     g = next(i for i in range(sp.n) if i not in served and plus[i])
-    images = ManinSpace.hecke_images
-    reads = set()
+    images, cut, reads = ManinSpace.hecke_images, modsym._cut, set()
 
     def bent(self, q):
-        out = images(self, q)
-        out[g] = out[g] + [(g, 1)]
-        return _ReadLog(out, reads)
+        out = list(images(self, q))
+        out[g] = out[g] + [g]
+        return out
+
+    def logged(V, F, images, eigenvalue):
+        reads.update(F)  # a cut reads the T_q rows of its generators F alone
+        return cut(V, F, images, eigenvalue)
 
     monkeypatch.setattr(ManinSpace, "hecke_images", bent)
+    monkeypatch.setattr(modsym, "_cut", logged)
     with pytest.raises(InternalInvariantError, match="fails T_2"):
         isolate_eigensymbol(E, sp)
     # the cuts read only the free columns, and never the bent row
@@ -505,7 +519,8 @@ def test_frozen_plus_values(eigensymbol, label):
 @pytest.mark.parametrize("label", ["11a1", "15a1", "37a1"])
 def test_eval_agrees_with_numeric_integration(eigensymbol, label):
     sym = eigensymbol(label)
-    for a, b in [(0, 1), (1, 2), (2, 5), (3, 8), (5, 11), (7, 12)]:
+    # a < 0 and a >= b as well: the phase table takes any a
+    for a, b in [(0, 1), (1, 2), (2, 5), (3, 8), (5, 11), (7, 12), (4, 3), (-1, 3), (-2, 5), (7, 3)]:
         alg = float(sym.eval_plus(a, b))
         num = numeric_plus(sym.curve, a, b)
         assert abs(alg - num) < 1e-5
